@@ -204,6 +204,8 @@ def cmd_pseudo(args):
 
 
 def cmd_terms(args):
+    if args.n < 0:
+        raise CliError(f"degree must be non-negative, got {args.n}")
     ts = terms.enumerate_terms(args.n)
     if args.format == "json":
         _emit(json.dumps([t.render() for t in ts]), args.out)

@@ -11,13 +11,21 @@ is checked.
 The empty polytope (dim -1, lone face = the empty set) is a legal lattice:
 it shows up as the link of the whole polytope along itself, and its pyramid
 is the point.
+
+The intersection closure and the pairwise parts of ``validate`` are checked
+against a generator set rather than against every pair of faces.  Every
+face of a polytope is the intersection of the facets containing it
+(coatomicity), so the generators are the facets plus any member that is
+not such an intersection; every member is then the intersection of the
+generators above it.  Each check costs O(F * |generators|) bitmask
+operations for F faces, which is O(F * facets) on a polytope lattice, and
+allocates nothing of size F * F.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -170,22 +178,20 @@ class FaceLattice:
         return alt == 1 - (-1) ** self.n
 
     def closed_under_intersection(self) -> bool:
-        masks = [m for lv in self._levels() for m in lv]
-        empty_mask = 0
-        full = 0
-        verts = self.vertices
-        for _ in verts:
-            full = (full << 1) | 1
-        allm = masks + [empty_mask, full]
-        have = set(allm)
-        if len(verts) <= 63 and len(allm) > 1:
-            arr = np.array(allm, dtype=np.uint64)
-            inter = np.bitwise_and.outer(arr, arr).ravel()
-            return bool(np.isin(inter, arr).all())
-        for a, b in combinations(allm, 2):
-            if a & b not in have:
-                return False
-        return True
+        """Whether the proper faces, the empty set and the whole vertex set
+        are closed under pairwise intersection.
+
+        Exact in O(F * facets): the family is closed iff ``x & m`` is a
+        member for every member x and every generator m (see
+        ``_generators``), since intersecting x with any member is a chain
+        of intersections with generators.
+        """
+        levels = self._levels()
+        full = (1 << len(self.vertices)) - 1
+        family = {m for lv in levels for m in lv} | {0, full}
+        facets = levels[-1] if levels else []
+        gens = _generators(family, facets, full)
+        return all(x & m in family for x in family for m in gens)
 
     def vertex_edge_degrees(self) -> dict:
         degs = {v: 0 for v in self.vertices}
@@ -204,17 +210,44 @@ class FaceLattice:
 
     @classmethod
     def from_json(cls, data, validate=True) -> "FaceLattice":
-        n = int(data["n"])
+        """Inverse of ``to_json``.  A document of the wrong shape raises
+        ValueError naming the offending entry."""
+        if not isinstance(data, dict) or not _is_int(data.get("n")):
+            raise ValueError("lattice JSON needs an integer 'n'")
+        if not isinstance(data.get("faces"), list):
+            raise ValueError("lattice JSON needs a list 'faces'")
         faces = {}
-        for item in data["faces"]:
-            faces[frozenset(item["verts"])] = int(item["dim"])
-        lat = cls(n, faces)
+        for i, item in enumerate(data["faces"]):
+            if not (isinstance(item, dict) and _is_int(item.get("dim"))
+                    and isinstance(item.get("verts"), list)
+                    and all(_is_int(v) for v in item["verts"])):
+                raise ValueError(
+                    f"lattice JSON faces[{i}] = {item!r:.80}: "
+                    "need an integer 'dim' and a list of integer 'verts'")
+            faces[frozenset(item["verts"])] = item["dim"]
+        lat = cls(data["n"], faces)
         if validate:
             lat.validate()
         return lat
 
     def validate(self):
-        """Structural invariants: grading, vertex atoms, closure."""
+        """Structural invariants: grading, vertex atoms, closure.
+
+        The per-face checks come first, then that every face lies below a
+        single face of dimension n.  Three exact checks against the
+        generator set follow, made together in one O(F * facets) pass over
+        the F faces:
+
+        - closure: ``x & m`` is a face for every face x and generator m;
+        - containment raises dimension: with closure known, it holds iff
+          ``dim(g & m) < dim g`` for every face g and every generator m
+          not containing g;
+        - every face of dimension d >= 0 covers a face of dimension d - 1:
+          one of those ``g & m`` has dimension d - 1.
+
+        An input that breaks both closure and containment is reported as
+        not closed under intersection.
+        """
         dims = set(self.faces.values())
         if self.n not in dims:
             raise ValueError("full face missing")
@@ -230,25 +263,65 @@ class FaceLattice:
             if not f <= vs and d >= 0:
                 raise ValueError(f"face {sorted(f)} uses unknown vertices")
         full = self.full_face
-        by_dim = {}
-        for f, d in self.faces.items():
-            by_dim.setdefault(d, []).append(f)
+        for f in self.faces:
             if not f <= full:
                 raise ValueError(f"face {sorted(f)} is not below the full face")
-            for g, e in self.faces.items():
-                if f < g and d >= e:
-                    raise ValueError("containment must raise dimension")
-        for d in range(0, self.n + 1):
+        if sum(d == self.n for d in self.faces.values()) > 1:
+            raise ValueError("containment must raise dimension")
+
+        # vertices are distinct singletons and make up the full face; the
+        # bits of a face are distinct, so their sum is their union
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        mask_of = {f: sum(map(bit.__getitem__, f)) for f in self.faces}
+        dim_of = {mask_of[f]: d for f, d in self.faces.items()}
+        facets = [m for m, d in dim_of.items() if d == self.n - 1]
+        gens = _generators(dim_of, facets, (1 << len(bit)) - 1)
+        # one pass in dimension order; a closure failure anywhere is reported
+        # before containment, and containment before covers
+        uncontained = uncovered = None
+        for f, d in sorted(self.faces.items(), key=lambda fd: fd[1]):
+            g = mask_of[f]
+            # dimensions of g & m over the generators m not containing g;
+            # None marks an intersection that is not a face
+            below = {dim_of.get(g & m) for m in gens if g | m != m}
+            if None in below:
+                raise ValueError("face set is not closed under intersection")
+            if uncontained is None and max(below, default=d - 1) >= d:
+                uncontained = f
             # maximal chains are saturated: each face covers one a dim lower
-            for g in by_dim.get(d, ()):
-                if not any(f < g for f in by_dim.get(d - 1, ())):
-                    raise ValueError(
-                        f"face {sorted(g)} covers nothing of dimension {d - 1}")
-        if not self.closed_under_intersection():
-            raise ValueError("face set is not closed under intersection")
+            if uncovered is None and d >= 0 and d - 1 not in below:
+                uncovered = f
+        if uncontained is not None:
+            raise ValueError("containment must raise dimension")
+        if uncovered is not None:
+            d = self.faces[uncovered]
+            raise ValueError(
+                f"face {sorted(uncovered)} covers nothing of dimension {d - 1}")
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _generators(family, facets, full: int) -> list:
+    """The facets plus every member of ``family`` that is not the
+    intersection of the facets containing it (the empty intersection being
+    ``full``).  Every member is then the intersection of the generators
+    containing it.  All masks lie below ``full``; ``facets`` may be any
+    subset of the family, as the exceptions join the generators.
+    """
+    gens = list(facets)
+    for x in family:
+        meet = full
+        for p in facets:
+            if x & p == x:
+                meet &= p
+        if meet != x:
+            gens.append(x)
+    return gens
 
 
 def _flag_vector_dp(lat: FaceLattice) -> "FlagVector":

@@ -109,6 +109,14 @@ class TestCommands:
         rc, _, err = run(capsys, "flagvec", str(path))
         assert rc == 2 and "empty face" in err
 
+    def test_lattice_file_schema(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 0, "faces": [
+            {"verts": [], "dim": -1}, {"verts": 5, "dim": 0}]}))
+        rc, _, err = run(capsys, "flagvec", str(path))
+        assert rc == 2 and "Traceback" not in err
+        assert err.count("\n") == 1 and "faces[1]" in err
+
     def test_basis(self, capsys):
         rc, out, _ = run(capsys, "basis", "3")
         assert rc == 0 and out.split() == ["CCC.", "CIC.", "ICC."]
@@ -140,6 +148,11 @@ class TestCommands:
     def test_terms(self, capsys):
         rc, out, _ = run(capsys, "terms", "3")
         assert rc == 0 and out.split() == ["x^3", "x^2y", "xy^2", "y^3", "{1}"]
+
+    def test_terms_negative_degree(self, capsys):
+        rc, out, err = run(capsys, "terms", "-2")
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_order(self, capsys):
         rc, out, _ = run(capsys, "order", "X{1}{1}", "Abar{1}{1}")

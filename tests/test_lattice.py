@@ -1,6 +1,10 @@
 """Face lattices, flag counting, links, serialization."""
 
 import json
+import random
+import time
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -209,6 +213,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="intersection"):
             FaceLattice.from_json(data)
 
+    @pytest.mark.parametrize("data, where", [
+        ([], "'n'"),
+        ({"n": "1", "faces": []}, "'n'"),
+        ({"n": 1, "faces": {}}, "'faces'"),
+        ({"n": 0, "faces": [{"verts": [], "dim": -1}, 7]}, "faces[1]"),
+        ({"n": 0, "faces": [{"verts": 5, "dim": 0}]}, "faces[0]"),
+        ({"n": 0, "faces": [{"verts": ["a"], "dim": 0}]}, "faces[0]"),
+        ({"n": 0, "faces": [{"verts": [0], "dim": 0.0}]}, "faces[0]"),
+        ({"n": 0, "faces": [{"verts": [0]}]}, "faces[0]"),
+    ])
+    def test_schema_errors_name_the_entry(self, data, where):
+        with pytest.raises(ValueError) as e:
+            FaceLattice.from_json(data, validate=False)
+        assert where in str(e.value)
+
     def test_flag_csv(self):
         csv = build(W("C")).flag_vector().to_csv()
         assert csv == "set,count\n,1\n0,2\n"
@@ -217,3 +236,131 @@ class TestSerialization:
         data = build(W("C")).flag_vector().to_json()
         assert data == {"n": 1, "entries": [
             {"set": [], "count": 1}, {"set": [0], "count": 2}]}
+
+
+# -- plain O(F^2) references for the generator-set checks --------------------
+
+def reference_closed(lat):
+    """Pairwise intersection closure of the proper faces, the empty set and
+    the whole vertex set."""
+    verts = frozenset(lat.vertices)
+    proper = {f for f, d in lat.faces.items() if 0 <= d < lat.n}
+    if any(not f <= verts for f in proper):
+        raise KeyError("face uses a vertex outside the vertex faces")
+    family = proper | {frozenset(), verts}
+    return all(a & b in family for a, b in combinations(family, 2))
+
+
+def reference_validate(lat):
+    """Every pair of faces compared directly."""
+    faces, n = lat.faces, lat.n
+    if n not in set(faces.values()):
+        raise ValueError("full face missing")
+    for f, d in faces.items():
+        if not (-1 <= d <= n) or (d == -1 and f):
+            raise ValueError("bad dimension")
+    vs = set(lat.vertices)
+    for f, d in faces.items():
+        if (d == 0 and len(f) != 1) or (not f <= vs and d >= 0):
+            raise ValueError("bad vertices")
+    full = lat.full_face
+    for f, d in faces.items():
+        if not f <= full:
+            raise ValueError("not below the full face")
+        if any(f < g and d >= e for g, e in faces.items()):
+            raise ValueError("containment must raise dimension")
+    for g, d in faces.items():
+        if d >= 0 and not any(f < g and e == d - 1 for f, e in faces.items()):
+            raise ValueError("covers nothing")
+    if not reference_closed(lat):
+        raise ValueError("not closed under intersection")
+
+
+def outcome(fn, *args):
+    try:
+        return ("returned", fn(*args))
+    except (ValueError, KeyError) as e:
+        return ("raised", type(e).__name__)
+
+
+def mutants(lat, rng, count):
+    """Seeded one-step corruptions of a lattice's face dict."""
+    items = sorted(lat.faces.items(), key=lambda fd: (fd[1], sorted(fd[0])))
+    verts = lat.vertices
+    for _ in range(count):
+        kind = rng.choice(("drop", "shift", "add", "truncate"))
+        faces = dict(lat.faces)
+        f, d = rng.choice(items)
+        if kind == "drop":
+            del faces[f]
+        elif kind == "shift":
+            faces[f] = d + rng.choice((-1, 1))
+        elif kind == "add":
+            extra = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
+            faces[extra] = rng.randint(-1, lat.n)
+        else:
+            if not f:
+                continue
+            del faces[f]
+            faces[frozenset(sorted(f)[:rng.randrange(len(f))])] = d
+        try:
+            yield kind, FaceLattice(lat.n, faces)
+        except ValueError:  # the empty face was lost
+            continue
+
+
+class TestGeneratorChecks:
+    def test_differential_against_pairwise_reference(self):
+        rng = random.Random(20)
+        tally = Counter()
+        for w in words_up_to(4, "ICB"):
+            lat = build(w)
+            assert outcome(FaceLattice.validate, lat) == ("returned", None)
+            for kind, mut in mutants(lat, rng, 16):
+                want = outcome(reference_validate, mut)
+                assert outcome(FaceLattice.validate, mut) == want, (w, kind)
+                closed = outcome(reference_closed, mut)
+                assert outcome(FaceLattice.closed_under_intersection,
+                               mut) == closed, (w, kind)
+                tally[kind, want[0], closed] += 1
+        # every mutation kind is exercised, and the verdicts are mixed
+        kinds = {k for k, _, _ in tally}
+        assert kinds == {"drop", "shift", "add", "truncate"}
+        assert tally.keys() >= {
+            ("add", "returned", ("returned", True)),
+            ("add", "raised", ("returned", False)),
+            ("shift", "raised", ("returned", True)),
+            ("drop", "raised", ("raised", "KeyError")),
+        }
+
+    def test_non_coatomic_members_join_the_generators(self):
+        # a triangle facet and a dangling edge {0,1} that lies in no facet:
+        # closed, graded and saturated, though not a polytope lattice; the
+        # edge covers its vertices only through non-facet generators
+        faces = {frozenset(): -1, frozenset(range(5)): 3,
+                 frozenset({2, 3, 4}): 2, frozenset({0, 1}): 1}
+        for v in range(5):
+            faces[frozenset({v})] = 0
+        for e in ({2, 3}, {3, 4}, {2, 4}):
+            faces[frozenset(e)] = 1
+        lat = FaceLattice(3, faces)
+        assert reference_closed(lat) and lat.closed_under_intersection()
+        reference_validate(lat)
+        lat.validate()
+        # two segments {0,1,2} and {1,2,3} with no facet above them: their
+        # intersection {1,2} is missing, and only they can show it
+        faces = {frozenset(): -1, frozenset(range(4)): 3,
+                 frozenset({0, 1, 2}): 1, frozenset({1, 2, 3}): 1}
+        for v in range(4):
+            faces[frozenset({v})] = 0
+        lat = FaceLattice(3, faces)
+        assert not reference_closed(lat)
+        assert not lat.closed_under_intersection()
+
+    def test_large_simplex_validates_quickly(self):
+        data = build(W("C" * 12)).to_json()
+        assert len(data["faces"]) == 8192
+        t0 = time.perf_counter()
+        lat = FaceLattice.from_json(data)
+        assert time.perf_counter() - t0 < 1.0
+        assert lat.n == 12
