@@ -3,8 +3,7 @@ cylinders and bipyramids."""
 
 from .engine import (
     apply_cone, apply_cylinder, aux_hvector, check_ic_equation,
-    classical_h_simple, extended_hvector, is_palindromic, mpih_part,
-    pseudo_h, to_extended,
+    classical_h_simple, extended_hvector, pseudo_h, to_extended,
 )
 from .flaglin import (
     NotInSpanError, cone_flag_vector, express_in_basis, ic_basis, linear_h,

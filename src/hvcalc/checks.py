@@ -276,7 +276,7 @@ def check_oracles(max_dim=6, closure_dim=6, cone_base_dim=5):
     for w, lat in lats:
         if not _is_simple_word(w.ops) or lat.n == 0:
             continue
-        h = engine.mpih_part(engine.extended_hvector(w))
+        h = engine.extended_hvector(w).mpih()
         if engine.extended_hvector(w).terms.keys() - {()}:
             bad.append(str(w) + " (non-empty word part)")
             continue
@@ -312,7 +312,7 @@ def _is_simple_word(ops: str) -> bool:
 
 def check_palindromy(max_dim=8):
     bad = [str(w) for w in words_up_to(max_dim, "IC")
-           if not engine.is_palindromic(engine.aux_hvector(w))]
+           if not engine.aux_hvector(w).is_palindromic()]
     return [_res(f"auxiliary vectors are palindromic, dim <= {max_dim}",
                  not bad, f"fails for {bad[:3]}")]
 
@@ -320,7 +320,7 @@ def check_palindromy(max_dim=8):
 def check_unimodality(max_dim=8):
     bad = []
     for w in words_up_to(max_dim, "IC"):
-        cs = engine.mpih_part(engine.extended_hvector(w)).coeffs
+        cs = engine.extended_hvector(w).mpih().coeffs
         half = len(cs) // 2
         if any(cs[i] > cs[i + 1] for i in range(half)):
             bad.append(str(w))

@@ -155,6 +155,8 @@ def cmd_lattice(args):
 
 
 def cmd_basis(args):
+    if args.n < 0:
+        raise CliError(f"dimension must be non-negative, got {args.n}")
     ws = flaglin.ic_basis(args.n)
     if args.format == "json":
         _emit(json.dumps([w.render() for w in ws]), args.out)
@@ -232,6 +234,8 @@ def cmd_order(args):
 
 
 def cmd_verify(args):
+    if args.max_dim is not None and args.max_dim < 1:
+        raise CliError(f"--max-dim must be at least 1, got {args.max_dim}")
     try:
         results = checks.run_suite(args.suite, args.max_dim)
     except KeyError as e:

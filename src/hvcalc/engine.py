@@ -36,15 +36,8 @@ def apply_cylinder(h: HVector) -> HVector:
                    {w: p.mul_linear() for w, p in h.terms.items()})
 
 
-def _duplicate_middle(p: BiGradedPoly) -> BiGradedPoly:
-    i = p.degree // 2
-    return BiGradedPoly(p.coeffs[:i + 1] + p.coeffs[i:])
-
-
-def apply_cone(h: HVector) -> HVector:
-    """Cone operator on an auxiliary vector, term by term."""
-    if h.flavor != AUX:
-        raise ValueError("cone operator acts on auxiliary vectors")
+def _cone(h: HVector, pad, flavor) -> HVector:
+    """The three-part cone rule, term by term, padding with ``pad``."""
     out = {}
 
     def add(word, poly):
@@ -55,12 +48,20 @@ def apply_cone(h: HVector) -> HVector:
 
     for word, p in h.terms.items():
         m = p.degree
-        add(word, _duplicate_middle(p))
-        for k in range(1, m // 2 + 1):
+        mid = m // 2
+        add(word, BiGradedPoly(p.coeffs[:mid + 1] + p.coeffs[mid:]))
+        for k in range(1, mid + 1):
             c = p.coeffs[k] - p.coeffs[k - 1]
-            add((PAD_AUX,) * (m - 2 * k) + (k,) + word, BiGradedPoly((c,)))
-        add((PAD_AUX,) * (m + 1) + word, BiGradedPoly((-p.coeffs[0],)))
-    return HVector(h.degree + 1, AUX, out)
+            add((pad,) * (m - 2 * k) + (k,) + word, BiGradedPoly((c,)))
+        add((pad,) * (m + 1) + word, BiGradedPoly((-p.coeffs[0],)))
+    return HVector(h.degree + 1, flavor, out)
+
+
+def apply_cone(h: HVector) -> HVector:
+    """Cone operator on an auxiliary vector, term by term."""
+    if h.flavor != AUX:
+        raise ValueError("cone operator acts on auxiliary vectors")
+    return _cone(h, PAD_AUX, AUX)
 
 
 def aux_hvector(w: GeneratorWord) -> HVector:
@@ -104,16 +105,6 @@ def to_extended(h: HVector) -> HVector:
 
 def extended_hvector(w: GeneratorWord) -> HVector:
     return to_extended(aux_hvector(w))
-
-
-def mpih_part(h: HVector) -> BiGradedPoly:
-    """Empty-word polynomial of an extended vector."""
-    return h.mpih()
-
-
-def is_palindromic(h: HVector) -> bool:
-    """True when swapping the two variables fixes every term."""
-    return h.is_palindromic()
 
 
 def check_ic_equation(h: HVector) -> bool:

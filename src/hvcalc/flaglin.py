@@ -3,9 +3,14 @@
 Flag vectors of the cone/cylinder words with no repeated cylinder and no
 innermost cylinder form a basis of the span of all polytope flag vectors
 (a Fibonacci number of them in each dimension).  This module expresses
-arbitrary flag vectors in that basis by exact row reduction and extends
-linear functionals (the extended h-vector, the naive pseudo h, the link
-functionals) from the basis to the whole span.
+arbitrary flag vectors in that basis and extends linear functionals (the
+extended h-vector, the naive pseudo h, the link functionals) from the
+basis to the whole span.
+
+Every exact elimination in the package goes through one fraction-free
+integer routine here, ``_eliminate``: the basis solve, the rank of a
+family of flag vectors, and the inverse of the change of variables that
+``links`` lifts through.
 
 It also carries the constructor transforms at the flag-vector level: the
 flag vector of a pyramid, prism or bipyramid computed linearly from the
@@ -150,62 +155,91 @@ def ic_basis(n: int) -> list:
     return out
 
 
+def _eliminate(rows) -> list:
+    """Fraction-free Gauss-Jordan reduction of integer rows (Bareiss 1968).
+
+    Each row is cross-multiplied against the pivot rows found so far, its
+    own pivot column is then cleared from them, and every row is divided
+    by the gcd of its entries.  Returns (pivot, int row) pairs sorted by
+    pivot: the rows span the input rows, each is zero at every other
+    pivot, and its first nonzero entry, at its pivot, is positive.  The
+    number of pairs is the rank.
+    """
+    reduced = []
+    for row in rows:
+        for p, b in reduced:
+            if row[p]:
+                f = row[p]
+                row = [x * b[p] - y * f for x, y in zip(row, b)]
+        piv = next((i for i, x in enumerate(row) if x), None)
+        if piv is None:
+            continue
+        row = _primitive(row, piv)
+        for j, (p, b) in enumerate(reduced):
+            if b[piv]:
+                f = b[piv]
+                reduced[j] = p, _primitive(
+                    [x * row[piv] - y * f for x, y in zip(b, row)], p)
+        reduced.append((piv, row))
+    return sorted(reduced, key=lambda pb: pb[0])
+
+
+def _primitive(row, piv):
+    """The row over the gcd of its entries, signed positive at piv."""
+    g = gcd(*row)
+    if row[piv] < 0:
+        g = -g
+    return [x // g for x in row]
+
+
+def _pivot_inverse(rows):
+    """Pivot columns R of an integer matrix A of full row rank, and the
+    exact inverse of its square submatrix A[:, R].
+
+    One reduction of [A | I] gives E A[:, R] = D with D diagonal, so row
+    i of the inverse is the right half of pivot row i over its pivot.
+    """
+    size = len(rows)
+    pairs = _eliminate([[*row, *(int(i == j) for j in range(size))]
+                        for i, row in enumerate(rows)])
+    if pairs[size - 1][0] >= len(rows[0]):
+        raise AssertionError("rows are linearly dependent")
+    return ([p for p, _ in pairs],
+            [[Fraction(x, row[p]) for x in row[-size:]] for p, row in pairs])
+
+
 @lru_cache(maxsize=None)
 def _basis_data(n: int):
-    """Columns = lattice flag vectors of the basis words; returns the
-    recorded row reduction (pivots and the transform matrix T with
-    T @ M in reduced echelon form)."""
+    """The basis words, their lattice flag vectors (the columns of M),
+    rows R on which M is invertible, and the inverse of M[R]."""
     basis = ic_basis(n)
-    rows = 1 << n
-    M = [[Fraction(build(w).flag_vector().as_vector()[r]) for w in basis]
-         for r in range(rows)]
-    T = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(len(basis)):
-        pr = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        T[r], T[pr] = T[pr], T[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        T[r] = [x * inv for x in T[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-                T[i] = [a - f * b for a, b in zip(T[i], T[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != len(basis):
-        raise AssertionError(f"basis flag vectors are dependent at n={n}")
-    return basis, pivots, T
+    cols = [build(w).flag_vector().as_vector() for w in basis]
+    rows, inv = _pivot_inverse(cols)
+    # inv inverts M[R] transposed; its transpose inverts M[R]
+    return basis, cols, rows, list(zip(*inv))
 
 
 def express_in_basis(fv: FlagVector):
     """Exact coefficients of fv over the basis flag vectors.
 
-    Raises NotInSpanError (carrying the residual rows) when no exact
-    combination exists; the tolerance is literally zero.
+    Solves on the rows R, then checks the full reconstruction; raises
+    NotInSpanError (carrying the nonzero entries of f - M c) when no exact
+    combination exists.  The tolerance is literally zero.
     """
-    basis, pivots, T = _basis_data(fv.n)
+    _, cols, rows, minv = _basis_data(fv.n)
     f = fv.as_vector()
-    u = [sum(trow[j] * f[j] for j in range(len(f)) if f[j] != 0)
-         for trow in T]
-    rank = len(pivots)
-    residual = [x for x in u[rank:] if x != 0]
+    coeffs = [sum(a * f[r] for a, r in zip(mrow, rows)) for mrow in minv]
+    recon = [sum(c * col[r] for c, col in zip(coeffs, cols))
+             for r in range(len(f))]
+    residual = [x - y for x, y in zip(f, recon) if x != y]
     if residual:
         raise NotInSpanError(residual)
-    coeffs = [Fraction(0)] * len(basis)
-    for row, col in enumerate(pivots):
-        coeffs[col] = u[row]
     return coeffs
 
 
 def extend_linear(fv: FlagVector, value_on_word):
     """Extend a linear functional from basis words to the whole span."""
-    basis, _, _ = _basis_data(fv.n)
+    basis = _basis_data(fv.n)[0]
     coeffs = express_in_basis(fv)
     total = None
     for c, w in zip(coeffs, basis):
@@ -229,32 +263,8 @@ def linear_pseudo_h(fv: FlagVector):
 
 
 def span_rank(flag_vectors) -> int:
-    """Exact rank of a family of equal-dimension flag vectors.
-
-    Integer cross-elimination with gcd normalization; no pivoting games
-    are needed over an exact field.
-    """
-    basis = []  # (pivot index, normalized int row)
-    dim = None
-    for fv in flag_vectors:
-        if dim is None:
-            dim = fv.n
-        elif fv.n != dim:
-            raise ValueError("rank of flag vectors of unequal dimension")
-        row = list(fv.as_vector())
-        for p, b in basis:
-            if row[p]:
-                f = row[p]
-                row = [x * b[p] - y * f for x, y in zip(row, b)]
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is None:
-            continue
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        if row[piv] < 0:
-            g = -g
-        row = [x // g for x in row]
-        basis.append((piv, row))
-        basis.sort(key=lambda pb: pb[0])
-    return len(basis)
+    """Exact rank of a family of equal-dimension flag vectors."""
+    vecs = list(flag_vectors)
+    if len({fv.n for fv in vecs}) > 1:
+        raise ValueError("rank of flag vectors of unequal dimension")
+    return len(_eliminate([fv.as_vector() for fv in vecs]))

@@ -216,7 +216,7 @@ class FaceLattice:
             raise ValueError("lattice JSON needs an integer 'n'")
         if not isinstance(data.get("faces"), list):
             raise ValueError("lattice JSON needs a list 'faces'")
-        faces = {}
+        faces, entry = {}, {}
         for i, item in enumerate(data["faces"]):
             if not (isinstance(item, dict) and _is_int(item.get("dim"))
                     and isinstance(item.get("verts"), list)
@@ -224,7 +224,13 @@ class FaceLattice:
                 raise ValueError(
                     f"lattice JSON faces[{i}] = {item!r:.80}: "
                     "need an integer 'dim' and a list of integer 'verts'")
-            faces[frozenset(item["verts"])] = item["dim"]
+            verts = frozenset(item["verts"])
+            if verts in entry:
+                raise ValueError(
+                    f"lattice JSON faces[{entry[verts]}] and faces[{i}] "
+                    f"both list the vertex set {sorted(verts)}")
+            entry[verts] = i
+            faces[verts] = item["dim"]
         lat = cls(data["n"], faces)
         if validate:
             lat.validate()

@@ -15,18 +15,20 @@ square hand values and then by exhaustive agreement with the engine.
 
 The cone acting on final vectors admits two readings, kept behind a
 switch.  The conjugation reading lifts the vector back through the change
-of variables (an invertible linear map in each degree), applies the
+of variables (an invertible linear map in each degree, inverted once per
+degree by the exact elimination routine of ``flaglin``), applies the
 auxiliary cone operator, and pushes forward again.  The direct reading
-runs the three-part rule verbatim in the final alphabet.  Exactly one of
-them reproduces the engine; the test suite records which.
+runs the engine's three-part rule verbatim in the final alphabet, with the
+final pad.  Exactly one of them reproduces the engine; the test suite
+records which.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .engine import apply_cone, to_extended
+from .engine import _cone, apply_cone, to_extended
+from .flaglin import _pivot_inverse, extend_linear
 from .lattice import FaceLattice, FlagVector, build
 from .symbols import AUX, FINAL, PAD, BiGradedPoly, HVector
 from .terms import IndexTerm, enumerate_terms
@@ -42,7 +44,7 @@ class LiftError(ValueError):
 
 def _vectorize(h: HVector, terms: list) -> list:
     index = {(t.xexp, t.yexp, t.word): i for i, t in enumerate(terms)}
-    out = [Fraction(0)] * len(terms)
+    out = [0] * len(terms)
     for word, poly in h.terms.items():
         m = poly.degree
         for j, c in enumerate(poly.coeffs):
@@ -51,7 +53,7 @@ def _vectorize(h: HVector, terms: list) -> list:
             i = index.get((m - j, j, word))
             if i is None:
                 raise LiftError(f"unexpected term over word {word!r}")
-            out[i] = Fraction(c)
+            out[i] = c
     return out
 
 
@@ -78,24 +80,8 @@ def _lift_solver(n: int):
         poly[t.yexp] = 1
         h = HVector(n, AUX, {t.word: BiGradedPoly(poly)})
         cols.append(_vectorize(to_extended(h), fin_terms))
-    size = len(aux_terms)
-    assert len(fin_terms) == size
-    M = [[cols[j][i] for j in range(size)] for i in range(size)]
-    inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    for c in range(size):
-        pr = next((i for i in range(c, size) if M[i][c] != 0), None)
-        if pr is None:
-            raise AssertionError("change of variables is singular; impossible")
-        M[c], M[pr] = M[pr], M[c]
-        inv[c], inv[pr] = inv[pr], inv[c]
-        f = 1 / M[c][c]
-        M[c] = [x * f for x in M[c]]
-        inv[c] = [x * f for x in inv[c]]
-        for i in range(size):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-                inv[i] = [a - f * b for a, b in zip(inv[i], inv[c])]
+    assert len(fin_terms) == len(aux_terms)
+    _, inv = _pivot_inverse(list(zip(*cols)))
     return aux_terms, fin_terms, inv
 
 
@@ -115,23 +101,7 @@ def cone_rule_final(h: HVector, rule: str = CONJUGATION) -> HVector:
     if rule == CONJUGATION:
         return to_extended(apply_cone(lift_to_aux(h)))
     if rule == DIRECT:
-        out = {}
-
-        def add(word, poly):
-            if word in out:
-                out[word] = out[word] + poly
-            else:
-                out[word] = poly
-
-        for word, p in h.terms.items():
-            m = p.degree
-            mid = m // 2
-            add(word, BiGradedPoly(p.coeffs[:mid + 1] + p.coeffs[mid:]))
-            for k in range(1, mid + 1):
-                c = p.coeffs[k] - p.coeffs[k - 1]
-                add((PAD,) * (m - 2 * k) + (k,) + word, BiGradedPoly((c,)))
-            add((PAD,) * (m + 1) + word, BiGradedPoly((-p.coeffs[0],)))
-        return HVector(h.degree + 1, FINAL, out)
+        return _cone(h, PAD, FINAL)
     raise ValueError(f"unknown cone rule {rule!r}")
 
 
@@ -197,7 +167,6 @@ def g_linear(i: int, fv: FlagVector, rule: str = CONJUGATION) -> HVector:
     if fv.n == -1:
         from .lattice import empty_polytope
         return g_eval(i, empty_polytope(), rule).scale(fv[frozenset()])
-    from .flaglin import extend_linear
     return extend_linear(fv, lambda w: g_eval(i, build(w), rule))
 
 

@@ -164,9 +164,6 @@ class BiGradedPoly:
         mid = [cs[i] + cs[i + 1] for i in range(len(cs) - 1)]
         return BiGradedPoly((cs[0], *mid, cs[-1]))
 
-    def times_first(self) -> "BiGradedPoly":
-        return BiGradedPoly(self.coeffs + (0,))
-
     def times_second(self) -> "BiGradedPoly":
         return BiGradedPoly((0,) + self.coeffs)
 

@@ -154,6 +154,20 @@ class TestCommands:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "all", "--max-dim", "0"),
+        ("verify", "gds-rank", "--max-dim", "-1"),
+        ("basis", "-1"),
+    ])
+    def test_out_of_range_dimension(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_max_dim_one_is_accepted(self, capsys):
+        rc, out, _ = run(capsys, "verify", "palindromy", "--max-dim", "1")
+        assert rc == 0 and out.splitlines()[-1] == "1/1 checks passed"
+
     def test_order(self, capsys):
         rc, out, _ = run(capsys, "order", "X{1}{1}", "Abar{1}{1}")
         assert rc == 0 and "=>" in out

@@ -4,8 +4,7 @@ import pytest
 
 from hvcalc.engine import (
     apply_cone, apply_cylinder, aux_hvector, check_ic_equation,
-    classical_h_simple, extended_hvector, is_palindromic, mpih_part,
-    pseudo_h, to_extended,
+    classical_h_simple, extended_hvector, pseudo_h, to_extended,
 )
 from hvcalc.symbols import AUX, PAD_AUX, BiGradedPoly, HVector
 from hvcalc.words import GeneratorWord as W
@@ -162,24 +161,24 @@ class TestGolden:
 
 class TestDerived:
     def test_mpih(self):
-        assert mpih_part(extended_hvector(W("CICIC"))) == BiGradedPoly([1, 3, 4, 4, 3, 1])
-        assert mpih_part(extended_hvector(W("CCC"))) == BiGradedPoly([1, 1, 1, 1])
-        assert mpih_part(extended_hvector(W(""))) == BiGradedPoly([1])
+        assert extended_hvector(W("CICIC")).mpih() == BiGradedPoly([1, 3, 4, 4, 3, 1])
+        assert extended_hvector(W("CCC")).mpih() == BiGradedPoly([1, 1, 1, 1])
+        assert extended_hvector(W("")).mpih() == BiGradedPoly([1])
 
     def test_mpih_of_cone_duplicates_middle(self):
         # the empty-word part of the cone is the duplicate-middle rule alone
         for w in words_up_to(7, "IC"):
-            a = mpih_part(extended_hvector(W("C" + w.ops))).coeffs
-            b = mpih_part(extended_hvector(w)).coeffs
+            a = extended_hvector(W("C" + w.ops)).mpih().coeffs
+            b = extended_hvector(w).mpih().coeffs
             mid = (len(b) - 1) // 2
             assert a == b[:mid + 1] + b[mid:], w
 
     def test_palindromy(self):
-        assert is_palindromic(aux_hvector(W("CICIC")))
-        assert is_palindromic(aux_vec(2, {(): [1, 2, 1]}))
-        assert not is_palindromic(aux_vec(1, {(): [1, 2]}))
+        assert aux_hvector(W("CICIC")).is_palindromic()
+        assert aux_vec(2, {(): [1, 2, 1]}).is_palindromic()
+        assert not aux_vec(1, {(): [1, 2]}).is_palindromic()
         for w in words_up_to(8, "IC"):
-            assert is_palindromic(aux_hvector(w)), w
+            assert aux_hvector(w).is_palindromic(), w
 
     def test_nonnegative_on_generator_words(self):
         for w in words_up_to(8, "IC"):

@@ -1,5 +1,9 @@
 """Basis expression, rank checks, flag-level constructor transforms."""
 
+import random
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
 from hvcalc import engine
@@ -66,6 +70,48 @@ class TestTransforms:
         assert fv_tri[{0}] == 3 and fv_tri[{0, 1}] == 6
 
 
+@lru_cache(maxsize=None)
+def _reference_transform(n):
+    """Plain Fraction Gauss-Jordan on the 2^n x F_(n+1) basis matrix,
+    recording the row operations in a 2^n x 2^n transform T."""
+    basis = ic_basis(n)
+    rows = 1 << n
+    M = [[Fraction(build(w).flag_vector().as_vector()[r]) for w in basis]
+         for r in range(rows)]
+    T = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(len(basis)):
+        pr = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        T[r], T[pr] = T[pr], T[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        T[r] = [x * inv for x in T[r]]
+        for i in range(rows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+                T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, T
+
+
+def _reference_express(fv):
+    pivots, T = _reference_transform(fv.n)
+    f = fv.as_vector()
+    u = [sum(t * x for t, x in zip(trow, f)) for trow in T]
+    if any(u[len(pivots):]):
+        raise NotInSpanError(u[len(pivots):])
+    coeffs = [Fraction(0)] * len(ic_basis(fv.n))
+    for row, col in enumerate(pivots):
+        coeffs[col] = u[row]
+    return coeffs
+
+
 class TestExpress:
     def test_basis_element_is_delta(self):
         cs = express_in_basis(build(W("CCC")).flag_vector())
@@ -99,8 +145,32 @@ class TestExpress:
     def test_not_in_span(self):
         e = FlagVector(2, {frozenset(): 1, frozenset({0}): 1,
                            frozenset({1}): 0, frozenset({0, 1}): 0})
-        with pytest.raises(NotInSpanError):
+        with pytest.raises(NotInSpanError) as err:
             express_in_basis(e)
+        assert err.value.residual and all(err.value.residual)
+
+    def test_matches_reference_elimination(self):
+        words = list(words_up_to(5, "ICB"))
+        words += random.Random(20261018).sample(list(all_words(6, "ICB")), 40)
+        for w in words:
+            fv = word_flag_vector(w)
+            assert express_in_basis(fv) == _reference_express(fv), w
+
+    def test_span_membership_matches_reference(self):
+        rng = random.Random(11)
+        for n in range(1, 6):
+            for w in rng.sample(list(all_words(n, "ICB")), min(3 ** n, 12)):
+                fv = word_flag_vector(w)
+                v = fv.as_vector()
+                v[rng.randrange(len(v))] += rng.choice((-2, -1, 1))
+                bent = FlagVector(n, dict(zip(fv.subsets(), v)))
+                try:
+                    want = _reference_express(bent)
+                except NotInSpanError:
+                    with pytest.raises(NotInSpanError):
+                        express_in_basis(bent)
+                else:
+                    assert express_in_basis(bent) == want, (w, v)
 
 
 class TestRanks:
@@ -116,6 +186,16 @@ class TestRanks:
 
     def test_dim1(self):
         assert span_rank([word_flag_vector(W("C"))]) == 1
+
+    def test_duplicates_and_multiples(self):
+        for n in range(1, 6):
+            vecs = [word_flag_vector(w) for w in all_words(n, "IC")]
+            padded = vecs + vecs[::2] + [v.scale(k) for k, v in
+                                         zip((2, -3, 7, 0), vecs)]
+            assert span_rank(padded) == fib(n + 1), n
+        triangle = word_flag_vector(W("CC"))
+        assert span_rank([triangle, triangle.scale(-5), triangle]) == 1
+        assert span_rank([triangle.scale(0)]) == 0
 
     def test_independence_of_basis(self):
         for n in range(8):

@@ -228,6 +228,16 @@ class TestSerialization:
             FaceLattice.from_json(data, validate=False)
         assert where in str(e.value)
 
+    def test_vertex_set_listed_twice(self):
+        data = build(W("IC")).to_json()
+        edge = next(i for i, f in enumerate(data["faces"]) if f["dim"] == 1)
+        data["faces"].append({"verts": data["faces"][edge]["verts"], "dim": 2})
+        with pytest.raises(ValueError) as e:
+            FaceLattice.from_json(data, validate=False)
+        last = len(data["faces"]) - 1
+        assert f"faces[{edge}]" in str(e.value)
+        assert f"faces[{last}]" in str(e.value)
+
     def test_flag_csv(self):
         csv = build(W("C")).flag_vector().to_csv()
         assert csv == "set,count\n,1\n0,2\n"

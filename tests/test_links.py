@@ -1,8 +1,10 @@
 """The face-sum recursion, the transported cone rule, and the lift."""
 
+import random
+
 import pytest
 
-from hvcalc import engine, flaglin
+from hvcalc import checks, engine, flaglin
 from hvcalc.lattice import build, empty_polytope, point
 from hvcalc.links import (
     CONJUGATION, DIRECT, cone_rule_final, g_eval, g_linear, h_by_links,
@@ -23,6 +25,13 @@ class TestLift:
         for w in words_up_to(5, "IC"):
             aux = engine.aux_hvector(w)
             assert lift_to_aux(engine.to_extended(aux)) == aux, w
+
+    def test_round_trip_on_random_aux_vectors(self):
+        rng = random.Random(20261018)
+        for degree in range(9):
+            for _ in range(6):
+                h = checks._random_aux_vector(rng, degree)
+                assert lift_to_aux(engine.to_extended(h)) == h, h.render()
 
     def test_forward_after_lift(self):
         h = final_vec(4, {(): [1, 2, 2, 2, 1], (1,): [1, 1],
