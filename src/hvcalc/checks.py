@@ -147,8 +147,10 @@ def check_fibonacci_terms(max_n=12):
         for n in range(1, max_n + 1))
     out.append(_res(f"words of degree <= n number F_n, n <= {max_n}", ok_words))
     ok_basis = all(
-        len(flaglin.ic_basis(n)) == terms.fib(n + 1) for n in range(8))
-    out.append(_res("basis words number F_(n+1), n <= 7", ok_basis))
+        len(flaglin.ic_basis(n)) == terms.fib(n + 1)
+        for n in range(FIB_BASIS_DIM + 1))
+    out.append(_res(f"basis words number F_(n+1), n <= {FIB_BASIS_DIM}",
+                    ok_basis))
     return out
 
 
@@ -364,23 +366,41 @@ def check_strata(max_downset_degree=9):
 
 # -- suite registry -------------------------------------------------------------
 
+# The largest dimension a bounded suite runs, whatever max_dim asks for.
+DIM_CAPS = {"palindromy": 8, "unimodality": 8, "gds-rank": 7, "oracle": 6}
+GDS_B_CAP = 6       # gds-rank's words with B
+FIB_BASIS_DIM = 7   # fibonacci's basis count, whatever max_dim asks for
+# What the suites that take no dimension bound run instead.
+FIXED_RUNS = {
+    "tables": "the golden table words, dim <= 5",
+    "ic-equation": ("random aux vectors of degree <= 6, engine words of "
+                    "dim <= 5 and flag-level words of dim <= 6"),
+    "link-agreement": "dim <= 4 plus the dim-5 basis",
+}
+
+
+def _cap(max_dim, cap):
+    return min(max_dim or cap, cap)
+
+
 SUITES = {
     "tables": lambda max_dim: check_tables() + check_aux_checkpoint(),
     "ic-equation": lambda max_dim: check_ic_equation_suite(),
-    "palindromy": lambda max_dim: check_palindromy(min(max_dim, 8) if max_dim else 8),
+    "palindromy": lambda max_dim: check_palindromy(
+        _cap(max_dim, DIM_CAPS["palindromy"])),
     "fibonacci": lambda max_dim: check_fibonacci_terms(max_dim or 12),
     "gds-rank": lambda max_dim: check_fibonacci_ranks(
-        min(max_dim or 7, 7), min(max_dim or 6, 6)),
-    "oracle": lambda max_dim: check_oracles(min(max_dim or 6, 6)),
+        _cap(max_dim, DIM_CAPS["gds-rank"]), _cap(max_dim, GDS_B_CAP)),
+    "oracle": lambda max_dim: check_oracles(_cap(max_dim, DIM_CAPS["oracle"])),
     "link-agreement": lambda max_dim: (check_triple_agreement()
                                        + check_bayer()
                                        + check_pseudo_octahedron()),
-    "unimodality": lambda max_dim: check_unimodality(min(max_dim, 8) if max_dim else 8),
+    "unimodality": lambda max_dim: check_unimodality(
+        _cap(max_dim, DIM_CAPS["unimodality"])),
 }
-SUITES["all"] = lambda max_dim: [r for name in
-                                 ("tables", "ic-equation", "palindromy",
-                                  "fibonacci", "gds-rank", "oracle",
-                                  "link-agreement", "unimodality")
+ALL_SUITES = ("tables", "ic-equation", "palindromy", "fibonacci", "gds-rank",
+              "oracle", "link-agreement", "unimodality")
+SUITES["all"] = lambda max_dim: [r for name in ALL_SUITES
                                  for r in SUITES[name](max_dim)]
 
 
@@ -388,3 +408,26 @@ def run_suite(name: str, max_dim=None):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     return SUITES[name](max_dim)
+
+
+def max_dim_note(name: str, max_dim) -> str | None:
+    """Where suite ``name`` lowers or ignores ``max_dim``, in one line.
+
+    None when no bound was given or every part of the suite follows it.
+    """
+    if max_dim is None:
+        return None
+    parts = []
+    for suite in (ALL_SUITES if name == "all" else (name,)):
+        if suite in FIXED_RUNS:
+            parts.append(f"{suite} ignores it and runs {FIXED_RUNS[suite]}")
+        elif suite == "gds-rank" and max_dim > GDS_B_CAP:
+            parts.append(f"gds-rank ran dim <= {_cap(max_dim, DIM_CAPS[suite])}"
+                         f" ({{I,C}} words) and dim <= {GDS_B_CAP} (words with B)")
+        elif suite in DIM_CAPS and max_dim > DIM_CAPS[suite]:
+            parts.append(f"{suite} ran dim <= {DIM_CAPS[suite]}")
+        elif suite == "fibonacci" and max_dim != FIB_BASIS_DIM:
+            parts.append(f"fibonacci counted basis words up to dim {FIB_BASIS_DIM}")
+    if not parts:
+        return None
+    return f"--max-dim {max_dim}: " + "; ".join(parts)

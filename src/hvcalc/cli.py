@@ -240,6 +240,9 @@ def cmd_verify(args):
         results = checks.run_suite(args.suite, args.max_dim)
     except KeyError as e:
         raise CliError(str(e))
+    note = checks.max_dim_note(args.suite, args.max_dim)
+    if note:
+        print(f"note: {note}", file=sys.stderr)
     lines = [r.line() for r in results]
     failures = [r for r in results if not r.passed]
     summary = f"{len(results) - len(failures)}/{len(results)} checks passed"

@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import comb
 
 from .symbols import (
-    AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads, word_degree,
+    AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads,
 )
 from .words import GeneratorWord
 
@@ -37,24 +37,31 @@ def apply_cylinder(h: HVector) -> HVector:
 
 
 def _cone(h: HVector, pad, flavor) -> HVector:
-    """The three-part cone rule, term by term, padding with ``pad``."""
-    out = {}
+    """The three-part cone rule, term by term, padding with ``pad``.
 
-    def add(word, poly):
-        if word in out:
-            out[word] = out[word] + poly
+    Coefficients are summed into one list per output word, and each output
+    polynomial is built once at the end.
+    """
+    out: dict[tuple, list] = {}
+
+    def add(word, cs):
+        acc = out.get(word)
+        if acc is None:
+            out[word] = cs
         else:
-            out[word] = poly
+            for i, c in enumerate(cs):
+                acc[i] += c
 
     for word, p in h.terms.items():
-        m = p.degree
+        cs = p.coeffs
+        m = len(cs) - 1
         mid = m // 2
-        add(word, BiGradedPoly(p.coeffs[:mid + 1] + p.coeffs[mid:]))
+        add(word, [*cs[:mid + 1], *cs[mid:]])
         for k in range(1, mid + 1):
-            c = p.coeffs[k] - p.coeffs[k - 1]
-            add((pad,) * (m - 2 * k) + (k,) + word, BiGradedPoly((c,)))
-        add((pad,) * (m + 1) + word, BiGradedPoly((-p.coeffs[0],)))
-    return HVector(h.degree + 1, flavor, out)
+            add((pad,) * (m - 2 * k) + (k,) + word, [cs[k] - cs[k - 1]])
+        add((pad,) * (m + 1) + word, [-cs[0]])
+    return HVector(h.degree + 1, flavor,
+                   {w: BiGradedPoly(cs) for w, cs in out.items()})
 
 
 def apply_cone(h: HVector) -> HVector:
@@ -86,20 +93,23 @@ def to_extended(h: HVector) -> HVector:
     if h.flavor != AUX:
         raise ValueError("change of variables starts from an auxiliary vector")
     acc: dict[tuple, list] = {}
-    n = h.degree
     for word, p in h.terms.items():
-        m = p.degree
-        for t, a in enumerate(p.coeffs):
-            if a == 0:
+        cs = p.coeffs
+        m = len(cs) - 1
+        for j in range(m + 1):
+            # j pads come from the monomials X^p Y^q with p >= j, that is
+            # q <= m - j; their coefficients land on y^q of each rewrite
+            head = cs[:m - j + 1]
+            if not any(head):
                 continue
-            pexp, q = m - t, t
-            for j in range(pexp + 1):
-                for w2, mult in rewrite_pads((PAD_AUX,) * j + word):
-                    cs = acc.get(w2)
-                    if cs is None:
-                        cs = acc[w2] = [0] * (n - word_degree(w2) + 1)
-                    cs[q] += a * mult
-    return HVector(n, FINAL,
+            for w2, mult in rewrite_pads((PAD_AUX,) * j + word):
+                out = acc.get(w2)
+                if out is None:
+                    out = acc[w2] = [0] * (m - j + 1)
+                for q, a in enumerate(head):
+                    if a:
+                        out[q] += a * mult
+    return HVector(h.degree, FINAL,
                    {w: BiGradedPoly(cs) for w, cs in acc.items()})
 
 

@@ -30,7 +30,7 @@ from math import gcd
 from . import engine
 from .lattice import FlagVector, build
 from .symbols import HVector
-from .words import GeneratorWord, all_words
+from .words import GeneratorWord
 
 
 class NotInSpanError(ValueError):
@@ -146,13 +146,19 @@ def word_flag_vector(w: GeneratorWord) -> FlagVector:
 
 def ic_basis(n: int) -> list:
     """Length-n words over I, C with no 'II' and no innermost 'I',
-    in lexicographic order; there are Fibonacci-many."""
-    out = []
-    for w in all_words(n, "IC"):
-        if "II" in w.ops or w.ops.endswith("I"):
-            continue
-        out.append(w)
-    return out
+    in lexicographic order; there are Fibonacci-many.
+
+    The words are grown left to right, C before I, so only the F_(n+1)
+    basis words are ever built and the order stays lexicographic.
+    """
+    if n < 0:
+        raise ValueError(f"dimension must be non-negative, got {n}")
+    words = [""]
+    for i in range(n):
+        last = i == n - 1
+        words = [w + ch for w in words for ch in "CI"
+                 if ch == "C" or not (last or w.endswith("I"))]
+    return [GeneratorWord(w) for w in words]
 
 
 def _eliminate(rows) -> list:

@@ -27,8 +27,6 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-import numpy as np
-
 from .words import GeneratorWord
 
 
@@ -335,7 +333,11 @@ def _flag_vector_dp(lat: FaceLattice) -> "FlagVector":
 
     vec[S] holds per-face counts of chains with dimension set S ending at
     each face of level max(S); removing the top bit gives the subproblem.
+    numpy is imported here, not at module level, because loading it takes
+    about 0.1 s and nothing else in the package needs it.
     """
+    import numpy as np
+
     n = lat.n
     counts = {frozenset(): 1}
     if n <= 0:

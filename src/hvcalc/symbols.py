@@ -38,6 +38,8 @@ _PADS = (PAD, PAD_AUX)
 
 def _exact(c):
     """Collapse integral Fractions to int; reject floats."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, bool) or not isinstance(c, int):
@@ -54,7 +56,14 @@ def sym_degree(s) -> int:
 
 
 def word_degree(word) -> int:
-    return sum(sym_degree(s) for s in word)
+    # one pass, calling sym_degree only for what is not a plain pad or int
+    d = len(word)
+    for s in word:
+        if type(s) is int and s >= 1:
+            d += 2 * s
+        elif s not in _PADS:
+            d += sym_degree(s) - 1
+    return d
 
 
 def word_locals(word) -> tuple:
@@ -115,7 +124,11 @@ class BiGradedPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(_exact(c) for c in coeffs)
+        cs = tuple(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                cs = tuple(map(_exact, cs))
+                break
         if not cs:
             raise ValueError("a polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -136,7 +149,7 @@ class BiGradedPoly:
         return cls((1,))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, BiGradedPoly) and self.coeffs == other.coeffs
@@ -254,6 +267,7 @@ class HVector:
     def __init__(self, degree: int, flavor: str, terms=None):
         if flavor not in (AUX, FINAL):
             raise ValueError(f"bad flavor {flavor!r}")
+        bad_pad = PAD_AUX if flavor == FINAL else PAD
         clean = {}
         for word, poly in (terms or {}).items():
             word = tuple(word)
@@ -261,7 +275,7 @@ class HVector:
                 continue  # trailing pad meets the terminator
             if poly.is_zero():
                 continue
-            if not word_ok_for_flavor(word, flavor):
+            if bad_pad in word:
                 raise ValueError(f"word {word!r} has wrong flavor for {flavor}")
             if poly.degree + word_degree(word) != degree:
                 raise ValueError(

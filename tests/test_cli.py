@@ -168,6 +168,48 @@ class TestCommands:
         rc, out, _ = run(capsys, "verify", "palindromy", "--max-dim", "1")
         assert rc == 0 and out.splitlines()[-1] == "1/1 checks passed"
 
+    @pytest.mark.parametrize("argv,note", [
+        (("palindromy", "--max-dim", "12"), "palindromy ran dim <= 8"),
+        (("link-agreement", "--max-dim", "1"),
+         "link-agreement ignores it and runs dim <= 4 plus the dim-5 basis"),
+        (("gds-rank", "--max-dim", "7"), "gds-rank ran dim <= 7 ({I,C} words) "
+         "and dim <= 6 (words with B)"),
+        (("tables", "--max-dim", "4"), "tables ignores it"),
+    ])
+    def test_max_dim_note(self, capsys, argv, note):
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 0 and out.splitlines()[-1].endswith("checks passed")
+        assert err.count("\n") == 1
+        assert err.startswith(f"note: --max-dim {argv[-1]}: ") and note in err
+
+    @pytest.mark.parametrize("argv", [
+        ("palindromy", "--max-dim", "5"),
+        ("palindromy", "--max-dim", "8"),
+        ("unimodality", "--max-dim", "3"),
+        ("fibonacci", "--max-dim", "7"),
+        ("tables",),
+    ])
+    def test_no_note_when_the_bound_is_followed(self, capsys, argv):
+        rc, _, err = run(capsys, "verify", *argv)
+        assert rc == 0 and err == ""
+
+    def test_note_leaves_stdout_alone(self, capsys):
+        from hvcalc import checks
+        rc, out, err = run(capsys, "verify", "palindromy", "--max-dim", "12")
+        want = [r.line() for r in checks.run_suite("palindromy", 8)]
+        assert out.splitlines()[:-1] == want
+        rc2, out2, err2 = run(capsys, "verify", "palindromy", "--max-dim", "8")
+        assert (rc, out) == (rc2, out2) and err and not err2
+
+    def test_note_names_every_suite_of_all(self):
+        from hvcalc import checks
+        note = checks.max_dim_note("all", 12)
+        for suite in ("tables", "ic-equation", "palindromy", "fibonacci",
+                      "gds-rank", "oracle", "link-agreement", "unimodality"):
+            assert suite in note
+        assert "\n" not in note
+        assert checks.max_dim_note("all", None) is None
+
     def test_order(self, capsys):
         rc, out, _ = run(capsys, "order", "X{1}{1}", "Abar{1}{1}")
         assert rc == 0 and "=>" in out

@@ -1,12 +1,18 @@
 """The symbolic engine: operators, golden values, derived checks."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from hvcalc.checks import _random_aux_vector
 from hvcalc.engine import (
     apply_cone, apply_cylinder, aux_hvector, check_ic_equation,
     classical_h_simple, extended_hvector, pseudo_h, to_extended,
 )
-from hvcalc.symbols import AUX, PAD_AUX, BiGradedPoly, HVector
+from hvcalc.symbols import (
+    AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads, word_degree,
+)
 from hvcalc.words import GeneratorWord as W
 from hvcalc.words import words_up_to
 
@@ -131,6 +137,94 @@ class TestToExtended:
     def test_pure_polynomial_passes_through(self):
         h = aux_vec(3, {(): [1, 2, 2, 1]})
         assert to_extended(h).render() == "(1221)"
+
+
+def reference_to_extended(h):
+    """The change of variables one coefficient at a time: every nonzero
+    a X^p Y^q rewrites pad^j W for each j <= p on its own."""
+    acc = {}
+    n = h.degree
+    for word, p in h.terms.items():
+        m = p.degree
+        for t, a in enumerate(p.coeffs):
+            if a == 0:
+                continue
+            for j in range(m - t + 1):
+                for w2, mult in rewrite_pads((PAD_AUX,) * j + word):
+                    cs = acc.get(w2)
+                    if cs is None:
+                        cs = acc[w2] = [0] * (n - word_degree(w2) + 1)
+                    cs[t] += a * mult
+    return HVector(n, FINAL, {w: BiGradedPoly(cs) for w, cs in acc.items()})
+
+
+def reference_cone(h):
+    """The cone rule summed polynomial by polynomial."""
+    out = {}
+
+    def add(word, poly):
+        out[word] = out[word] + poly if word in out else poly
+
+    for word, p in h.terms.items():
+        m, cs = p.degree, p.coeffs
+        add(word, BiGradedPoly(cs[:m // 2 + 1] + cs[m // 2:]))
+        for k in range(1, m // 2 + 1):
+            add((PAD_AUX,) * (m - 2 * k) + (k,) + word,
+                BiGradedPoly((cs[k] - cs[k - 1],)))
+        add((PAD_AUX,) * (m + 1) + word, BiGradedPoly((-cs[0],)))
+    return HVector(h.degree + 1, AUX, out)
+
+
+def typed_terms(h):
+    """Terms with each coefficient's type next to its value."""
+    return (h.degree, h.flavor,
+            {w: tuple((type(c), c) for c in p.coeffs)
+             for w, p in h.terms.items()})
+
+
+def random_aux_vectors(seed, count, fractions=False):
+    rng = random.Random(seed)
+    for _ in range(count):
+        h = _random_aux_vector(rng, rng.randint(0, 9))
+        if fractions:
+            h = HVector(h.degree, AUX, {
+                w: BiGradedPoly([Fraction(c, rng.choice((1, 2, 3)))
+                                 for c in p.coeffs])
+                for w, p in h.terms.items()})
+        yield h
+
+
+class TestAgainstReference:
+    """The kernels against their one-polynomial-at-a-time definitions,
+    coefficient types included."""
+
+    def test_to_extended_on_engine_words(self):
+        for w in words_up_to(9, "IC"):
+            h = aux_hvector(w)
+            assert (typed_terms(to_extended(h))
+                    == typed_terms(reference_to_extended(h))), w
+
+    @pytest.mark.parametrize("fractions", [False, True])
+    def test_to_extended_on_random_aux_vectors(self, fractions):
+        for h in random_aux_vectors(20261018, 300, fractions):
+            assert (typed_terms(to_extended(h))
+                    == typed_terms(reference_to_extended(h))), h
+
+    @pytest.mark.parametrize("fractions", [False, True])
+    def test_cone_on_random_aux_vectors(self, fractions):
+        for h in random_aux_vectors(20261019, 300, fractions):
+            assert (typed_terms(apply_cone(h))
+                    == typed_terms(reference_cone(h))), h
+
+    def test_fractions_collapse_after_summing(self):
+        # 3/2 - 1/2 on the new {1} term comes out as int, the rest as Fraction
+        h = aux_vec(2, {(): [Fraction(1, 2), Fraction(3, 2), Fraction(1, 2)]})
+        got = to_extended(apply_cone(h))
+        assert got == reference_to_extended(reference_cone(h))
+        assert typed_terms(got) == typed_terms(
+            reference_to_extended(reference_cone(h)))
+        types = {type(c) for p in got.terms.values() for c in p.coeffs}
+        assert types == {int, Fraction}
 
 
 GOLDEN = {

@@ -41,6 +41,16 @@ class TestBasis:
             for w in ic_basis(n):
                 assert "II" not in w.ops and not w.ops.endswith("I")
 
+    def test_equals_filter_of_all_words(self):
+        for n in range(15):
+            want = [w for w in all_words(n, "IC")
+                    if "II" not in w.ops and not w.ops.endswith("I")]
+            assert ic_basis(n) == want, n
+
+    def test_negative_dimension(self):
+        with pytest.raises(ValueError):
+            ic_basis(-1)
+
 
 class TestTransforms:
     """Flag-level constructor transforms against the lattice oracle."""

@@ -50,6 +50,26 @@ class TestPoly:
         with pytest.raises(TypeError):
             BiGradedPoly([1.5])
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_inexact_coefficient_rejected_anywhere(self, bad, at):
+        cs = [1, 2, 3]
+        cs[at] = bad
+        with pytest.raises(TypeError):
+            BiGradedPoly(cs)
+
+    def test_integral_fractions_collapse_on_every_route(self):
+        for p in (BiGradedPoly([Fraction(4, 2)]),
+                  BiGradedPoly([1, Fraction(4, 2)]),
+                  BiGradedPoly([Fraction(1, 2)]) + BiGradedPoly([Fraction(3, 2)]),
+                  BiGradedPoly([4]).scale(Fraction(1, 2))):
+            assert p.coeffs[-1] == 2 and type(p.coeffs[-1]) is int
+
+    def test_is_zero(self):
+        assert BiGradedPoly([0, Fraction(0, 5), 0]).is_zero()
+        assert not BiGradedPoly([0, Fraction(1, 5)]).is_zero()
+        assert not BiGradedPoly([0, 0, -1]).is_zero()
+
     def test_render(self):
         assert BiGradedPoly([1, 3, 4, 3, 1]).render() == "(13431)"
         assert BiGradedPoly([1, 2, 2, 2, 1]).render(aux=True) == "[12221]"
@@ -71,6 +91,12 @@ class TestWords:
         assert word_degree((PAD, 1)) == 4
         assert word_degree((PAD_AUX, PAD_AUX, 1)) == 5
         assert word_degree((2,)) == 5
+        assert word_degree((True, PAD)) == 4  # a bool local counts as 1
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.0, "B", None])
+    def test_bad_symbol_rejected(self, bad):
+        with pytest.raises(ValueError):
+            word_degree((PAD, 1, bad))
 
     def test_render(self):
         assert render_word((PAD, 1), FINAL) == "A{1}"
@@ -217,6 +243,17 @@ class TestHVector:
     def test_wrong_flavor_word(self):
         with pytest.raises(ValueError):
             HVector(4, FINAL, {(PAD_AUX, 1): BiGradedPoly([1])})
+        with pytest.raises(ValueError):
+            HVector(4, AUX, {(PAD, 1): BiGradedPoly([1])})
+
+    def test_refusals_among_valid_terms(self):
+        good = {(): BiGradedPoly([1, 2, 2, 2, 1]), (1,): BiGradedPoly([1, 1])}
+        for word, poly in [((2,), BiGradedPoly([1])),           # degree 5
+                           ((PAD, 1), BiGradedPoly([1])),       # final pad
+                           ((PAD_AUX, 1.0), BiGradedPoly([1])),  # float local
+                           ((0, 1), BiGradedPoly([1]))]:        # local {0}
+            with pytest.raises(ValueError):
+                HVector(4, AUX, {**good, word: poly})
 
     def test_render_order_matches_display(self):
         h = HVector(5, FINAL, {
