@@ -9,10 +9,7 @@ from .flaglin import (
     NotInSpanError, cone_flag_vector, express_in_basis, ic_basis, linear_h,
     linear_pseudo_h, span_rank, word_flag_vector,
 )
-from .lattice import (
-    FaceLattice, FlagVector, bipyramid, build, empty_polytope, flag_vector,
-    join, link_flag_vector, point, prism, pyramid,
-)
+from .lattice import FaceLattice, FlagVector, build, empty_polytope, point
 from .links import cone_rule_final, g_eval, h_by_links, lift_to_aux
 from .symbols import AUX, FINAL, BiGradedPoly, HVector, push_pads
 from .terms import (

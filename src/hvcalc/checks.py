@@ -260,7 +260,8 @@ def check_oracles(max_dim=6, closure_dim=6, cone_base_dim=5):
 
     bad = [str(w) for w, lat in lats if lat.n <= closure_dim
            and not lat.closed_under_intersection()]
-    out.append(_res(f"intersection closure on all lattices, dim <= {closure_dim}",
+    out.append(_res("intersection closure on all lattices, "
+                    f"dim <= {min(max_dim, closure_dim)}",
                     not bad, f"fails for {bad[:3]}"))
 
     bad = []
@@ -297,7 +298,8 @@ def check_oracles(max_dim=6, closure_dim=6, cone_base_dim=5):
         if got != want:
             bad.append(str(w))
     out.append(_res(
-        f"cone transform matches the lattice pyramid, base dim <= {cone_base_dim}",
+        "cone transform matches the lattice pyramid, "
+        f"base dim <= {min(max_dim, cone_base_dim)}",
         not bad, f"fails for {bad[:3]}"))
     return out
 

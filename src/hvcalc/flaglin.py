@@ -43,15 +43,26 @@ class NotInSpanError(ValueError):
 
 # -- constructor transforms on flag vectors ---------------------------------
 
-def _block_splits(T):
-    """Splits of a sorted tuple into a low block and a high block."""
-    for cut in range(len(T) + 1):
-        yield T[:cut], T[cut:]
-
-
-def _base(fv: FlagVector, S) -> int:
-    # the full face tops up any chain, so its dimension is dropped
-    return fv[frozenset(s for s in S if s != fv.n)]
+def _transform(fv: FlagVector, weight) -> FlagVector:
+    """The flag vector one dimension up whose count at T sums, over the
+    splits of T into a low block T1 and a high block T2, weight(T1, T2)
+    base counts at T1 together with T2 shifted down one dimension.  Sets
+    are bitmasks; the base's full face tops up any chain, so its dimension
+    n is dropped."""
+    n = fv.n
+    counts, low = fv.counts, (1 << max(n, 0)) - 1
+    out = []
+    for key in range(1 << (n + 1)):
+        total, high = 0, key
+        while True:
+            w = weight(key ^ high, high)
+            if w:
+                total += w * counts[(key ^ high | high >> 1) & low]
+            if not high:
+                break
+            high &= high - 1
+        out.append(total)
+    return FlagVector(n + 1, tuple(out))
 
 
 def cone_flag_vector(fv: FlagVector) -> FlagVector:
@@ -61,63 +72,24 @@ def cone_flag_vector(fv: FlagVector) -> FlagVector:
     survives as a facet.  A chain is a chain of base faces, then a chain of
     coned faces whose underlying faces continue it weakly.
     """
-    n = fv.n
-    counts = {}
-    for key in range(1 << (n + 1)):
-        T = tuple(d for d in range(n + 1) if key >> d & 1)
-        total = 0
-        for T1, T2 in _block_splits(T):
-            if not T2:
-                total += _base(fv, T1)
-            elif T2[0] == 0:
-                if not T1:
-                    total += _base(fv, [t - 1 for t in T2 if t > 0])
-            else:
-                total += _base(fv, set(T1) | {t - 1 for t in T2})
-        counts[frozenset(T)] = total
-    return FlagVector(n + 1, counts)
+    return _transform(fv, lambda T1, T2: 1)
 
 
 def prism_flag_vector(fv: FlagVector) -> FlagVector:
     """Flag vector of the prism: two side copies of each face plus the
     interval products, which sit one dimension up."""
-    n = fv.n
-    counts = {}
-    for key in range(1 << (n + 1)):
-        T = tuple(d for d in range(n + 1) if key >> d & 1)
-        total = 0
-        for T1, T2 in _block_splits(T):
-            if T2 and T2[0] == 0:
-                continue  # no product face has dimension zero
-            side = 2 if T1 else 1
-            total += side * _base(fv, set(T1) | {t - 1 for t in T2})
-        counts[frozenset(T)] = total
-    return FlagVector(n + 1, counts)
+    # no product face has dimension zero; side faces come in two copies
+    return _transform(fv, lambda T1, T2: 0 if T2 & 1 else 2 if T1 else 1)
 
 
 def bipyramid_flag_vector(fv: FlagVector) -> FlagVector:
     """Flag vector of the bipyramid: proper faces survive, every proper
     face gains two apex companions, and the base is no longer a face."""
     n = fv.n
-    counts = {}
-    for key in range(1 << (n + 1)):
-        T = tuple(d for d in range(n + 1) if key >> d & 1)
-        total = 0
-        for T1, T2 in _block_splits(T):
-            if T1 and T1[-1] == n:
-                continue  # the base itself is not a face
-            if not T2:
-                total += _base(fv, T1)
-            elif T2[0] == 0:
-                if not T1:
-                    total += 2 * _base(fv, [t - 1 for t in T2 if t > 0])
-            else:
-                total += 2 * _base(fv, set(T1) | {t - 1 for t in T2})
-        counts[frozenset(T)] = total
-    return FlagVector(n + 1, counts)
+    return _transform(fv, lambda T1, T2: 0 if T1 >> n & 1 else 2 if T2 else 1)
 
 
-_POINT_FLAG = FlagVector(0, {frozenset(): 1})
+_POINT_FLAG = FlagVector(0, (1,))
 
 
 @lru_cache(maxsize=None)

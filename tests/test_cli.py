@@ -117,6 +117,19 @@ class TestCommands:
         assert rc == 2 and "Traceback" not in err
         assert err.count("\n") == 1 and "faces[1]" in err
 
+    def test_lattice_file_skipping_a_dimension(self, capsys, tmp_path):
+        # vertex {3} lies directly under the 2-face {0,1,3}: validate accepts
+        # the family, but its chains through covers miss a comparable pair
+        faces = [[], [0], [1], [2], [3], [0, 1], [1, 2], [0, 2], [0, 1, 2],
+                 [0, 1, 3], [0, 1, 2, 3]]
+        path = tmp_path / "non_graded.json"
+        path.write_text(json.dumps({"n": 3, "faces": [
+            {"verts": f, "dim": len(f) - 1} for f in faces]}))
+        rc, out, err = run(capsys, "flagvec", str(path))
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "no face of dimension 1" in err
+
     def test_basis(self, capsys):
         rc, out, _ = run(capsys, "basis", "3")
         assert rc == 0 and out.split() == ["CCC.", "CIC.", "ICC."]
@@ -209,6 +222,12 @@ class TestCommands:
             assert suite in note
         assert "\n" not in note
         assert checks.max_dim_note("all", None) is None
+
+    def test_oracle_labels_the_bounds_that_ran(self, capsys):
+        rc, out, _ = run(capsys, "verify", "oracle", "--max-dim", "3")
+        assert rc == 0
+        assert "intersection closure on all lattices, dim <= 3" in out
+        assert "cone transform matches the lattice pyramid, base dim <= 3" in out
 
     def test_order(self, capsys):
         rc, out, _ = run(capsys, "order", "X{1}{1}", "Abar{1}{1}")

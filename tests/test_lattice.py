@@ -2,15 +2,20 @@
 
 import json
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from hvcalc.lattice import FaceLattice, build, empty_polytope, point
+import hvcalc
+from hvcalc.lattice import FaceLattice, FlagVector, build, empty_polytope, point
 from hvcalc.words import GeneratorWord as W
-from hvcalc.words import words_up_to
+from hvcalc.words import all_words, words_up_to
 
 
 class TestConstructors:
@@ -108,6 +113,72 @@ class TestFlagVector:
     def test_add_and_scale(self):
         fv = build(W("IC")).flag_vector()
         assert (fv + fv).as_vector() == fv.scale(2).as_vector()
+
+
+class TestFlagVectorTuple:
+    """One tuple of counts in binary-counter order."""
+
+    def test_built_from_its_counts(self):
+        fv = FlagVector(3, (1, 5, 8, 16, 5, 16, 16, 32))
+        assert fv == build(W("CIC")).flag_vector()
+        assert fv.counts == (1, 5, 8, 16, 5, 16, 16, 32)
+        assert FlagVector(-1, (1,)) == empty_polytope().flag_vector()
+        assert FlagVector(0, (1,)) == point().flag_vector()
+
+    @pytest.mark.parametrize("n, counts", [
+        (2, (1, 4, 4)), (2, (1, 4, 4, 8, 0)), (0, ()), (-1, (1, 1)),
+    ])
+    def test_wrong_length_refused(self, n, counts):
+        with pytest.raises(ValueError, match="entries"):
+            FlagVector(n, counts)
+
+    def test_only_a_tuple(self):
+        with pytest.raises(TypeError):
+            FlagVector(1, [1, 2])
+        with pytest.raises(TypeError):
+            FlagVector(1, {frozenset(): 1, frozenset({0}): 2})
+
+    def test_dimensions_outside_the_range_count_zero(self):
+        fv = build(W("CIC")).flag_vector()
+        assert fv[{0, 5}] == fv[{-1}] == fv[{3}] == 0
+        assert fv[[0, 0]] == fv[{0}] == 5 and fv[()] == 1
+        assert empty_polytope().flag_vector()[{0}] == 0
+
+    def test_eq_hash_and_key_agree(self):
+        a = build(W("BIC")).flag_vector()
+        b = FlagVector(3, tuple(a.as_vector()))
+        c = FlagVector(3, tuple(x + (i == 7) for i, x in enumerate(a.counts)))
+        assert a == b and hash(a) == hash(b) and a.key() == b.key()
+        assert a != c and a.key() != c.key()
+        assert a != FlagVector(2, a.counts[:4]) and a != a.as_vector()
+        assert len({a, b, c}) == 2
+
+    def test_as_vector_is_a_fresh_list(self):
+        fv = build(W("IC")).flag_vector()
+        v = fv.as_vector()
+        v[0] = 99
+        assert fv.as_vector() == [1, 4, 4, 8] and fv.as_vector() is not v
+
+    def test_outputs_match_the_dict_form(self):
+        # the outputs of the frozenset-keyed dict this tuple replaced
+        fv = build(W("CIC")).flag_vector()
+        want = [([], 1), ([0], 5), ([1], 8), ([0, 1], 16), ([2], 5),
+                ([0, 2], 16), ([1, 2], 16), ([0, 1, 2], 32)]
+        assert fv.to_json() == {"n": 3, "entries": [
+            {"set": s, "count": c} for s, c in want]}
+        assert fv.to_csv() == ("set,count\n,1\n0,5\n1,8\n0;1,16\n2,5\n"
+                               "0;2,16\n1;2,16\n0;1;2,32\n")
+        assert (fv + fv).as_vector() == [2, 10, 16, 32, 10, 32, 32, 64]
+        half = fv.scale(Fraction(1, 2)).as_vector()
+        assert half == [Fraction(c, 2) for _, c in want]
+        assert repr(fv) == ("<FlagVector n=3 {(): 1, (0,): 5, (1,): 8, "
+                            "(0, 1): 16, (2,): 5, (0, 2): 16, (1, 2): 16, "
+                            "(0, 1, 2): 32}>")
+        e = empty_polytope().flag_vector()
+        assert e.to_json() == {"n": -1, "entries": [{"set": [], "count": 1}]}
+        assert e.to_csv() == "set,count\n,1\n" and e.face_counts() == []
+        with pytest.raises(ValueError):
+            fv + e
 
 
 class TestLinks:
@@ -374,3 +445,131 @@ class TestGeneratorChecks:
         lat = FaceLattice.from_json(data)
         assert time.perf_counter() - t0 < 1.0
         assert lat.n == 12
+
+
+# -- the pure-Python pair scan the flag DP replaced ---------------------------
+
+def reference_flag_counts(lat):
+    """Chain counts by the pair scan: the incidence between two levels by
+    testing every pair of faces as bitmasks, then one vector of counts per
+    dimension set, grown from the set without its top dimension."""
+    n = lat.n
+    if n <= 0:
+        return (1,)
+    bit = {v: 1 << i for i, v in enumerate(lat.vertices)}
+    levels = [[sum(map(bit.__getitem__, f)) for f, d in lat.faces.items()
+               if d == e] for e in range(n)]
+    incidence, vec, counts = {}, {}, [1]
+    for key in range(1, 1 << n):
+        S = [d for d in range(n) if key >> d & 1]
+        top = S[-1]
+        if len(S) == 1:
+            v = [1] * len(levels[top])
+        else:
+            lo = S[-2]
+            if (lo, top) not in incidence:
+                incidence[lo, top] = [
+                    [i for i, f in enumerate(levels[lo]) if f & g == f]
+                    for g in levels[top]]
+            prev = vec[key & ~(1 << top)]
+            v = [sum(prev[i] for i in row) for row in incidence[lo, top]]
+        vec[key] = v
+        counts.append(sum(v))
+    return tuple(counts)
+
+
+def skips_a_dimension(lat):
+    """Whether some proper face lies above another, two or more dimensions
+    up, with no face of the dimension in between."""
+    proper = [(f, d) for f, d in lat.faces.items() if 0 <= d < lat.n]
+    return any(f < g and e > d + 1
+               and not any(f < h < g and c == d + 1 for h, c in proper)
+               for f, d in proper for g, e in proper)
+
+
+# vertex {3} lies directly under the 2-face {0,1,3}, with no edge between
+NON_GRADED = {"n": 3, "faces": [
+    {"verts": [], "dim": -1},
+    {"verts": [0], "dim": 0}, {"verts": [1], "dim": 0},
+    {"verts": [2], "dim": 0}, {"verts": [3], "dim": 0},
+    {"verts": [0, 1], "dim": 1}, {"verts": [1, 2], "dim": 1},
+    {"verts": [0, 2], "dim": 1},
+    {"verts": [0, 1, 2], "dim": 2}, {"verts": [0, 1, 3], "dim": 2},
+    {"verts": [0, 1, 2, 3], "dim": 3},
+]}
+
+
+class TestFlagDP:
+    """The packed-chain DP against the pair scan, entry for entry."""
+
+    def check(self, lat, label):
+        assert lat.flag_vector().counts == reference_flag_counts(lat), label
+
+    def test_every_word_up_to_dim_5(self):
+        for w in words_up_to(5, "ICB"):
+            self.check(build(w), w)
+
+    def test_dim_6_sample(self):
+        for w in random.Random(6).sample(list(all_words(6, "ICB")), 40):
+            self.check(build(w), w)
+
+    def test_joins_up_to_total_dim_5(self):
+        small = list(words_up_to(2, "ICB"))
+        for a in small:
+            for b in small:
+                self.check(build(a).join(build(b)), (a, b))
+
+    def test_more_than_63_vertices(self):
+        lat = build(W("IIIIIII"))
+        assert len(lat.vertices) == 128
+        self.check(lat, "IIIIIII")
+
+    def test_links(self):
+        for ops in ["CIC", "BIC", "ICCIC", "BBIC", "IBCIC"]:
+            lat = build(W(ops))
+            for f, d in lat.faces.items():
+                if 0 <= d < lat.n:
+                    self.check(lat.link(f), (ops, sorted(f)))
+
+    def test_validating_mutants(self):
+        rng = random.Random(7)
+        tally = Counter()
+        for w in words_up_to(4, "ICB"):
+            for _, mut in mutants(build(w), rng, 16):
+                if outcome(FaceLattice.validate, mut) != ("returned", None):
+                    continue
+                try:
+                    got = mut.flag_vector().counts
+                except ValueError:
+                    assert skips_a_dimension(mut), w
+                    tally["skips"] += 1
+                    continue
+                assert got == reference_flag_counts(mut), w
+                tally["equal"] += 1
+        assert tally["equal"] >= 100, tally
+
+    def test_non_graded_family(self):
+        lat = FaceLattice.from_json(NON_GRADED)  # validate accepts it
+        assert skips_a_dimension(lat)
+        assert reference_flag_counts(lat)[0b101] == 6
+        with pytest.raises(ValueError, match="no face of dimension 1 "):
+            lat.flag_vector()
+        cone = lat.pyramid()
+        assert cone.validate() is None and skips_a_dimension(cone)
+        with pytest.raises(ValueError, match="no face of dimension"):
+            cone.flag_vector()
+
+    def test_runs_without_numpy(self):
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from hvcalc.cli import main\n"
+                "from hvcalc.lattice import build\n"
+                "from hvcalc.words import GeneratorWord\n"
+                "assert build(GeneratorWord('BIC')).flag_vector()[{0, 1, 2}] == 48\n"
+                "sys.exit(main(['express', 'BIC.']))\n")
+        src = str(Path(hvcalc.__file__).resolve().parents[1])
+        p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=120,
+                           env={"PYTHONPATH": src, "PATH": ""})
+        assert p.returncode == 0 and p.stderr == "", p.stderr
+        assert p.stdout.strip()
