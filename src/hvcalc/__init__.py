@@ -10,7 +10,7 @@ from .flaglin import (
     linear_pseudo_h, span_rank, word_flag_vector,
 )
 from .lattice import FaceLattice, FlagVector, build, empty_polytope, point
-from .links import cone_rule_final, g_eval, h_by_links, lift_to_aux
+from .links import g_eval, h_by_links
 from .symbols import AUX, FINAL, BiGradedPoly, HVector, push_pads
 from .terms import (
     IndexTerm, broadly_similar, downset, enumerate_terms, fib, implies,

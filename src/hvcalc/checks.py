@@ -89,9 +89,9 @@ XA1 = IndexTerm(1, 0, (PAD, 1), FINAL)
 def check_bayer():
     lat = build(GeneratorWord("BICCC"))
     via_linear = flaglin.linear_h(lat.flag_vector())
-    c1 = links.coefficient_of(via_linear, XA1)
+    c1 = via_linear.coefficient(XA1.xexp, XA1.yexp, XA1.word)
     via_links = links.h_by_links(lat)
-    c2 = links.coefficient_of(via_links, XA1)
+    c2 = via_links.coefficient(XA1.xexp, XA1.yexp, XA1.word)
     return [
         _res("linear h(BICCC.) has coefficient -2 on xA{1}", c1 == -2,
              f"got {c1}"),
@@ -279,11 +279,11 @@ def check_oracles(max_dim=6, closure_dim=6, cone_base_dim=5):
     for w, lat in lats:
         if not _is_simple_word(w.ops) or lat.n == 0:
             continue
-        h = engine.extended_hvector(w).mpih()
-        if engine.extended_hvector(w).terms.keys() - {()}:
+        ext = engine.extended_hvector(w)
+        if ext.terms.keys() - {()}:
             bad.append(str(w) + " (non-empty word part)")
             continue
-        if h != engine.classical_h_simple(lat.face_counts()):
+        if ext.mpih() != engine.classical_h_simple(lat.face_counts()):
             bad.append(str(w))
     out.append(_res(
         f"classical h of the face vector = mpih part on simple words, dim <= {max_dim}",

@@ -81,8 +81,11 @@ def parse_term(text: str) -> IndexTerm:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise CliError(f"cannot write output: {e}")
     else:
         print(text)
 
@@ -169,7 +172,8 @@ def cmd_express(args):
     if args.coeff:
         term = parse_term(args.coeff)
         h = flaglin.linear_h(fv)
-        _emit(render_scalar(links.coefficient_of(h, term)), args.out)
+        _emit(render_scalar(h.coefficient(term.xexp, term.yexp, term.word)),
+              args.out)
         return
     basis = flaglin.ic_basis(fv.n)
     cs = flaglin.express_in_basis(fv)

@@ -8,9 +8,8 @@ extended h-vector, the naive pseudo h, the link functionals) from the
 basis to the whole span.
 
 Every exact elimination in the package goes through one fraction-free
-integer routine here, ``_eliminate``: the basis solve, the rank of a
-family of flag vectors, and the inverse of the change of variables that
-``links`` lifts through.
+integer routine here, ``_eliminate``: the basis solve and the rank of a
+family of flag vectors.
 
 It also carries the constructor transforms at the flag-vector level: the
 flag vector of a pyramid, prism or bipyramid computed linearly from the

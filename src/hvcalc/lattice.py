@@ -152,9 +152,6 @@ class FaceLattice:
             faces[fa] = d - d0 - 1
         return FaceLattice(self.n - d0 - 1, faces)
 
-    def link_flag_vector(self, face) -> "FlagVector":
-        return self.link(face).flag_vector()
-
     # -- checks used by the oracle suites -----------------------------------
 
     def euler_ok(self) -> bool:

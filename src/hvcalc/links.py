@@ -14,121 +14,61 @@ the empty polytope; that convention is pinned by the point, segment and
 square hand values and then by exhaustive agreement with the engine.
 
 The cone acting on final vectors admits two readings, kept behind a
-switch.  The conjugation reading lifts the vector back through the change
-of variables (an invertible linear map in each degree, inverted once per
-degree by the exact elimination routine of ``flaglin``), applies the
-auxiliary cone operator, and pushes forward again.  The direct reading
-runs the engine's three-part rule verbatim in the final alphabet, with the
-final pad.  Exactly one of them reproduces the engine; the test suite
-records which.
+switch.  The conjugation reading is the auxiliary cone operator carried
+through the change of variables: lift the final vector to auxiliary
+flavor, apply the cone, push forward again.  The change of variables
+(``engine.to_extended``) is linear and injective, commutes with
+multiplication by the second variable and sends the auxiliary unit to the
+final unit, so each step of the recursion is its image under that map.
+The recursion therefore runs on auxiliary vectors with the auxiliary cone,
+and the change of variables is applied once, to the value returned.  The
+direct reading runs the engine's three-part rule verbatim in the final
+alphabet, with the final pad.  Exactly one of them reproduces the engine;
+the test suite records which.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .engine import _cone, apply_cone, to_extended
-from .flaglin import _pivot_inverse, extend_linear
-from .lattice import FaceLattice, FlagVector, build
-from .symbols import AUX, FINAL, PAD, BiGradedPoly, HVector
-from .terms import IndexTerm, enumerate_terms
+from .flaglin import extend_linear
+from .lattice import FaceLattice, FlagVector, build, empty_polytope
+from .symbols import AUX, FINAL, PAD, HVector
 
 CONJUGATION = "conjugation"
 DIRECT = "direct"
 RULES = (CONJUGATION, DIRECT)
 
 
-class LiftError(ValueError):
-    """The vector admits no preimage under the change of variables."""
-
-
-def _vectorize(h: HVector, terms: list) -> list:
-    index = {(t.xexp, t.yexp, t.word): i for i, t in enumerate(terms)}
-    out = [0] * len(terms)
-    for word, poly in h.terms.items():
-        m = poly.degree
-        for j, c in enumerate(poly.coeffs):
-            if c == 0:
-                continue
-            i = index.get((m - j, j, word))
-            if i is None:
-                raise LiftError(f"unexpected term over word {word!r}")
-            out[i] = c
-    return out
-
-
-def _devectorize(vec, terms, degree, flavor) -> HVector:
-    polys = {}
-    for c, t in zip(vec, terms):
-        if c == 0:
-            continue
-        cs = polys.setdefault(t.word, [0] * (t.xexp + t.yexp + 1))
-        cs[t.yexp] = c
-    return HVector(degree, flavor,
-                   {w: BiGradedPoly(cs) for w, cs in polys.items()})
-
-
-@lru_cache(maxsize=None)
-def _lift_solver(n: int):
-    """Inverse of the change of variables in degree n, as a dense matrix
-    over the index-term bases."""
-    aux_terms = enumerate_terms(n, AUX)
-    fin_terms = enumerate_terms(n, FINAL)
-    cols = []
-    for t in aux_terms:
-        poly = [0] * (t.xexp + t.yexp + 1)
-        poly[t.yexp] = 1
-        h = HVector(n, AUX, {t.word: BiGradedPoly(poly)})
-        cols.append(_vectorize(to_extended(h), fin_terms))
-    assert len(fin_terms) == len(aux_terms)
-    _, inv = _pivot_inverse(list(zip(*cols)))
-    return aux_terms, fin_terms, inv
-
-
-def lift_to_aux(h: HVector) -> HVector:
-    """Preimage of a final vector under the change of variables."""
-    if h.flavor != FINAL:
-        raise ValueError("lift starts from a final vector")
-    aux_terms, fin_terms, inv = _lift_solver(h.degree)
-    f = _vectorize(h, fin_terms)
-    a = [sum(row[j] * f[j] for j in range(len(f)) if f[j] != 0)
-         for row in inv]
-    return _devectorize(a, aux_terms, h.degree, AUX)
-
-
-def cone_rule_final(h: HVector, rule: str = CONJUGATION) -> HVector:
-    """The cone operator transported to final vectors."""
-    if rule == CONJUGATION:
-        return to_extended(apply_cone(lift_to_aux(h)))
-    if rule == DIRECT:
-        return _cone(h, PAD, FINAL)
-    raise ValueError(f"unknown cone rule {rule!r}")
-
-
 class LinkCalculator:
     """Memoized face-sum evaluator; values are cached by flag vector,
-    which is what the functionals actually depend on."""
+    which is what the functionals actually depend on.
+
+    Under the conjugation rule the values are auxiliary vectors, under the
+    direct rule final ones; ``final`` maps either to the final flavor.
+    """
 
     def __init__(self, rule: str = CONJUGATION):
-        if rule not in RULES:
+        if rule == CONJUGATION:
+            self.flavor, self._cone = AUX, apply_cone
+        elif rule == DIRECT:
+            self.flavor, self._cone = FINAL, lambda h: _cone(h, PAD, FINAL)
+        else:
             raise ValueError(f"unknown cone rule {rule!r}")
-        self.rule = rule
         self._h = {}
         self._g = {}
+
+    def final(self, h: HVector) -> HVector:
+        return to_extended(h) if self.flavor == AUX else h
 
     def h(self, L: FaceLattice) -> HVector:
         key = L.flag_vector().key()
         got = self._h.get(key)
         if got is not None:
             return got
-        total = HVector.zero(L.n, FINAL)
+        total = HVector.zero(L.n, self.flavor)
         for face, d in L.faces.items():
-            if d < 0:
-                continue
-            g = self.g(d, L.link(face))
-            if g.degree != L.n:
-                raise AssertionError("face summand breaks homogeneity")
-            total = total + g
+            if d >= 0:
+                total = total + self.g(d, L.link(face))
         self._h[key] = total
         return total
 
@@ -139,10 +79,10 @@ class LinkCalculator:
             return got
         if i == 0:
             if B.n == -1:
-                val = HVector.unit(FINAL)
+                val = HVector.unit(self.flavor)
             else:
                 hB = self.h(B)
-                val = cone_rule_final(hB, self.rule) - hB.times_second()
+                val = self._cone(hB) - hB.times_second()
         else:
             val = self.g(i - 1, B).times_second() - self.g(i - 1, B.pyramid())
         self._g[key] = val
@@ -154,21 +94,18 @@ _CALCULATORS = {rule: LinkCalculator(rule) for rule in RULES}
 
 def h_by_links(L: FaceLattice, rule: str = CONJUGATION) -> HVector:
     """Extended h-vector by the face-sum recursion alone."""
-    return _CALCULATORS[rule].h(L)
+    calc = _CALCULATORS[rule]
+    return calc.final(calc.h(L))
 
 
 def g_eval(i: int, B: FaceLattice, rule: str = CONJUGATION) -> HVector:
     """Level functional on a concrete lattice."""
-    return _CALCULATORS[rule].g(i, B)
+    calc = _CALCULATORS[rule]
+    return calc.final(calc.g(i, B))
 
 
 def g_linear(i: int, fv: FlagVector, rule: str = CONJUGATION) -> HVector:
     """Level functional extended linearly to any spanned flag vector."""
     if fv.n == -1:
-        from .lattice import empty_polytope
         return g_eval(i, empty_polytope(), rule).scale(fv[frozenset()])
     return extend_linear(fv, lambda w: g_eval(i, build(w), rule))
-
-
-def coefficient_of(h: HVector, term: IndexTerm):
-    return h.coefficient(term.xexp, term.yexp, term.word)

@@ -153,6 +153,12 @@ class TestCommands:
         assert rc == 0 and out.splitlines()[0] == "(1221) + (1){1}"
         rc, out2, _ = run(capsys, "links", "CIC.", "--rule", "direct")
         assert rc == 0  # direct diverges only from dimension four upwards
+        rc, out, _ = run(capsys, "links", "CCIC.")
+        assert rc == 0 and out == "(12221) + (11){1} + (1)A{1}\n"
+        rc, engine_out, _ = run(capsys, "hvec", "CCIC.")
+        assert engine_out == out.rstrip("\n") + "   [engine]\n"
+        rc, out, _ = run(capsys, "links", "CCIC.", "--rule", "direct")
+        assert rc == 0 and out == "(12221) + (11){1}\n"
 
     def test_pseudo(self, capsys):
         rc, out, _ = run(capsys, "pseudo", "BIC.")
@@ -257,6 +263,13 @@ class TestCommands:
         rc, out, _ = run(capsys, "hvec", "IC.", "--out", str(path))
         assert rc == 0 and out == ""
         assert path.read_text().startswith("(121)")
+
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x"
+        rc, out, err = run(capsys, "basis", "3", "--out", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot write output")
+        assert len(err.splitlines()) == 1
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         from hvcalc import checks as checks_mod

@@ -192,7 +192,7 @@ class TestLinks:
     def test_octahedron_edge_link(self):
         octa = build(W("BIC"))
         e = next(f for f, d in octa.faces.items() if d == 1)
-        fv = octa.link_flag_vector(e)
+        fv = octa.link(e).flag_vector()
         assert fv.n == 1 and fv[{0}] == 2
 
     def test_full_face_link_is_empty_polytope(self):

@@ -1,16 +1,17 @@
 """The face-sum recursion, the transported cone rule, and the lift."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
 from hvcalc import checks, engine, flaglin
 from hvcalc.lattice import build, empty_polytope, point
 from hvcalc.links import (
-    CONJUGATION, DIRECT, cone_rule_final, g_eval, g_linear, h_by_links,
-    lift_to_aux,
+    CONJUGATION, DIRECT, LinkCalculator, g_eval, g_linear, h_by_links,
 )
 from hvcalc.symbols import AUX, FINAL, PAD, BiGradedPoly, HVector
+from hvcalc.terms import enumerate_terms
 from hvcalc.words import GeneratorWord as W
 from hvcalc.words import words_up_to
 
@@ -18,6 +19,110 @@ from hvcalc.words import words_up_to
 def final_vec(degree, terms):
     return HVector(degree, FINAL,
                    {w: BiGradedPoly(cs) for w, cs in terms.items()})
+
+
+# -- reference: the cone transported to final vectors through a dense lift ---
+#
+# The recursion as it once ran on final vectors: before each cone step the
+# vector is lifted back to aux flavor by a dense inverse of the change of
+# variables over the index-term bases, coned, and pushed forward again.
+
+def _vectorize(h, terms):
+    index = {(t.xexp, t.yexp, t.word): i for i, t in enumerate(terms)}
+    out = [0] * len(terms)
+    for word, poly in h.terms.items():
+        m = poly.degree
+        for j, c in enumerate(poly.coeffs):
+            if c != 0:
+                out[index[(m - j, j, word)]] = c
+    return out
+
+
+def _devectorize(vec, terms, degree, flavor):
+    polys = {}
+    for c, t in zip(vec, terms):
+        if c != 0:
+            cs = polys.setdefault(t.word, [0] * (t.xexp + t.yexp + 1))
+            cs[t.yexp] = c
+    return HVector(degree, flavor,
+                   {w: BiGradedPoly(cs) for w, cs in polys.items()})
+
+
+@lru_cache(maxsize=None)
+def _lift_solver(n):
+    aux_terms = enumerate_terms(n, AUX)
+    fin_terms = enumerate_terms(n, FINAL)
+    cols = []
+    for t in aux_terms:
+        poly = [0] * (t.xexp + t.yexp + 1)
+        poly[t.yexp] = 1
+        h = HVector(n, AUX, {t.word: BiGradedPoly(poly)})
+        cols.append(_vectorize(engine.to_extended(h), fin_terms))
+    assert len(fin_terms) == len(aux_terms)
+    _, inv = flaglin._pivot_inverse(list(zip(*cols)))
+    return aux_terms, fin_terms, inv
+
+
+def lift_to_aux(h):
+    """Preimage of a final vector under the change of variables."""
+    if h.flavor != FINAL:
+        raise ValueError("lift starts from a final vector")
+    aux_terms, fin_terms, inv = _lift_solver(h.degree)
+    f = _vectorize(h, fin_terms)
+    a = [sum(row[j] * f[j] for j in range(len(f)) if f[j] != 0)
+         for row in inv]
+    return _devectorize(a, aux_terms, h.degree, AUX)
+
+
+def cone_rule_final(h, rule=CONJUGATION):
+    """The cone operator transported to final vectors."""
+    if rule == CONJUGATION:
+        return engine.to_extended(engine.apply_cone(lift_to_aux(h)))
+    if rule == DIRECT:
+        return engine._cone(h, PAD, FINAL)
+    raise ValueError(f"unknown cone rule {rule!r}")
+
+
+class FinalLinkCalculator:
+    """The face-sum recursion on final vectors, coning by cone_rule_final."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self._h = {}
+        self._g = {}
+
+    def h(self, L):
+        key = L.flag_vector().key()
+        if key not in self._h:
+            total = HVector.zero(L.n, FINAL)
+            for face, d in L.faces.items():
+                if d >= 0:
+                    total = total + self.g(d, L.link(face))
+            self._h[key] = total
+        return self._h[key]
+
+    def g(self, i, B):
+        key = (i, B.flag_vector().key())
+        if key not in self._g:
+            if i == 0 and B.n == -1:
+                val = HVector.unit(FINAL)
+            elif i == 0:
+                hB = self.h(B)
+                val = cone_rule_final(hB, self.rule) - hB.times_second()
+            else:
+                val = (self.g(i - 1, B).times_second()
+                       - self.g(i - 1, B.pyramid()))
+            self._g[key] = val
+        return self._g[key]
+
+
+REFERENCE = {rule: FinalLinkCalculator(rule) for rule in (CONJUGATION, DIRECT)}
+
+
+def typed_terms(h):
+    """An h-vector with the type of every coefficient made visible."""
+    return (h.degree, h.flavor,
+            {w: [(type(c), c) for c in p.coeffs] for w, p in h.terms.items()})
 
 
 class TestLift:
@@ -132,7 +237,7 @@ class TestHByLinks:
             for face, d in lat.faces.items():
                 if d < 0:
                     continue
-                fv = lat.link_flag_vector(face)
+                fv = lat.link(face).flag_vector()
                 by_dim[d] = by_dim[d] + fv if d in by_dim else fv
             total = None
             for d, fv in sorted(by_dim.items()):
@@ -141,11 +246,35 @@ class TestHByLinks:
             assert total == h_by_links(lat), ops
 
 
+class TestAgainstReference:
+    @pytest.mark.parametrize("rule", [CONJUGATION, DIRECT])
+    def test_h_by_links_icb_dim5(self, rule):
+        for w in words_up_to(5, "ICB"):
+            lat = build(w)
+            assert typed_terms(h_by_links(lat, rule)) == typed_terms(
+                REFERENCE[rule].h(lat)), w
+
+    @pytest.mark.parametrize("rule", [CONJUGATION, DIRECT])
+    def test_g_eval_icb_dim3(self, rule):
+        for w in words_up_to(3, "ICB"):
+            lat = build(w)
+            for i in range(3):
+                assert typed_terms(g_eval(i, lat, rule)) == typed_terms(
+                    REFERENCE[rule].g(i, lat)), (i, w)
+
+    def test_aux_face_sum_is_the_aux_vector(self):
+        calc = LinkCalculator(CONJUGATION)
+        for w in words_up_to(5, "IC"):
+            assert calc.h(build(w)) == engine.aux_hvector(w), w
+
+    def test_unknown_rule(self):
+        with pytest.raises(ValueError):
+            LinkCalculator("solomonoff")
+
+
 class TestBayer:
     def test_coefficient_both_routes(self):
         lat = build(W("BICCC"))
-        from hvcalc.links import coefficient_of
-        from hvcalc.terms import IndexTerm
-        term = IndexTerm(1, 0, (PAD, 1), FINAL)
-        assert coefficient_of(flaglin.linear_h(lat.flag_vector()), term) == -2
-        assert coefficient_of(h_by_links(lat), term) == -2
+        assert flaglin.linear_h(lat.flag_vector()).coefficient(
+            1, 0, (PAD, 1)) == -2
+        assert h_by_links(lat).coefficient(1, 0, (PAD, 1)) == -2
