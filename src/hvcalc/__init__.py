@@ -14,7 +14,7 @@ from .links import g_eval, h_by_links
 from .symbols import AUX, FINAL, BiGradedPoly, HVector, push_pads
 from .terms import (
     IndexTerm, broadly_similar, downset, enumerate_terms, fib, implies,
-    strata_vector, term_degree,
+    strata_vector,
 )
 from .words import GeneratorWord, WordParseError
 

@@ -34,6 +34,15 @@ def _res(name, passed, detail=""):
     return CheckResult(name, bool(passed), detail)
 
 
+def _each(name, items, ok, show=str):
+    """One check over a family: it passes when ``ok`` holds for every item,
+    and otherwise names the first item that fails."""
+    for x in items:
+        if not ok(x):
+            return _res(name, False, f"counterexample {show(x)}")
+    return _res(name, True)
+
+
 # -- golden tables ------------------------------------------------------------
 
 GOLDEN_TABLES = {
@@ -166,142 +175,83 @@ def _random_aux_vector(rng, degree):
     return HVector(degree, AUX, tm)
 
 
+def _flag_ic_identity(w):
+    def fv(ops):
+        return flaglin.word_flag_vector(GeneratorWord(ops + w.ops))
+    return fv("ICI") + fv("CCI").scale(-1) == fv("IIC") + fv("ICC").scale(-1)
+
+
 def check_ic_equation_suite(n_random=100, max_random_degree=6, engine_dim=5,
                             flag_base_dim=3, seed=20260809):
-    out = []
     rng = random.Random(seed)
-    ok = True
-    bad = ""
-    for i in range(n_random):
-        h = _random_aux_vector(rng, rng.randint(0, max_random_degree))
-        if not engine.check_ic_equation(h):
-            ok = False
-            bad = h.render()
-            break
-    out.append(_res(f"operator IC equation on {n_random} random aux vectors",
-                    ok, f"counterexample {bad}"))
-    ok = True
-    bad = ""
-    for w in words_up_to(engine_dim, "IC"):
-        if not engine.check_ic_equation(engine.aux_hvector(w)):
-            ok = False
-            bad = str(w)
-            break
-    out.append(_res(f"operator IC equation on engine outputs, dim <= {engine_dim}",
-                    ok, f"counterexample {bad}"))
-    ok = True
-    bad = ""
-    for w in words_up_to(flag_base_dim, "ICB"):
-        lhs = (flaglin.word_flag_vector(GeneratorWord("ICI" + w.ops))
-               + flaglin.word_flag_vector(GeneratorWord("CCI" + w.ops)).scale(-1))
-        rhs = (flaglin.word_flag_vector(GeneratorWord("IIC" + w.ops))
-               + flaglin.word_flag_vector(GeneratorWord("ICC" + w.ops)).scale(-1))
-        if lhs != rhs:
-            ok = False
-            bad = str(w)
-            break
-    out.append(_res(
-        f"flag-level (I-C)CI = I(I-C)C on base words, dim <= {flag_base_dim}",
-        ok, f"counterexample {bad}"))
-    return out
+    randoms = (_random_aux_vector(rng, rng.randint(0, max_random_degree))
+               for _ in range(n_random))
+    return [
+        _each(f"operator IC equation on {n_random} random aux vectors",
+              randoms, engine.check_ic_equation, HVector.render),
+        _each(f"operator IC equation on engine outputs, dim <= {engine_dim}",
+              words_up_to(engine_dim, "IC"),
+              lambda w: engine.check_ic_equation(engine.aux_hvector(w))),
+        _each(f"flag-level (I-C)CI = I(I-C)C on base words, dim <= {flag_base_dim}",
+              words_up_to(flag_base_dim, "ICB"), _flag_ic_identity),
+    ]
 
 
 # -- triple agreement ---------------------------------------------------------
 
-def _agreement_words(max_dim=4, basis_dim=5):
-    ws = list(words_up_to(max_dim, "IC"))
-    ws += flaglin.ic_basis(basis_dim)
-    return ws
+def _three_routes_agree(w):
+    lat = build(w)
+    return (engine.extended_hvector(w)
+            == links.h_by_links(lat, links.CONJUGATION)
+            == flaglin.linear_h(lat.flag_vector()))
 
 
 def check_triple_agreement(max_dim=4, basis_dim=5):
-    out = []
-    ok = True
-    bad = ""
-    for w in _agreement_words(max_dim, basis_dim):
-        lat = build(w)
-        a = engine.extended_hvector(w)
-        b = links.h_by_links(lat, links.CONJUGATION)
-        c = flaglin.linear_h(lat.flag_vector())
-        if not (a == b == c):
-            ok = False
-            bad = str(w)
-            break
-    out.append(_res(
-        f"engine = link recursion = linear extension, dim <= {max_dim} "
-        f"plus the dim-{basis_dim} basis", ok, f"counterexample {bad}"))
-
-    direct_agrees = True
-    for w in _agreement_words(max_dim, basis_dim):
-        lat = build(w)
-        if links.h_by_links(lat, links.DIRECT) != engine.extended_hvector(w):
-            direct_agrees = False
-            break
-    out.append(_res(
+    ws = list(words_up_to(max_dim, "IC")) + flaglin.ic_basis(basis_dim)
+    agree = _each(f"engine = link recursion = linear extension, dim <= {max_dim} "
+                  f"plus the dim-{basis_dim} basis", ws, _three_routes_agree)
+    direct_agrees = all(
+        links.h_by_links(build(w), links.DIRECT) == engine.extended_hvector(w)
+        for w in ws)
+    return [agree, _res(
         "exactly one cone-rule reading passes (conjugation yes, direct no)",
-        ok and not direct_agrees,
-        "direct rule unexpectedly agrees" if direct_agrees else ""))
-    return out
+        agree.passed and not direct_agrees,
+        "direct rule unexpectedly agrees" if direct_agrees else "")]
 
 
 # -- lattice oracle suites ------------------------------------------------------
 
-def _oracle_words(max_dim):
-    return list(words_up_to(max_dim, "ICB"))
+def _mpih_is_classical_h(w):
+    ext = engine.extended_hvector(w)
+    return (ext.terms.keys() <= {()}
+            and ext.mpih() == engine.classical_h_simple(build(w).face_counts()))
+
+
+def _n_edges_at_every_vertex(w):
+    lat = build(w)
+    return set(lat.vertex_edge_degrees().values()) == {lat.n}
 
 
 def check_oracles(max_dim=6, closure_dim=6, cone_base_dim=5):
-    out = []
-    lats = [(w, build(w)) for w in _oracle_words(max_dim)]
-
-    bad = [str(w) for w, lat in lats if not lat.euler_ok()]
-    out.append(_res(f"Euler relation on all lattices, dim <= {max_dim}",
-                    not bad, f"fails for {bad[:3]}"))
-
-    bad = [str(w) for w, lat in lats if lat.n <= closure_dim
-           and not lat.closed_under_intersection()]
-    out.append(_res("intersection closure on all lattices, "
-                    f"dim <= {min(max_dim, closure_dim)}",
-                    not bad, f"fails for {bad[:3]}"))
-
-    bad = []
-    for w, lat in lats:
-        if lat.n == 0 or not _is_simple_word(w.ops):
-            continue
-        degs = set(lat.vertex_edge_degrees().values())
-        if degs != {lat.n}:
-            bad.append(str(w))
-    out.append(_res(
-        f"simple words have n edges at every vertex, dim <= {max_dim}",
-        not bad, f"fails for {bad[:3]}"))
-
-    bad = []
-    for w, lat in lats:
-        if not _is_simple_word(w.ops) or lat.n == 0:
-            continue
-        ext = engine.extended_hvector(w)
-        if ext.terms.keys() - {()}:
-            bad.append(str(w) + " (non-empty word part)")
-            continue
-        if ext.mpih() != engine.classical_h_simple(lat.face_counts()):
-            bad.append(str(w))
-    out.append(_res(
-        f"classical h of the face vector = mpih part on simple words, dim <= {max_dim}",
-        not bad, f"fails for {bad[:3]}"))
-
-    bad = []
-    for w, lat in lats:
-        if lat.n > cone_base_dim:
-            continue
-        got = flaglin.cone_flag_vector(lat.flag_vector())
-        want = lat.pyramid().flag_vector()
-        if got != want:
-            bad.append(str(w))
-    out.append(_res(
-        "cone transform matches the lattice pyramid, "
-        f"base dim <= {min(max_dim, cone_base_dim)}",
-        not bad, f"fails for {bad[:3]}"))
-    return out
+    ws = list(words_up_to(max_dim, "ICB"))
+    simple = [w for w in ws if w.dim > 0 and _is_simple_word(w.ops)]
+    return [
+        _each(f"Euler relation on all lattices, dim <= {max_dim}",
+              ws, lambda w: build(w).euler_ok()),
+        _each("intersection closure on all lattices, "
+              f"dim <= {min(max_dim, closure_dim)}",
+              [w for w in ws if w.dim <= closure_dim],
+              lambda w: build(w).closed_under_intersection()),
+        _each(f"simple words have n edges at every vertex, dim <= {max_dim}",
+              simple, _n_edges_at_every_vertex),
+        _each("classical h of the face vector = mpih part on simple words, "
+              f"dim <= {max_dim}", simple, _mpih_is_classical_h),
+        _each("cone transform matches the lattice pyramid, "
+              f"base dim <= {min(max_dim, cone_base_dim)}",
+              [w for w in ws if w.dim <= cone_base_dim],
+              lambda w: (flaglin.cone_flag_vector(build(w).flag_vector())
+                         == build(w).pyramid().flag_vector())),
+    ]
 
 
 def _is_simple_word(ops: str) -> bool:
@@ -315,21 +265,19 @@ def _is_simple_word(ops: str) -> bool:
 # -- properties: palindromy, unimodality, strata, downsets ---------------------
 
 def check_palindromy(max_dim=8):
-    bad = [str(w) for w in words_up_to(max_dim, "IC")
-           if not engine.aux_hvector(w).is_palindromic()]
-    return [_res(f"auxiliary vectors are palindromic, dim <= {max_dim}",
-                 not bad, f"fails for {bad[:3]}")]
+    return [_each(f"auxiliary vectors are palindromic, dim <= {max_dim}",
+                  words_up_to(max_dim, "IC"),
+                  lambda w: engine.aux_hvector(w).is_palindromic())]
+
+
+def _unimodal_to_middle(w):
+    cs = engine.extended_hvector(w).mpih().coeffs
+    return all(cs[i] <= cs[i + 1] for i in range(len(cs) // 2))
 
 
 def check_unimodality(max_dim=8):
-    bad = []
-    for w in words_up_to(max_dim, "IC"):
-        cs = engine.extended_hvector(w).mpih().coeffs
-        half = len(cs) // 2
-        if any(cs[i] > cs[i + 1] for i in range(half)):
-            bad.append(str(w))
-    return [_res(f"mpih parts are unimodal up to halfway, dim <= {max_dim}",
-                 not bad, f"fails for {bad[:3]}")]
+    return [_each(f"mpih parts are unimodal up to halfway, dim <= {max_dim}",
+                  words_up_to(max_dim, "IC"), _unimodal_to_middle)]
 
 
 STRATA_CASES = [
@@ -347,22 +295,13 @@ def check_strata(max_downset_degree=9):
     for t, want in STRATA_CASES:
         got = terms.strata_vector(t)
         out.append(_res(f"strata of {t} = {want}", got == want, f"got {got}"))
-    ok = True
-    bad = ""
-    for n in range(max_downset_degree + 1):
-        universe = terms.enumerate_terms(n, AUX)
-        for t in universe:
-            via_moves = set(terms.downset(t))
-            via_order = {u for u in universe if terms.implies(t, u)}
-            if via_moves != via_order:
-                ok = False
-                bad = str(t)
-                break
-        if not ok:
-            break
-    out.append(_res(
+    universe = {n: terms.enumerate_terms(n, AUX)
+                for n in range(max_downset_degree + 1)}
+    out.append(_each(
         f"downset by moves = downset by implication, degree <= {max_downset_degree}",
-        ok, f"counterexample {bad}"))
+        (t for ts in universe.values() for t in ts),
+        lambda t: set(terms.downset(t)) == {
+            u for u in universe[t.degree] if terms.implies(t, u)}))
     return out
 
 
@@ -378,6 +317,7 @@ FIXED_RUNS = {
     "ic-equation": ("random aux vectors of degree <= 6, engine words of "
                     "dim <= 5 and flag-level words of dim <= 6"),
     "link-agreement": "dim <= 4 plus the dim-5 basis",
+    "strata": "the five strata examples and downsets of degree <= 9",
 }
 
 
@@ -399,9 +339,9 @@ SUITES = {
                                        + check_pseudo_octahedron()),
     "unimodality": lambda max_dim: check_unimodality(
         _cap(max_dim, DIM_CAPS["unimodality"])),
+    "strata": lambda max_dim: check_strata(),
 }
-ALL_SUITES = ("tables", "ic-equation", "palindromy", "fibonacci", "gds-rank",
-              "oracle", "link-agreement", "unimodality")
+ALL_SUITES = tuple(SUITES)
 SUITES["all"] = lambda max_dim: [r for name in ALL_SUITES
                                  for r in SUITES[name](max_dim)]
 

@@ -26,13 +26,7 @@ FORMATS = ("text", "json", "csv")
 
 
 class CliError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
-
-
-def parse_word(text: str) -> GeneratorWord:
-    return GeneratorWord.parse(text)
+    """A usage error: ``main`` prints it on one line and exits 2."""
 
 
 _TERM_TOKEN = re.compile(
@@ -105,7 +99,7 @@ def _hvector_out(h, fmt):
 def _load_flag_vector(arg: str):
     """A generator word, or a path to a lattice JSON file."""
     try:
-        w = parse_word(arg)
+        w = GeneratorWord.parse(arg)
         return w, build(w).flag_vector()
     except WordParseError:
         pass
@@ -119,7 +113,7 @@ def _load_flag_vector(arg: str):
 
 
 def cmd_hvec(args):
-    w = parse_word(args.word)
+    w = GeneratorWord.parse(args.word)
     if w.is_bipyramid_free():
         h = engine.extended_hvector(w)
         label = "engine"
@@ -133,7 +127,7 @@ def cmd_hvec(args):
 
 
 def cmd_aux(args):
-    w = parse_word(args.word)
+    w = GeneratorWord.parse(args.word)
     h = engine.aux_hvector(w)
     _emit(_hvector_out(h, args.format), args.out)
 
@@ -153,7 +147,7 @@ def cmd_flagvec(args):
 
 
 def cmd_lattice(args):
-    w = parse_word(args.word)
+    w = GeneratorWord.parse(args.word)
     _emit(build(w).dumps(), args.out)
 
 
@@ -190,13 +184,13 @@ def cmd_express(args):
 
 
 def cmd_links(args):
-    w = parse_word(args.word)
+    w = GeneratorWord.parse(args.word)
     h = links.h_by_links(build(w), args.rule)
     _emit(_hvector_out(h, args.format), args.out)
 
 
 def cmd_pseudo(args):
-    w = parse_word(args.word)
+    w = GeneratorWord.parse(args.word)
     if w.is_bipyramid_free():
         p = engine.pseudo_h(w)
         label = "engine"
@@ -240,10 +234,7 @@ def cmd_order(args):
 def cmd_verify(args):
     if args.max_dim is not None and args.max_dim < 1:
         raise CliError(f"--max-dim must be at least 1, got {args.max_dim}")
-    try:
-        results = checks.run_suite(args.suite, args.max_dim)
-    except KeyError as e:
-        raise CliError(str(e))
+    results = checks.run_suite(args.suite, args.max_dim)
     note = checks.max_dim_note(args.suite, args.max_dim)
     if note:
         print(f"note: {note}", file=sys.stderr)
@@ -342,10 +333,7 @@ def main(argv=None) -> int:
     except WordParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (ValueError, KeyError) as e:
+    except (CliError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return rc or 0

@@ -99,20 +99,6 @@ def word_to_json(word):
             for s in word]
 
 
-def word_from_json(items) -> tuple:
-    out = []
-    for it in items:
-        if it == "A":
-            out.append(PAD)
-        elif it == "Abar":
-            out.append(PAD_AUX)
-        elif isinstance(it, dict) and "local" in it:
-            out.append(int(it["local"]))
-        else:
-            raise ValueError(f"bad word entry {it!r}")
-    return tuple(out)
-
-
 class BiGradedPoly:
     """Homogeneous polynomial in two commuting variables, as a coefficient list.
 

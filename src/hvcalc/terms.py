@@ -64,10 +64,6 @@ class IndexTerm:
         return self.render()
 
 
-def term_degree(t: IndexTerm) -> int:
-    return t.degree
-
-
 def strata_vector(t: IndexTerm) -> tuple:
     """Ascending stratum dimensions, ending at the term degree."""
     n = t.degree

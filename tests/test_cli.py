@@ -4,34 +4,34 @@ import json
 
 import pytest
 
-from hvcalc.cli import main, parse_term, parse_word
+from hvcalc.cli import main, parse_term
 from hvcalc.symbols import PAD, PAD_AUX
 from hvcalc.words import GeneratorWord, WordParseError
 
 
 class TestParseWord:
     def test_examples(self):
-        assert parse_word("CICIC.").ops == "CICIC"
-        assert parse_word("BICCC·").ops == "BICCC"
-        assert parse_word(".").ops == ""
+        assert GeneratorWord.parse("CICIC.").ops == "CICIC"
+        assert GeneratorWord.parse("BICCC·").ops == "BICCC"
+        assert GeneratorWord.parse(".").ops == ""
 
     def test_whitespace_and_no_terminator(self):
-        assert parse_word(" C I C ").ops == "CIC"
-        assert parse_word("ICC").ops == "ICC"
+        assert GeneratorWord.parse(" C I C ").ops == "CIC"
+        assert GeneratorWord.parse("ICC").ops == "ICC"
 
     def test_error_column(self):
         with pytest.raises(WordParseError) as e:
-            parse_word("CXC.")
+            GeneratorWord.parse("CXC.")
         assert e.value.column == 2
 
     def test_empty_requires_terminator(self):
         with pytest.raises(WordParseError):
-            parse_word("")
+            GeneratorWord.parse("")
 
     def test_round_trip(self):
         for ops in ["", "C", "CIC", "BICCC", "ICICICICIC"]:
             w = GeneratorWord(ops)
-            assert parse_word(w.render()) == w
+            assert GeneratorWord.parse(w.render()) == w
 
 
 class TestParseTerm:
@@ -224,7 +224,8 @@ class TestCommands:
         from hvcalc import checks
         note = checks.max_dim_note("all", 12)
         for suite in ("tables", "ic-equation", "palindromy", "fibonacci",
-                      "gds-rank", "oracle", "link-agreement", "unimodality"):
+                      "gds-rank", "oracle", "link-agreement", "unimodality",
+                      "strata"):
             assert suite in note
         assert "\n" not in note
         assert checks.max_dim_note("all", None) is None
@@ -270,6 +271,54 @@ class TestCommands:
         assert rc == 2 and out == ""
         assert err.startswith("error: cannot write output")
         assert len(err.splitlines()) == 1
+
+    def test_verify_strata(self, capsys):
+        from hvcalc import checks
+        want = [r.line() for r in checks.check_strata(9)]
+        assert len(want) == 6
+        rc, out, err = run(capsys, "verify", "strata")
+        assert rc == 0 and err == ""
+        assert out.splitlines() == want + ["6/6 checks passed"]
+        rc, out, _ = run(capsys, "verify", "all", "--max-dim", "3")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[-len(want) - 1:-1] == want
+
+    def test_failing_family_check_names_its_counterexample(
+            self, capsys, monkeypatch):
+        from hvcalc import engine
+        from hvcalc.symbols import AUX, BiGradedPoly, HVector
+        real = engine.aux_hvector
+
+        def lopsided(w):
+            if w == GeneratorWord("ICC"):
+                return HVector(3, AUX, {(): BiGradedPoly([1, 2, 2, 2])})
+            return real(w)
+
+        monkeypatch.setattr(engine, "aux_hvector", lopsided)
+        rc, out, err = run(capsys, "verify", "palindromy", "--max-dim", "3")
+        line = ("FAIL  auxiliary vectors are palindromic, dim <= 3  "
+                "[counterexample ICC.]")
+        assert rc == 1
+        assert out.splitlines() == [line, "0/1 checks passed"]
+        assert err == ("first failure: auxiliary vectors are palindromic, "
+                       "dim <= 3 [counterexample ICC.]\n")
+
+    def test_failing_oracle_names_its_counterexample(self, capsys, monkeypatch):
+        from hvcalc.lattice import FaceLattice, build
+        prism = build(GeneratorWord("ICC"))
+        real = FaceLattice.euler_ok
+        monkeypatch.setattr(FaceLattice, "euler_ok",
+                            lambda lat: lat is not prism and real(lat))
+        rc, out, err = run(capsys, "verify", "oracle", "--max-dim", "3")
+        line = ("FAIL  Euler relation on all lattices, dim <= 3  "
+                "[counterexample ICC.]")
+        assert rc == 1
+        assert out.splitlines()[0] == line
+        assert all(x.startswith("pass") for x in out.splitlines()[1:-1])
+        assert out.splitlines()[-1] == "4/5 checks passed"
+        assert "first failure: Euler relation" in err
+        assert "[counterexample ICC.]" in err
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         from hvcalc import checks as checks_mod

@@ -9,7 +9,7 @@ from hvcalc.symbols import (
 )
 from hvcalc.terms import (
     IndexTerm, broadly_similar, downset, enumerate_terms, fib, implies,
-    strata_vector, term_degree, words_up_to_degree,
+    strata_vector, words_up_to_degree,
 )
 
 BIG = IndexTerm(2, 3, (PAD_AUX,) * 4 + (5,) + (PAD_AUX,) * 2 + (6,), AUX)
@@ -17,13 +17,13 @@ BIG = IndexTerm(2, 3, (PAD_AUX,) * 4 + (5,) + (PAD_AUX,) * 2 + (6,), AUX)
 
 class TestDegrees:
     def test_displayed_sum(self):
-        assert term_degree(BIG) == 35
+        assert BIG.degree == 35
 
     def test_empty(self):
-        assert term_degree(IndexTerm(0, 0, (), FINAL)) == 0
+        assert IndexTerm(0, 0, (), FINAL).degree == 0
 
     def test_small(self):
-        assert term_degree(IndexTerm(0, 0, (PAD, 1), FINAL)) == 4
+        assert IndexTerm(0, 0, (PAD, 1), FINAL).degree == 4
 
     def test_constructor_rejects_trailing_pad(self):
         with pytest.raises(ValueError):
@@ -185,7 +185,7 @@ class TestProperties:
     def test_implies_needs_similarity(self, a, b):
         if implies(a, b):
             assert broadly_similar(a, b)
-            assert term_degree(a) == term_degree(b)
+            assert a.degree == b.degree
 
     @given(aux_terms())
     @settings(max_examples=200, deadline=None)
