@@ -271,7 +271,9 @@ def check_palindromy(max_dim=8):
 
 
 def _unimodal_to_middle(w):
-    cs = engine.extended_hvector(w).mpih().coeffs
+    # the final empty word comes from the aux empty word at pad count 0 only
+    # (pads on it die, other words keep their locals): aux mpih = final mpih
+    cs = engine.aux_hvector(w).mpih().coeffs
     return all(cs[i] <= cs[i + 1] for i in range(len(cs) // 2))
 
 

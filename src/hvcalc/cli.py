@@ -4,7 +4,7 @@ Subcommands compute h-vectors (symbolic engine or linear extension),
 auxiliary vectors, flag vectors, lattices, basis expressions, link-recursion
 values, pseudo h, index terms and their order, and run verification suites.
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
-or parse errors.
+or parse errors and any other error, reported on one line of stderr.
 """
 
 from __future__ import annotations
@@ -335,6 +335,10 @@ def main(argv=None) -> int:
         return 2
     except (CliError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # any other failure: one line, never a traceback
+        detail = " ".join(str(e).split())
+        print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
         return 2
     return rc or 0
 

@@ -14,6 +14,11 @@ Folding these over a generator word from the seed [1] gives the auxiliary
 vector; eliminating the sliding pads (first variable = frozen variable plus
 pad, with pad * first variable = 0) gives the extended vector.
 
+The operators are implemented once, as kernels on plain term maps (word ->
+list of exact coefficients) that keep exactly the terms a checked HVector
+would keep.  The fold and the change of variables run on these maps, and a
+checked HVector is built only for a value a public function returns.
+
 Also here: palindromy and operator-identity checks, the classical h of a
 simple polytope from its face vector, and the naive pseudo h-vector.
 """
@@ -21,6 +26,7 @@ simple polytope from its face vector, and the naive pseudo h-vector.
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from .symbols import (
     AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads,
@@ -28,40 +34,65 @@ from .symbols import (
 from .words import GeneratorWord
 
 
+def _vector(degree, flavor, terms) -> HVector:
+    """The one checked HVector of a term map word -> coefficient list."""
+    return HVector(degree, flavor,
+                   {w: BiGradedPoly(cs) for w, cs in terms.items()})
+
+
+def _coeffs(h: HVector) -> dict:
+    return {w: p.coeffs for w, p in h.terms.items()}
+
+
+def _cylinder_terms(terms: dict) -> dict:
+    """Every coefficient list times the linear sum of the two variables.
+
+    A nonzero polynomial stays nonzero and no word changes, so clean terms
+    stay clean.
+    """
+    return {w: [cs[0], *map(add, cs, cs[1:]), cs[-1]]
+            for w, cs in terms.items()}
+
+
+def _cone_terms(terms: dict, pad) -> dict:
+    """The three-part cone rule on a term map, padding with ``pad``.
+
+    Coefficients are summed into one fresh list per output word.  The
+    full-pad correction of the empty word meets the terminator and lists
+    that cancel to zero are dropped, so clean terms give clean terms: what
+    the checked constructor would keep.
+    """
+    out: dict[tuple, list] = {}
+    get = out.get
+    for word, cs in terms.items():
+        m = len(cs) - 1
+        mid = m // 2
+        acc = get(word)
+        grown = [*cs[:mid + 1], *cs[mid:]]
+        out[word] = grown if acc is None else list(map(add, acc, grown))
+        for k in range(1, mid + 1):
+            # a record or correction word carries a constant: one entry
+            w2 = (pad,) * (m - 2 * k) + (k,) + word
+            acc = get(w2)
+            c = cs[k] - cs[k - 1]
+            out[w2] = [c] if acc is None else [acc[0] + c]
+        if word:
+            w2 = (pad,) * (m + 1) + word
+            acc = get(w2)
+            out[w2] = [-cs[0]] if acc is None else [acc[0] - cs[0]]
+    return {w: cs for w, cs in out.items() if any(cs)}
+
+
 def apply_cylinder(h: HVector) -> HVector:
     """Product with a segment: every polynomial times the linear sum."""
     if h.flavor != AUX:
         raise ValueError("cylinder operator acts on auxiliary vectors")
-    return HVector(h.degree + 1, AUX,
-                   {w: p.mul_linear() for w, p in h.terms.items()})
+    return _vector(h.degree + 1, AUX, _cylinder_terms(_coeffs(h)))
 
 
 def _cone(h: HVector, pad, flavor) -> HVector:
-    """The three-part cone rule, term by term, padding with ``pad``.
-
-    Coefficients are summed into one list per output word, and each output
-    polynomial is built once at the end.
-    """
-    out: dict[tuple, list] = {}
-
-    def add(word, cs):
-        acc = out.get(word)
-        if acc is None:
-            out[word] = cs
-        else:
-            for i, c in enumerate(cs):
-                acc[i] += c
-
-    for word, p in h.terms.items():
-        cs = p.coeffs
-        m = len(cs) - 1
-        mid = m // 2
-        add(word, [*cs[:mid + 1], *cs[mid:]])
-        for k in range(1, mid + 1):
-            add((pad,) * (m - 2 * k) + (k,) + word, [cs[k] - cs[k - 1]])
-        add((pad,) * (m + 1) + word, [-cs[0]])
-    return HVector(h.degree + 1, flavor,
-                   {w: BiGradedPoly(cs) for w, cs in out.items()})
+    """The cone rule on a vector of either flavor, padding with ``pad``."""
+    return _vector(h.degree + 1, flavor, _cone_terms(_coeffs(h), pad))
 
 
 def apply_cone(h: HVector) -> HVector:
@@ -72,15 +103,19 @@ def apply_cone(h: HVector) -> HVector:
 
 
 def aux_hvector(w: GeneratorWord) -> HVector:
-    """Fold the two operators over a bipyramid-free word from the seed."""
+    """Fold the two operators over a bipyramid-free word from the seed.
+
+    The fold runs on term maps; only its result is a checked HVector.
+    """
     if not w.is_bipyramid_free():
         raise ValueError(
             f"word {w} contains the bipyramid operator; "
             "use the linear extension over flag vectors instead")
-    h = HVector.unit(AUX)
+    terms = {(): [1]}
     for op in w.rightmost_first():
-        h = apply_cone(h) if op == "C" else apply_cylinder(h)
-    return h
+        terms = (_cone_terms(terms, PAD_AUX) if op == "C"
+                 else _cylinder_terms(terms))
+    return _vector(w.dim, AUX, terms)
 
 
 def to_extended(h: HVector) -> HVector:
@@ -93,6 +128,7 @@ def to_extended(h: HVector) -> HVector:
     if h.flavor != AUX:
         raise ValueError("change of variables starts from an auxiliary vector")
     acc: dict[tuple, list] = {}
+    get = acc.get
     for word, p in h.terms.items():
         cs = p.coeffs
         m = len(cs) - 1
@@ -103,14 +139,10 @@ def to_extended(h: HVector) -> HVector:
             if not any(head):
                 continue
             for w2, mult in rewrite_pads((PAD_AUX,) * j + word):
-                out = acc.get(w2)
-                if out is None:
-                    out = acc[w2] = [0] * (m - j + 1)
-                for q, a in enumerate(head):
-                    if a:
-                        out[q] += a * mult
-    return HVector(h.degree, FINAL,
-                   {w: BiGradedPoly(cs) for w, cs in acc.items()})
+                add_in = head if mult == 1 else [a * mult for a in head]
+                out = get(w2)
+                acc[w2] = add_in if out is None else list(map(add, out, add_in))
+    return _vector(h.degree, FINAL, acc)
 
 
 def extended_hvector(w: GeneratorWord) -> HVector:

@@ -259,11 +259,12 @@ class HVector:
             word = tuple(word)
             if word and word[-1] in _PADS:
                 continue  # trailing pad meets the terminator
-            if poly.is_zero():
+            cs = poly.coeffs
+            if not any(cs):
                 continue
             if bad_pad in word:
                 raise ValueError(f"word {word!r} has wrong flavor for {flavor}")
-            if poly.degree + word_degree(word) != degree:
+            if len(cs) - 1 + word_degree(word) != degree:
                 raise ValueError(
                     f"term {word!r} breaks degree {degree} homogeneity")
             clean[word] = poly

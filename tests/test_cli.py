@@ -320,6 +320,18 @@ class TestCommands:
         assert "first failure: Euler relation" in err
         assert "[counterexample ICC.]" in err
 
+    def test_unexpected_error_is_one_line(self, capsys, monkeypatch):
+        from hvcalc import cli
+
+        def broken(args):
+            raise RuntimeError("internal\nstate lost")
+
+        monkeypatch.setattr(cli, "cmd_hvec", broken)
+        rc, out, err = run(capsys, "hvec", "IC.")
+        assert rc == 2 and out == ""
+        assert err == "error: RuntimeError: internal state lost\n"
+        assert "Traceback" not in err
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         from hvcalc import checks as checks_mod
         fake = dict(checks_mod.SUITES)

@@ -7,8 +7,9 @@ import pytest
 
 from hvcalc.checks import _random_aux_vector
 from hvcalc.engine import (
-    apply_cone, apply_cylinder, aux_hvector, check_ic_equation,
-    classical_h_simple, extended_hvector, pseudo_h, to_extended,
+    _cone_terms, _cylinder_terms, apply_cone, apply_cylinder, aux_hvector,
+    check_ic_equation, classical_h_simple, extended_hvector, pseudo_h,
+    to_extended,
 )
 from hvcalc.symbols import (
     AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads, word_degree,
@@ -175,6 +176,29 @@ def reference_cone(h):
     return HVector(h.degree + 1, AUX, out)
 
 
+def reference_cylinder(h):
+    """The cylinder rule polynomial by polynomial."""
+    return HVector(h.degree + 1, AUX,
+                   {w: p.mul_linear() for w, p in h.terms.items()})
+
+
+def reference_fold(ops, h=None):
+    """The aux fold with a checked HVector after every operator."""
+    h = HVector.unit(AUX) if h is None else h
+    for op in reversed(ops):
+        h = reference_cone(h) if op == "C" else reference_cylinder(h)
+    return h
+
+
+def kernel_fold(ops, h):
+    """The aux fold on term maps from ``h``, checked once at the end."""
+    terms = {w: p.coeffs for w, p in h.terms.items()}
+    for op in reversed(ops):
+        terms = (_cone_terms(terms, PAD_AUX) if op == "C"
+                 else _cylinder_terms(terms))
+    return terms
+
+
 def typed_terms(h):
     """Terms with each coefficient's type next to its value."""
     return (h.degree, h.flavor,
@@ -215,6 +239,47 @@ class TestAgainstReference:
         for h in random_aux_vectors(20261019, 300, fractions):
             assert (typed_terms(apply_cone(h))
                     == typed_terms(reference_cone(h))), h
+
+    def test_fold_on_engine_words(self):
+        for w in words_up_to(10, "IC"):
+            assert (typed_terms(aux_hvector(w))
+                    == typed_terms(reference_fold(w.ops))), w
+
+    @pytest.mark.parametrize("fractions", [False, True])
+    def test_kernels_on_random_aux_vectors(self, fractions):
+        rng = random.Random(20261020)
+        for h in random_aux_vectors(20261021, 300, fractions):
+            assert (typed_terms(apply_cylinder(h))
+                    == typed_terms(reference_cylinder(h))), h
+            for kernel, ref in ((lambda t: _cone_terms(t, PAD_AUX),
+                                 reference_cone),
+                                (_cylinder_terms, reference_cylinder)):
+                # the kernel keeps exactly the terms the constructor keeps
+                got = kernel({w: p.coeffs for w, p in h.terms.items()})
+                assert got == {w: list(p.coeffs)
+                               for w, p in ref(h).terms.items()}, h
+            # a fold of several operators, where uncollapsed fractions
+            # meet in the sums, gives what checking every step gives
+            ops = "".join(rng.choice("IC") for _ in range(rng.randint(1, 4)))
+            want = reference_fold(ops, h)
+            got = HVector(want.degree, AUX, {
+                w: BiGradedPoly(cs) for w, cs in kernel_fold(ops, h).items()})
+            assert typed_terms(got) == typed_terms(want), (ops, h)
+
+    def test_cone_of_unit_drops_full_pad_term(self):
+        # [1] -> [11] - [1] pad; the pad-only word meets the terminator
+        assert _cone_terms({(): [1]}, PAD_AUX) == {(): [1, 1]}
+        assert _cone_terms({(): [3, 5]}, PAD_AUX) == {(): [3, 3, 5]}
+        # on a nonempty word the full-pad correction survives
+        assert _cone_terms({(1,): [5]}, PAD_AUX) == {
+            (1,): [5, 5], (PAD_AUX, 1): [-5]}
+
+    def test_cone_drops_cancelled_terms(self):
+        # {2} gets c - b = 0, and the record [1]ĀĀ{1} of the first term
+        # cancels against the correction -[1]ĀĀ{1} of the second
+        terms = {(): [1, 2, 2, 2, 1], (PAD_AUX, 1): [1]}
+        assert _cone_terms(terms, PAD_AUX) == {
+            (): [1, 2, 2, 2, 2, 1], (PAD_AUX, 1): [1, 1]}
 
     def test_fractions_collapse_after_summing(self):
         # 3/2 - 1/2 on the new {1} term comes out as int, the rest as Fraction
@@ -258,6 +323,12 @@ class TestDerived:
         assert extended_hvector(W("CICIC")).mpih() == BiGradedPoly([1, 3, 4, 4, 3, 1])
         assert extended_hvector(W("CCC")).mpih() == BiGradedPoly([1, 1, 1, 1])
         assert extended_hvector(W("")).mpih() == BiGradedPoly([1])
+
+    def test_aux_mpih_is_extended_mpih(self):
+        # what check_unimodality relies on when it skips to_extended
+        for w in words_up_to(12, "IC"):
+            assert (aux_hvector(w).mpih().coeffs
+                    == extended_hvector(w).mpih().coeffs), w
 
     def test_mpih_of_cone_duplicates_middle(self):
         # the empty-word part of the cone is the duplicate-middle rule alone
