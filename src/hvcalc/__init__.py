@@ -11,7 +11,7 @@ from .flaglin import (
 )
 from .lattice import FaceLattice, FlagVector, build, empty_polytope, point
 from .links import g_eval, h_by_links
-from .symbols import AUX, FINAL, BiGradedPoly, HVector, push_pads
+from .symbols import AUX, FINAL, BiGradedPoly, HVector
 from .terms import (
     IndexTerm, broadly_similar, downset, enumerate_terms, fib, implies,
     strata_vector,

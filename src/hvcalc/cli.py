@@ -65,8 +65,6 @@ def parse_term(text: str) -> IndexTerm:
     if aux and final:
         raise CliError("term mixes aux and final symbols")
     flavor = AUX if aux else FINAL
-    if flavor == AUX:
-        word = [PAD_AUX if s == PAD else s for s in word]
     try:
         return IndexTerm(xexp, yexp, tuple(word), flavor)
     except ValueError as e:

@@ -138,10 +138,9 @@ def to_extended(h: HVector) -> HVector:
             head = cs[:m - j + 1]
             if not any(head):
                 continue
-            for w2, mult in rewrite_pads((PAD_AUX,) * j + word):
-                add_in = head if mult == 1 else [a * mult for a in head]
+            for w2 in rewrite_pads((PAD_AUX,) * j + word):
                 out = get(w2)
-                acc[w2] = add_in if out is None else list(map(add, out, add_in))
+                acc[w2] = head if out is None else list(map(add, out, head))
     return _vector(h.degree, FINAL, acc)
 
 

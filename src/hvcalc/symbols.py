@@ -15,15 +15,15 @@ The pad elimination system that converts auxiliary words to final words is
     ĀA   -> AA                 (a frozen pad blocks sliding)
     Ā|   -> 0                  (dies at the terminator)
 
-It is confluent at the scales used here; ``rewrite_pads`` applies it with a
-rightmost-first strategy.
+Its normal forms are sets: no final word comes out twice.  Confluence is
+pinned by a test; ``rewrite_pads`` applies the rules with a rightmost-first
+strategy.
 
 All coefficients are exact: Python ints or ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -148,9 +148,6 @@ class BiGradedPoly:
             raise ValueError("degree mismatch in polynomial addition")
         return BiGradedPoly(a + b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __neg__(self):
         return self.scale(-1)
 
@@ -201,8 +198,11 @@ def scalar_to_json(c):
 def rewrite_pads(word) -> tuple:
     """Normal form of a word under the pad elimination rules.
 
-    Returns ((word, multiplicity), ...) of surviving aux-pad-free words.
-    Rightmost sliding pad first; positions of frozen pads are preserved.
+    Returns the surviving aux-pad-free words, each once.  Rightmost sliding
+    pad first; positions of frozen pads are preserved.  Pads never pass one
+    another, so a final word fixes the gap each pad ends in and with it the
+    choices that made the word: the frozen branch keeps the pad before the
+    next symbol, the slid branch moves it past, and the two are disjoint.
     """
     for i in range(len(word) - 1, -1, -1):
         if word[i] == PAD_AUX:
@@ -211,31 +211,15 @@ def rewrite_pads(word) -> tuple:
         # no sliding pads left; a trailing frozen pad still dies
         if word and word[-1] == PAD:
             return ()
-        return ((word, 1),)
+        return (word,)
     if i == len(word) - 1:
         return ()
     nxt = word[i + 1]
+    frozen = rewrite_pads(word[:i] + (PAD,) + word[i + 1:])
     if nxt == PAD:
-        return rewrite_pads(word[:i] + (PAD,) + word[i + 1:])
+        return frozen
     # nxt is a local symbol: freeze in place or slide over it
-    out = Counter()
-    for w, m in rewrite_pads(word[:i] + (PAD,) + word[i + 1:]):
-        out[w] += m
-    for w, m in rewrite_pads(word[:i] + (nxt, PAD_AUX) + word[i + 2:]):
-        out[w] += m
-    return tuple(sorted(out.items(), key=lambda kv: word_sort_key(kv[0])))
-
-
-def push_pads(m: int, word) -> dict:
-    """Normal form of pad^m * word as a multiset of final words.
-
-    ``word`` must use final-flavor symbols only.
-    """
-    if m < 0:
-        raise ValueError("pad count must be nonnegative")
-    if not word_ok_for_flavor(word, FINAL):
-        raise ValueError("push_pads takes a final-flavor word")
-    return dict(rewrite_pads((PAD_AUX,) * m + tuple(word)))
+    return frozen + rewrite_pads(word[:i] + (nxt, PAD_AUX) + word[i + 2:])
 
 
 class HVector:

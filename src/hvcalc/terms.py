@@ -36,6 +36,7 @@ class IndexTerm:
     def __post_init__(self):
         if self.xexp < 0 or self.yexp < 0:
             raise ValueError("negative exponent")
+        word_degree(self.word)  # refuses any symbol but a pad or an int >= 1
         if not word_ok_for_flavor(self.word, self.flavor):
             raise ValueError(f"word {self.word!r} clashes with {self.flavor}")
         if self.word and self.word[-1] in (PAD, PAD_AUX):

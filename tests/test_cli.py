@@ -143,6 +143,15 @@ class TestCommands:
         rc, out, _ = run(capsys, "express", "BICCC.", "--coeff", "xA{1}")
         assert rc == 0 and out.strip() == "-2"
 
+    @pytest.mark.parametrize("argv", [
+        ("express", "BIC.", "--coeff", "{0}"),
+        ("order", "{0}", "x"),
+    ])
+    def test_zero_local_symbol_rejected(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == "error: bad symbol 0\n"
+
     def test_express_csv(self, capsys):
         rc, out, _ = run(capsys, "express", "BIC.", "--format", "csv")
         assert rc == 0

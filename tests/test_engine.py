@@ -151,11 +151,11 @@ def reference_to_extended(h):
             if a == 0:
                 continue
             for j in range(m - t + 1):
-                for w2, mult in rewrite_pads((PAD_AUX,) * j + word):
+                for w2 in rewrite_pads((PAD_AUX,) * j + word):
                     cs = acc.get(w2)
                     if cs is None:
                         cs = acc[w2] = [0] * (n - word_degree(w2) + 1)
-                    cs[t] += a * mult
+                    cs[t] += a
     return HVector(n, FINAL, {w: BiGradedPoly(cs) for w, cs in acc.items()})
 
 

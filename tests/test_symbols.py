@@ -2,15 +2,15 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hvcalc.symbols import (
-    AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, push_pads, render_word,
-    rewrite_pads, word_degree, word_to_json,
+    AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, render_word, rewrite_pads,
+    word_degree, word_to_json,
 )
 
 
@@ -109,31 +109,26 @@ class TestWords:
 
 class TestRewrite:
     def test_push_pads_examples(self):
-        assert push_pads(1, (1,)) == {(PAD, 1): 1}
-        assert push_pads(2, (1,)) == {(PAD, PAD, 1): 1}
-        assert push_pads(3, ()) == {}
-        assert push_pads(1, (1, 1)) == {(PAD, 1, 1): 1, (1, PAD, 1): 1}
+        assert rewrite_pads((PAD_AUX, 1)) == ((PAD, 1),)
+        assert rewrite_pads((PAD_AUX, PAD_AUX, 1)) == ((PAD, PAD, 1),)
+        assert rewrite_pads((PAD_AUX,) * 3) == ()
+        assert set(rewrite_pads((PAD_AUX, 1, 1))) == {(PAD, 1, 1), (1, PAD, 1)}
 
     def test_push_zero_pads(self):
-        assert push_pads(0, (1,)) == {(1,): 1}
-
-    def test_rejects_aux_word(self):
-        with pytest.raises(ValueError):
-            push_pads(1, (PAD_AUX, 1))
+        assert rewrite_pads((1,)) == ((1,),)
 
     def test_weak_composition_counts(self):
         # pads distribute into slots before each local symbol
         for m in range(5):
             for r in range(1, 4):
                 for ks in combinations_with_replacement((1, 2), r):
-                    out = push_pads(m, ks)
-                    assert len(out) == comb(m + r - 1, r - 1), (m, ks)
-                    assert all(mult == 1 for mult in out.values())
+                    out = rewrite_pads((PAD_AUX,) * m + ks)
+                    assert len(set(out)) == len(out) == comb(m + r - 1, r - 1)
 
     def test_degree_conservation(self):
         for m in range(4):
             for w in [(1,), (1, 1), (PAD, 1), (2, 1)]:
-                for out, mult in push_pads(m, w).items():
+                for out in rewrite_pads((PAD_AUX,) * m + w):
                     assert word_degree(out) == m + word_degree(w)
 
     def test_full_scale_termination_and_normal_form(self):
@@ -142,11 +137,20 @@ class TestRewrite:
         from hvcalc.terms import words_up_to_degree
         for m in range(7):
             for w in words_up_to_degree(12):
-                for out, mult in push_pads(m, w).items():
-                    assert mult >= 1
+                for out in rewrite_pads((PAD_AUX,) * m + w):
                     assert word_degree(out) == m + word_degree(w)
                     assert PAD_AUX not in out
                     assert not out or out[-1] != PAD
+
+    def test_no_word_occurs_twice(self):
+        # every word of length <= 6 over {Ā, A, {1}, {2}}: a normal form is
+        # a set, so rewrites never need a multiplicity
+        words = [w for n in range(1, 7)
+                 for w in product((PAD_AUX, PAD, 1, 2), repeat=n)]
+        assert len(words) == 5460
+        for word in words:
+            out = rewrite_pads(word)
+            assert len(set(out)) == len(out), word
 
     def test_confluence_random_strategies(self):
         # applying the rules in any order gives the same normal form
@@ -191,7 +195,7 @@ class TestRewrite:
             for w in words_up_to_degree(8):
                 cases.append((PAD_AUX,) * m + w)
         for word in cases:
-            reference = dict(rewrite_pads(word))
+            reference = dict.fromkeys(rewrite_pads(word), 1)
             for _ in range(3):
                 assert rewrite_random(word) == reference, word
 
