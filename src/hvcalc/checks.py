@@ -9,7 +9,6 @@ Randomized checks use a fixed seed so runs are byte-reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import engine, flaglin, links, terms
 from .lattice import build
@@ -18,11 +17,25 @@ from .terms import IndexTerm
 from .words import GeneratorWord, all_words, words_up_to
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    """One named check: whether it passed, and what failed if not."""
+
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.passed, self.detail)
+                == (other.name, other.passed, other.detail))
+
+    def __repr__(self):
+        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
+                f"detail={self.detail!r})")
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"

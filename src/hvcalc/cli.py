@@ -163,6 +163,12 @@ def cmd_express(args):
     _, fv = _load_flag_vector(args.word)
     if args.coeff:
         term = parse_term(args.coeff)
+        if term.flavor == AUX:
+            raise CliError(f"--coeff {term} is an aux term; the extended "
+                           f"h-vector has final terms in x, y and A")
+        if term.degree != fv.n:
+            raise CliError(f"--coeff {term} has degree {term.degree}, but "
+                           f"the polytope has dimension {fv.n}")
         h = flaglin.linear_h(fv)
         _emit(render_scalar(h.coefficient(term.xexp, term.yexp, term.word)),
               args.out)

@@ -7,9 +7,20 @@ arbitrary flag vectors in that basis and extends linear functionals (the
 extended h-vector, the naive pseudo h, the link functionals) from the
 basis to the whole span.
 
+The basis solve reads only the sparse rows: the dimension sets with no
+two consecutive dimensions and with n - 1 left out.  There are F_(n+1) of
+them, and their flag numbers determine any flag vector in the span (Bayer
+& Billera 1985, "Generalized Dehn-Sommerville relations for polytopes,
+spheres and Eulerian partially ordered sets").  So the F x F submatrix of
+the basis on those rows is inverted once per dimension, and every
+expression is then checked by its full reconstruction on all 2^n rows.
+The basis columns come from the flag-level transforms below, not from
+lattices; the test suite pins them to the lattice counts on every basis
+word through dimension 9.
+
 Every exact elimination in the package goes through one fraction-free
-integer routine here, ``_eliminate``: the basis solve and the rank of a
-family of flag vectors.
+integer routine here, ``_eliminate``: the inverse of the sparse submatrix
+and the rank of a family of flag vectors.
 
 It also carries the constructor transforms at the flag-vector level: the
 flag vector of a pyramid, prism or bipyramid computed linearly from the
@@ -24,10 +35,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from . import engine
-from .lattice import FlagVector, build
+from .lattice import FlagVector
 from .symbols import HVector
 from .words import GeneratorWord
 
@@ -169,31 +181,37 @@ def _primitive(row, piv):
     return [x // g for x in row]
 
 
-def _pivot_inverse(rows):
-    """Pivot columns R of an integer matrix A of full row rank, and the
-    exact inverse of its square submatrix A[:, R].
+def _inverse(rows):
+    """Exact inverse of a square integer matrix, as rows of Fractions.
 
-    One reduction of [A | I] gives E A[:, R] = D with D diagonal, so row
-    i of the inverse is the right half of pivot row i over its pivot.
+    One reduction of [A | I] gives E A = D with D diagonal, so row i of
+    the inverse is the right half of reduced row i over its pivot.  Raises
+    if the rows are linearly dependent.
     """
     size = len(rows)
     pairs = _eliminate([[*row, *(int(i == j) for j in range(size))]
                         for i, row in enumerate(rows)])
-    if pairs[size - 1][0] >= len(rows[0]):
+    if pairs[-1][0] != size - 1:
         raise AssertionError("rows are linearly dependent")
-    return ([p for p, _ in pairs],
-            [[Fraction(x, row[p]) for x in row[-size:]] for p, row in pairs])
+    return [[Fraction(x, row[p]) for x in row[size:]] for p, row in pairs]
 
 
 @lru_cache(maxsize=None)
 def _basis_data(n: int):
-    """The basis words, their lattice flag vectors (the columns of M),
-    rows R on which M is invertible, and the inverse of M[R]."""
+    """The basis words, their flag vectors (the columns of M), the sparse
+    rows R and the inverse of the square submatrix M[R].
+
+    The flag numbers on the sparse sets determine a flag vector in the
+    span (Bayer & Billera 1985), so M[R] is invertible.  The columns come
+    from the flag-level transforms, which the test suite pins to the
+    lattice counts on every basis word through dimension 9.
+    """
     basis = ic_basis(n)
-    cols = [build(w).flag_vector().as_vector() for w in basis]
-    rows, inv = _pivot_inverse(cols)
-    # inv inverts M[R] transposed; its transpose inverts M[R]
-    return basis, cols, rows, list(zip(*inv))
+    cols = [word_flag_vector(w).counts for w in basis]
+    # the sparse sets: no two consecutive dimensions, and n - 1 left out
+    rows = [key for key in range(1 << max(n - 1, 0)) if not key & key >> 1]
+    return basis, cols, rows, _inverse([[col[r] for col in cols]
+                                        for r in rows])
 
 
 def express_in_basis(fv: FlagVector):
@@ -204,11 +222,14 @@ def express_in_basis(fv: FlagVector):
     combination exists.  The tolerance is literally zero.
     """
     _, cols, rows, minv = _basis_data(fv.n)
-    f = fv.as_vector()
+    f = fv.counts
     coeffs = [sum(a * f[r] for a, r in zip(mrow, rows)) for mrow in minv]
-    recon = [sum(c * col[r] for c, col in zip(coeffs, cols))
-             for r in range(len(f))]
-    residual = [x - y for x, y in zip(f, recon) if x != y]
+    # reconstruct in integers: den times M c, den the common denominator
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    recon = [sum(map(mul, nums, row)) for row in zip(*cols)]
+    residual = [Fraction(x * den - y, den)
+                for x, y in zip(f, recon) if x * den != y]
     if residual:
         raise NotInSpanError(residual)
     return coeffs

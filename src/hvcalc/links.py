@@ -30,8 +30,7 @@ the test suite records which.
 from __future__ import annotations
 
 from .engine import _cone, apply_cone, to_extended
-from .flaglin import extend_linear
-from .lattice import FaceLattice, FlagVector, build, empty_polytope
+from .lattice import FaceLattice
 from .symbols import AUX, FINAL, PAD, HVector
 
 CONJUGATION = "conjugation"
@@ -103,9 +102,3 @@ def g_eval(i: int, B: FaceLattice, rule: str = CONJUGATION) -> HVector:
     calc = _CALCULATORS[rule]
     return calc.final(calc.g(i, B))
 
-
-def g_linear(i: int, fv: FlagVector, rule: str = CONJUGATION) -> HVector:
-    """Level functional extended linearly to any spanned flag vector."""
-    if fv.n == -1:
-        return g_eval(i, empty_polytope(), rule).scale(fv[frozenset()])
-    return extend_linear(fv, lambda w: g_eval(i, build(w), rule))

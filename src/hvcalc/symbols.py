@@ -50,7 +50,7 @@ def _exact(c):
 def sym_degree(s) -> int:
     if s in _PADS:
         return 1
-    if isinstance(s, int) and s >= 1:
+    if isinstance(s, int) and not isinstance(s, bool) and s >= 1:
         return 2 * s + 1
     raise ValueError(f"bad symbol {s!r}")
 

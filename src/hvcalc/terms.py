@@ -17,7 +17,6 @@ cross-checked in the tests, and the family is Fibonacci-counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .symbols import (
@@ -26,21 +25,46 @@ from .symbols import (
 )
 
 
-@dataclass(frozen=True)
 class IndexTerm:
-    xexp: int
-    yexp: int
-    word: tuple = ()
-    flavor: str = FINAL
+    """x^xexp y^yexp times a word, in one flavor; immutable and hashable."""
 
-    def __post_init__(self):
-        if self.xexp < 0 or self.yexp < 0:
+    __slots__ = ("xexp", "yexp", "word", "flavor")
+
+    def __init__(self, xexp: int, yexp: int, word: tuple = (),
+                 flavor: str = FINAL):
+        if xexp < 0 or yexp < 0:
             raise ValueError("negative exponent")
-        word_degree(self.word)  # refuses any symbol but a pad or an int >= 1
-        if not word_ok_for_flavor(self.word, self.flavor):
-            raise ValueError(f"word {self.word!r} clashes with {self.flavor}")
-        if self.word and self.word[-1] in (PAD, PAD_AUX):
+        word_degree(word)  # refuses any symbol but a pad or an int >= 1
+        if not word_ok_for_flavor(word, flavor):
+            raise ValueError(f"word {word!r} clashes with {flavor}")
+        if word and word[-1] in (PAD, PAD_AUX):
             raise ValueError("index words do not end in a pad")
+        init = object.__setattr__
+        init(self, "xexp", xexp)
+        init(self, "yexp", yexp)
+        init(self, "word", word)
+        init(self, "flavor", flavor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return (self.xexp, self.yexp, self.word, self.flavor)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"IndexTerm(xexp={self.xexp!r}, yexp={self.yexp!r}, "
+                f"word={self.word!r}, flavor={self.flavor!r})")
 
     @property
     def degree(self) -> int:

@@ -8,7 +8,7 @@ the ones the symbolic engine can evaluate directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import product
 
 OPS = "ICB"
@@ -20,16 +20,42 @@ class WordParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class GeneratorWord:
-    """Sequence of constructor letters, applied right to left to the point."""
+    """Sequence of constructor letters, applied right to left to the point.
 
-    ops: str = ""
+    Immutable, hashable and ordered by its letters.
+    """
 
-    def __post_init__(self):
-        for ch in self.ops:
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: str = ""):
+        for ch in ops:
             if ch not in OPS:
                 raise ValueError(f"bad constructor letter {ch!r}")
+        object.__setattr__(self, "ops", ops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"GeneratorWord(ops={self.ops!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ops == other.ops
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ops < other.ops
+
+    def __hash__(self):
+        return hash((self.ops,))
 
     @property
     def dim(self) -> int:

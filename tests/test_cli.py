@@ -152,6 +152,16 @@ class TestCommands:
         assert rc == 2 and out == ""
         assert err == "error: bad symbol 0\n"
 
+    @pytest.mark.parametrize("coeff, says", [
+        ("XAbar{1}", "aux term"),
+        ("{5}", "has degree 11, but the polytope has dimension 3"),
+    ])
+    def test_express_coeff_refuses_unreadable_terms(self, capsys, coeff, says):
+        rc, out, err = run(capsys, "express", "BIC.", "--coeff", coeff)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert says in err
+
     def test_express_csv(self, capsys):
         rc, out, _ = run(capsys, "express", "BIC.", "--format", "csv")
         assert rc == 0

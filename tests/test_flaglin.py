@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from hvcalc import engine
+from hvcalc import engine, flaglin, lattice
 from hvcalc.flaglin import (
     NotInSpanError, bipyramid_flag_vector, cone_flag_vector, express_in_basis,
     ic_basis, linear_h, linear_pseudo_h, prism_flag_vector, span_rank,
@@ -78,6 +78,53 @@ class TestTransforms:
         assert fv_seg[{0}] == 2
         fv_tri = cone_flag_vector(build(W("C")).flag_vector())
         assert fv_tri[{0}] == 3 and fv_tri[{0, 1}] == 6
+
+
+class TestBasisSolve:
+    """The solve on the sparse rows, with transform-built columns."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_columns_are_the_lattice_counts(self, n):
+        basis, cols, _, _ = flaglin._basis_data(n)
+        for w, col in zip(basis, cols):
+            assert col == build(w).flag_vector().counts, w
+
+    def test_rows_are_the_sparse_sets(self):
+        for n in range(11):
+            _, cols, rows, minv = flaglin._basis_data(n)
+            sparse = [S for S in FlagVector(n, (0,) * (1 << n)).subsets()
+                      if n - 1 not in S and not any(d + 1 in S for d in S)]
+            assert [frozenset(d for d in range(n) if r >> d & 1)
+                    for r in rows] == sparse, n
+            assert len(rows) == fib(n + 1), n
+            sub = [[col[r] for col in cols] for r in rows]
+            assert len(flaglin._eliminate(sub)) == len(rows), n
+            if n <= 7:
+                ident = [[int(i == j) for j in range(len(rows))]
+                         for i in range(len(rows))]
+                assert [[sum(a * b for a, b in zip(mrow, scol))
+                         for scol in zip(*sub)] for mrow in minv] == ident, n
+
+    def test_builds_no_lattice(self):
+        flaglin._basis_data.cache_clear()
+        before = lattice._build_cached.cache_info()
+        flaglin._basis_data(7)
+        assert lattice._build_cached.cache_info() == before
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_not_in_span_off_the_sparse_rows(self, n):
+        # the bump sits on a row the solve never reads, so only the full
+        # reconstruction can see it
+        v = word_flag_vector(W("B" * n)).as_vector()
+        v[1 << (n - 1)] += 1
+        with pytest.raises(NotInSpanError) as err:
+            express_in_basis(FlagVector(n, tuple(v)))
+        assert err.value.residual == [1]
+
+    def test_inverse_refuses_dependent_rows(self):
+        with pytest.raises(AssertionError):
+            flaglin._inverse([[1, 2], [2, 4]])
+        assert flaglin._inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import pytest
 from hvcalc import checks, engine, flaglin
 from hvcalc.lattice import build, empty_polytope, point
 from hvcalc.links import (
-    CONJUGATION, DIRECT, LinkCalculator, g_eval, g_linear, h_by_links,
+    CONJUGATION, DIRECT, LinkCalculator, g_eval, h_by_links,
 )
 from hvcalc.symbols import AUX, FINAL, PAD, BiGradedPoly, HVector
 from hvcalc.terms import enumerate_terms
@@ -59,7 +59,7 @@ def _lift_solver(n):
         h = HVector(n, AUX, {t.word: BiGradedPoly(poly)})
         cols.append(_vectorize(engine.to_extended(h), fin_terms))
     assert len(fin_terms) == len(aux_terms)
-    _, inv = flaglin._pivot_inverse(list(zip(*cols)))
+    inv = flaglin._inverse(list(zip(*cols)))
     return aux_terms, fin_terms, inv
 
 
@@ -199,6 +199,13 @@ class TestLevelFunctionals:
             for ops in ["", "C", "IC"]:
                 lat = build(W(ops))
                 assert g_eval(i, lat).degree == lat.n + i + 1
+
+
+def g_linear(i, fv, rule=CONJUGATION):
+    """Level functional extended linearly to any spanned flag vector."""
+    if fv.n == -1:
+        return g_eval(i, empty_polytope(), rule).scale(fv[frozenset()])
+    return flaglin.extend_linear(fv, lambda w: g_eval(i, build(w), rule))
 
 
 class TestHByLinks:

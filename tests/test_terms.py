@@ -33,6 +33,10 @@ class TestDegrees:
         with pytest.raises(ValueError):
             IndexTerm(0, 0, (PAD_AUX, 1), FINAL)
 
+    def test_constructor_rejects_bool_local(self):
+        with pytest.raises(ValueError, match="bad symbol True"):
+            IndexTerm(0, 0, (True,))
+
 
 class TestStrata:
     def test_padded_term(self):

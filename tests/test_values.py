@@ -1,0 +1,110 @@
+"""The plain value classes, and what a cold ``import hvcalc.cli`` loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hvcalc
+from hvcalc.checks import CheckResult
+from hvcalc.symbols import AUX, FINAL, PAD, PAD_AUX
+from hvcalc.terms import IndexTerm
+from hvcalc.words import GeneratorWord
+
+
+def test_cli_import_leaves_out_dataclasses():
+    src = str(Path(hvcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; before = set(sys.modules); import hvcalc.cli; "
+            "print(sorted({'dataclasses', 'inspect'} "
+            "& (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+class TestGeneratorWord:
+    def test_equality_and_hash(self):
+        a, b = GeneratorWord("CIC"), GeneratorWord("CIC")
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(a) == hash(("CIC",))
+        assert a != GeneratorWord("ICC")
+        assert a != "CIC" and a != ("CIC",)
+        assert len({a, b, GeneratorWord("ICC")}) == 2
+
+    def test_ordering(self):
+        ws = [GeneratorWord(s) for s in ("IC", "", "CI", "C", "BC")]
+        assert [w.ops for w in sorted(ws)] == ["", "BC", "C", "CI", "IC"]
+        a, b = GeneratorWord("CC"), GeneratorWord("CI")
+        assert a < b and a <= b and b > a and b >= a and a <= a
+        with pytest.raises(TypeError):
+            a < "CI"
+
+    def test_immutable(self):
+        w = GeneratorWord("CIC")
+        with pytest.raises(AttributeError):
+            w.ops = "C"
+        with pytest.raises(AttributeError):
+            del w.ops
+        with pytest.raises(AttributeError):
+            w.extra = 1
+        assert w.ops == "CIC"
+
+    def test_repr_and_default(self):
+        assert repr(GeneratorWord("CIC")) == "GeneratorWord(ops='CIC')"
+        assert GeneratorWord() == GeneratorWord(ops="")
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="bad constructor letter 'X'"):
+            GeneratorWord("CXC")
+
+
+class TestIndexTerm:
+    def test_equality_and_hash(self):
+        a = IndexTerm(1, 0, (PAD, 1))
+        b = IndexTerm(xexp=1, yexp=0, word=(PAD, 1), flavor=FINAL)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((1, 0, (PAD, 1), FINAL))
+        assert a != IndexTerm(0, 1, (PAD, 1))
+        assert IndexTerm(0, 0, (1,)) != IndexTerm(0, 0, (1,), AUX)
+        assert a != (1, 0, (PAD, 1), FINAL)
+        with pytest.raises(TypeError):
+            a < b
+
+    def test_immutable(self):
+        t = IndexTerm(1, 0, (PAD, 1))
+        for name in ("xexp", "yexp", "word", "flavor"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+        with pytest.raises(AttributeError):
+            t.extra = 1
+        assert (t.xexp, t.yexp, t.word, t.flavor) == (1, 0, (PAD, 1), FINAL)
+
+    def test_repr(self):
+        assert repr(IndexTerm(1, 0, (PAD_AUX, 2), AUX)) == (
+            "IndexTerm(xexp=1, yexp=0, word=('Ā', 2), flavor='aux')")
+
+    @pytest.mark.parametrize("args", [(-1, 0, ()), (0, -1, (1,))])
+    def test_negative_exponent_refused(self, args):
+        with pytest.raises(ValueError, match="negative exponent"):
+            IndexTerm(*args)
+
+
+class TestCheckResult:
+    def test_equality_repr_and_default(self):
+        r = CheckResult("table", True)
+        assert r == CheckResult(name="table", passed=True, detail="")
+        assert r != CheckResult("table", False)
+        assert r != ("table", True, "")
+        assert repr(r) == "CheckResult(name='table', passed=True, detail='')"
+
+    def test_unhashable_and_mutable(self):
+        r = CheckResult("table", False, "got (11)")
+        with pytest.raises(TypeError):
+            hash(r)
+        r.detail = "got (121)"
+        assert r.line() == "FAIL  table  [got (121)]"
