@@ -4,13 +4,14 @@ Subcommands compute h-vectors (symbolic engine or linear extension),
 auxiliary vectors, flag vectors, lattices, basis expressions, link-recursion
 values, pseudo h, index terms and their order, and run verification suites.
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
-or parse errors and any other error, reported on one line of stderr.
+or parse errors and any other error (one line of stderr), 141 closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -23,6 +24,7 @@ from .terms import IndexTerm
 from .words import GeneratorWord, WordParseError
 
 FORMATS = ("text", "json", "csv")
+LISTS = ("text", "json")  # the formats of the list-valued outputs
 
 
 class CliError(Exception):
@@ -95,10 +97,9 @@ def _hvector_out(h, fmt):
 
 
 def _load_flag_vector(arg: str):
-    """A generator word, or a path to a lattice JSON file."""
+    """The flag vector of a generator word, or of a lattice JSON file."""
     try:
-        w = GeneratorWord.parse(arg)
-        return w, build(w).flag_vector()
+        return build(GeneratorWord.parse(arg)).flag_vector()
     except WordParseError:
         pass
     try:
@@ -106,8 +107,7 @@ def _load_flag_vector(arg: str):
             data = json.load(fh)
     except OSError as e:
         raise CliError(f"not a word and not a readable file: {e}")
-    lat = FaceLattice.from_json(data)
-    return None, lat.flag_vector()
+    return FaceLattice.from_json(data).flag_vector()
 
 
 def cmd_hvec(args):
@@ -131,7 +131,7 @@ def cmd_aux(args):
 
 
 def cmd_flagvec(args):
-    _, fv = _load_flag_vector(args.word)
+    fv = _load_flag_vector(args.word)
     if args.format == "json":
         _emit(json.dumps(fv.to_json()), args.out)
     elif args.format == "csv":
@@ -160,7 +160,7 @@ def cmd_basis(args):
 
 
 def cmd_express(args):
-    _, fv = _load_flag_vector(args.word)
+    fv = _load_flag_vector(args.word)
     if args.coeff:
         term = parse_term(args.coeff)
         if term.flavor == AUX:
@@ -261,23 +261,24 @@ def make_parser() -> argparse.ArgumentParser:
         description="exact h-vector calculus for cone/cylinder/bipyramid polytopes")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=FORMATS, default="text")
+    def common(p, formats=()):
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("hvec", help="extended h-vector of a word")
     p.add_argument("word")
-    common(p)
+    common(p, FORMATS)
     p.set_defaults(fn=cmd_hvec)
 
     p = sub.add_parser("aux", help="auxiliary vector of a bipyramid-free word")
     p.add_argument("word")
-    common(p)
+    common(p, FORMATS)
     p.set_defaults(fn=cmd_aux)
 
     p = sub.add_parser("flagvec", help="flag vector of a word or lattice file")
     p.add_argument("word")
-    common(p)
+    common(p, FORMATS)
     p.set_defaults(fn=cmd_flagvec)
 
     p = sub.add_parser("lattice", help="face lattice of a word, as JSON")
@@ -287,7 +288,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="basis words of a dimension")
     p.add_argument("n", type=int)
-    common(p)
+    common(p, LISTS)
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("express",
@@ -295,23 +296,23 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--coeff", default=None,
                    help="print one h coefficient, e.g. 'xA{1}'")
-    common(p)
+    common(p, FORMATS)
     p.set_defaults(fn=cmd_express)
 
     p = sub.add_parser("links", help="h-vector via the link recursion")
     p.add_argument("word")
     p.add_argument("--rule", choices=links.RULES, default=links.CONJUGATION)
-    common(p)
+    common(p, FORMATS)
     p.set_defaults(fn=cmd_links)
 
     p = sub.add_parser("pseudo", help="pseudo h-vector of a word")
     p.add_argument("word")
-    common(p)
+    common(p, LISTS)
     p.set_defaults(fn=cmd_pseudo)
 
     p = sub.add_parser("terms", help="index terms of a degree")
     p.add_argument("n", type=int)
-    common(p)
+    common(p, LISTS)
     p.set_defaults(fn=cmd_terms)
 
     p = sub.add_parser("order", help="compare two index terms")
@@ -329,22 +330,35 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+def _run(args) -> int:
+    """Run a subcommand; any error but a closed pipe: one line, exit 2."""
     try:
-        rc = args.fn(args)
+        return args.fn(args) or 0
+    except BrokenPipeError:
+        raise
     except WordParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
+        message = f"parse error: {e}"
     except (CliError, ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        message = f"error: {e}"
     except Exception as e:  # any other failure: one line, never a traceback
-        detail = " ".join(str(e).split())
-        print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
-        return 2
-    return rc or 0
+        message = f"error: {type(e).__name__}: {' '.join(str(e).split())}"
+    print(message, file=sys.stderr)
+    return 2
+
+
+def main(argv=None) -> int:
+    args = make_parser().parse_args(argv)
+    try:
+        rc = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: say nothing, and point both streams at
+        # os.devnull so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
+        return 141
+    return rc
 
 
 if __name__ == "__main__":

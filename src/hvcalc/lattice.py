@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate
 from math import prod
 from operator import add, and_
@@ -441,9 +441,6 @@ class FlagVector:
     def as_vector(self) -> list:
         return list(self.counts)
 
-    def key(self):
-        return (self.n, self.counts)
-
     def face_counts(self) -> list:
         return [self.counts[1 << i] for i in range(self.n)]
 
@@ -452,7 +449,7 @@ class FlagVector:
                 and self.counts == other.counts)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.n, self.counts))
 
     def __add__(self, other):
         if self.n != other.n:
@@ -491,10 +488,10 @@ def point() -> FaceLattice:
     return FaceLattice(0, {frozenset(): -1, frozenset({0}): 0})
 
 
-@lru_cache(maxsize=None)
-def _build_cached(ops: str) -> FaceLattice:
+def build(w: GeneratorWord) -> FaceLattice:
+    """Right-to-left fold of the constructors over the point, anew each call."""
     lat = point()
-    for op in reversed(ops):
+    for op in reversed(w.ops):
         if op == "C":
             lat = lat.pyramid()
         elif op == "I":
@@ -502,9 +499,3 @@ def _build_cached(ops: str) -> FaceLattice:
         else:
             lat = lat.bipyramid()
     return lat
-
-
-def build(w: GeneratorWord) -> FaceLattice:
-    """Right-to-left fold of the constructors over the point."""
-    return _build_cached(w.ops)
-

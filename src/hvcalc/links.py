@@ -60,7 +60,7 @@ class LinkCalculator:
         return to_extended(h) if self.flavor == AUX else h
 
     def h(self, L: FaceLattice) -> HVector:
-        key = L.flag_vector().key()
+        key = L.flag_vector()
         got = self._h.get(key)
         if got is not None:
             return got
@@ -72,7 +72,7 @@ class LinkCalculator:
         return total
 
     def g(self, i: int, B: FaceLattice) -> HVector:
-        key = (i, B.flag_vector().key())
+        key = (i, B.flag_vector())
         got = self._g.get(key)
         if got is not None:
             return got

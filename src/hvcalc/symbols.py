@@ -134,9 +134,6 @@ class BiGradedPoly:
     def one(cls) -> "BiGradedPoly":
         return cls((1,))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, BiGradedPoly) and self.coeffs == other.coeffs
 
@@ -267,9 +264,6 @@ class HVector:
     def unit(cls, flavor: str) -> "HVector":
         """The degree-zero vector with constant polynomial 1 on the empty word."""
         return cls(0, flavor, {(): BiGradedPoly.one()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, HVector) and self.degree == other.degree

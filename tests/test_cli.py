@@ -1,9 +1,13 @@
 """Command-line surface: parsing, outputs, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hvcalc
 from hvcalc.cli import main, parse_term
 from hvcalc.symbols import PAD, PAD_AUX
 from hvcalc.words import GeneratorWord, WordParseError
@@ -273,6 +277,45 @@ class TestCommands:
         rc, _, err = run(capsys, "hvec", "CXC.")
         assert rc == 2 and "column 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "CIC.", "--format", "csv"],
+        ["lattice", "CIC.", "--format", "json"],
+        ["order", "X{1}", "Y{1}", "--format", "text"],
+        ["verify", "tables", "--format", "json"],
+        ["basis", "3", "--format", "csv"],
+        ["terms", "3", "--format", "csv"],
+        ["pseudo", "BIC.", "--format", "csv"],
+    ])
+    def test_format_only_where_it_is_written(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--format" in err
+
+    @pytest.mark.parametrize("argv", [["lattice", "IC."], ["order", "X{1}", "Y{1}"],
+                                      ["verify", "tables"]])
+    def test_out_without_format(self, capsys, tmp_path, argv):
+        path = tmp_path / "o.txt"
+        rc, out, _ = run(capsys, *argv, "--out", str(path))
+        assert rc == 0 and out == "" and path.read_text()
+
+    @pytest.mark.parametrize("stderr", [subprocess.PIPE, subprocess.STDOUT])
+    def test_closed_stdout_exits_141_quietly(self, stderr):
+        # 121 393 lines, far more than a pipe holds, so the write that
+        # follows the close always fails
+        src = str(Path(hvcalc.__file__).resolve().parents[1])
+        with subprocess.Popen(
+                [sys.executable, "-m", "hvcalc.cli", "basis", "25"],
+                stdout=subprocess.PIPE, stderr=stderr,
+                env={"PYTHONPATH": src, "PATH": ""}) as p:
+            first = p.stdout.readline()
+            p.stdout.close()
+            err = p.stderr.read() if p.stderr else b""
+            rc = p.wait(timeout=60)
+        assert first == b"CCCCCCCCCCCCCCCCCCCCCCCCC.\n"
+        assert rc == 141 and err == b""
+
     def test_determinism(self, capsys):
         a = run(capsys, "hvec", "ICCIC.", "--format", "json")
         b = run(capsys, "hvec", "ICCIC.", "--format", "json")
@@ -325,10 +368,10 @@ class TestCommands:
 
     def test_failing_oracle_names_its_counterexample(self, capsys, monkeypatch):
         from hvcalc.lattice import FaceLattice, build
-        prism = build(GeneratorWord("ICC"))
+        prism = build(GeneratorWord("ICC")).faces
         real = FaceLattice.euler_ok
         monkeypatch.setattr(FaceLattice, "euler_ok",
-                            lambda lat: lat is not prism and real(lat))
+                            lambda lat: lat.faces != prism and real(lat))
         rc, out, err = run(capsys, "verify", "oracle", "--max-dim", "3")
         line = ("FAIL  Euler relation on all lattices, dim <= 3  "
                 "[counterexample ICC.]")

@@ -92,7 +92,7 @@ class FinalLinkCalculator:
         self._g = {}
 
     def h(self, L):
-        key = L.flag_vector().key()
+        key = L.flag_vector()
         if key not in self._h:
             total = HVector.zero(L.n, FINAL)
             for face, d in L.faces.items():
@@ -102,7 +102,7 @@ class FinalLinkCalculator:
         return self._h[key]
 
     def g(self, i, B):
-        key = (i, B.flag_vector().key())
+        key = (i, B.flag_vector())
         if key not in self._g:
             if i == 0 and B.n == -1:
                 val = HVector.unit(FINAL)
