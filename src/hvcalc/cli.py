@@ -255,8 +255,16 @@ def cmd_verify(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with one line on stderr and exit 2, not the
+    usage block; its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {' '.join(message.split())}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hvcalc",
         description="exact h-vector calculus for cone/cylinder/bipyramid polytopes")
     sub = ap.add_subparsers(dest="cmd", required=True)

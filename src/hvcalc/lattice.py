@@ -13,13 +13,16 @@ it shows up as the link of the whole polytope along itself, and its pyramid
 is the point.
 
 The intersection closure and the pairwise parts of ``validate`` are checked
-against a generator set rather than against every pair of faces.  Every
-face of a polytope is the intersection of the facets containing it
-(coatomicity), so the generators are the facets plus any member that is
-not such an intersection; every member is then the intersection of the
-generators above it.  Each check costs O(F * |generators|) bitmask
-operations for F faces, which is O(F * facets) on a polytope lattice, and
-allocates nothing of size F * F.
+against a generator set rather than against every pair of faces, in one
+pass of each face against the facets (``_facet_pass``).  Every face of a
+polytope is the intersection of the facets containing it (coatomicity), so
+the generators are the facets plus any member that is not such an
+intersection; every member is then the intersection of the generators
+above it.  The pass finds those extra generators while it checks the
+facets, and a second pass takes every face against the extra generators
+only; on a polytope lattice there are none.  Each check costs
+O(F * |generators|) bitmask operations for F faces, which is O(F * facets)
+on a polytope lattice, and allocates nothing of size F * F.
 """
 
 from __future__ import annotations
@@ -163,20 +166,20 @@ class FaceLattice:
         """Whether the proper faces, the empty set and the whole vertex set
         are closed under pairwise intersection.
 
-        Exact in O(F * facets): the family is closed iff ``x & m`` is a
-        member for every member x and every generator m (see
-        ``_generators``), since intersecting x with any member is a chain
-        of intersections with generators.
+        Exact in O(F * facets) on a polytope lattice: one pass of the
+        members against the facets, and a second against the extra
+        generators, which runs on no polytope lattice (see
+        ``_facet_pass``).
         """
         verts = self.vertices
         bit = {v: 1 << i for i, v in enumerate(verts)}
         dim_of = {sum(map(bit.__getitem__, f)): d
                   for f, d in self.faces.items() if 0 <= d < self.n}
         full = (1 << len(verts)) - 1
-        family = set(dim_of) | {0, full}
         facets = [m for m, d in dim_of.items() if d == self.n - 1]
-        gens = _generators(family, facets, full)
-        return all(x & m in family for x in family for m in gens)
+        dim_of.setdefault(0, -1)
+        dim_of.setdefault(full, self.n)
+        return _facet_pass(dim_of, facets, full) is not None
 
     def vertex_edge_degrees(self) -> dict:
         degs = {v: 0 for v in self.vertices}
@@ -189,9 +192,9 @@ class FaceLattice:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        ordered = sorted(self.faces.items(), key=lambda fd: (fd[1], sorted(fd[0])))
+        rows = sorted((d, sorted(f)) for f, d in self.faces.items())
         return {"n": self.n,
-                "faces": [{"verts": sorted(f), "dim": d} for f, d in ordered]}
+                "faces": [{"verts": verts, "dim": d} for d, verts in rows]}
 
     @classmethod
     def from_json(cls, data, validate=True) -> "FaceLattice":
@@ -205,7 +208,8 @@ class FaceLattice:
         for i, item in enumerate(data["faces"]):
             if not (isinstance(item, dict) and _is_int(item.get("dim"))
                     and isinstance(item.get("verts"), list)
-                    and all(_is_int(v) for v in item["verts"])):
+                    and (_INT.issuperset(map(type, item["verts"]))
+                         or all(_is_int(v) for v in item["verts"]))):
                 raise ValueError(
                     f"lattice JSON faces[{i}] = {item!r:.80}: "
                     "need an integer 'dim' and a list of integer 'verts'")
@@ -226,8 +230,9 @@ class FaceLattice:
 
         The per-face checks come first, then that every face lies below a
         single face of dimension n.  Three exact checks against the
-        generator set follow, made together in one O(F * facets) pass over
-        the F faces:
+        generator set follow, made together by ``_facet_pass``: one pass
+        of the F faces against the facets, O(F * facets), and a second
+        against the extra generators, which runs on no polytope lattice:
 
         - closure: ``x & m`` is a face for every face x and generator m;
         - containment raises dimension: with closure known, it holds iff
@@ -236,8 +241,10 @@ class FaceLattice:
         - every face of dimension d >= 0 covers a face of dimension d - 1:
           one of those ``g & m`` has dimension d - 1.
 
-        An input that breaks both closure and containment is reported as
-        not closed under intersection.
+        A closure failure anywhere is reported first, then containment,
+        then the first uncovered face by dimension; so an input that breaks
+        both closure and containment is reported as not closed under
+        intersection.
         """
         dims = set(self.faces.values())
         if self.n not in dims:
@@ -247,7 +254,8 @@ class FaceLattice:
                 raise ValueError(f"face dimension {d} out of range")
             if d == -1 and f:
                 raise ValueError("only the empty set may have dimension -1")
-        vs = set(self.vertices)
+        verts = self.vertices
+        vs = set(verts)
         for f, d in self.faces.items():
             if d == 0 and len(f) != 1:
                 raise ValueError("a vertex face must be a singleton")
@@ -262,58 +270,90 @@ class FaceLattice:
 
         # vertices are distinct singletons and make up the full face; the
         # bits of a face are distinct, so their sum is their union
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        mask_of = {f: sum(map(bit.__getitem__, f)) for f in self.faces}
-        dim_of = {mask_of[f]: d for f, d in self.faces.items()}
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        dim_of = {sum(map(bit.__getitem__, f)): d
+                  for f, d in self.faces.items()}
         facets = [m for m, d in dim_of.items() if d == self.n - 1]
-        gens = _generators(dim_of, facets, (1 << len(bit)) - 1)
-        # one pass in dimension order; a closure failure anywhere is reported
-        # before containment, and containment before covers
-        uncontained = uncovered = None
-        for f, d in sorted(self.faces.items(), key=lambda fd: fd[1]):
-            g = mask_of[f]
-            # dimensions of g & m over the generators m not containing g;
-            # None marks an intersection that is not a face
-            below = {dim_of.get(g & m) for m in gens if g | m != m}
-            if None in below:
-                raise ValueError("face set is not closed under intersection")
-            if uncontained is None and max(below, default=d - 1) >= d:
-                uncontained = f
-            # each face covers some face one dimension lower; a face may
-            # still lie directly above one two or more dimensions lower
-            if uncovered is None and d >= 0 and d - 1 not in below:
-                uncovered = f
-        if uncontained is not None:
+        verdict = _facet_pass(dim_of, facets, (1 << len(verts)) - 1)
+        if verdict is None:
+            raise ValueError("face set is not closed under intersection")
+        contained, uncovered = verdict
+        if not contained:
             raise ValueError("containment must raise dimension")
-        if uncovered is not None:
-            d = self.faces[uncovered]
-            raise ValueError(
-                f"face {sorted(uncovered)} covers nothing of dimension {d - 1}")
+        # each face covers some face one dimension lower; a face may still
+        # lie directly above one two or more dimensions lower
+        if uncovered:
+            # the first by dimension, then in the order of the faces; its
+            # bits, lowest first, are its vertices in increasing order
+            g = min(uncovered, key=dim_of.__getitem__)
+            d = dim_of[g]
+            face = [v for i, v in enumerate(verts) if g >> i & 1]
+            raise ValueError(f"face {face} covers nothing of dimension {d - 1}")
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
+
+
+_INT = frozenset({int})  # the exact type of most vertex ids
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _generators(family, facets, full: int) -> list:
-    """The facets plus every member of ``family`` that is not the
-    intersection of the facets containing it (the empty intersection being
-    ``full``).  Every member is then the intersection of the generators
-    containing it.  All masks lie below ``full``; ``facets`` may be any
-    subset of the family, as the exceptions join the generators.
+def _facet_pass(dim_of: dict, facets: list, full: int):
+    """Closure, containment and covers of a family of bitmasks, checked
+    in one pass over the facets.
+
+    ``dim_of`` maps every member, a mask below ``full``, to its dimension;
+    ``facets`` may be any list of members.  The generators are the facets
+    plus every member that is not the meet of the facets containing it
+    (the empty meet being ``full``).  Every member is then the meet of the
+    generators containing it, so the family is closed iff x & m is a member
+    for every member x and generator m.  Each member x is taken once
+    against the facets: those containing x are met as they come, and of
+    the others only the highest dimension of x & p is kept.  A second pass
+    takes every member against the extra generators; a polytope lattice is
+    coatomic and has none.
+
+    Returns None if the family is not closed.  Otherwise, with top(x) the
+    highest dimension of x & m over the generators m not containing x (-2
+    if there are none), returns ``(contained, uncovered)``: whether
+    top(x) < dim x for every member, and the members with
+    top(x) < dim x - 1, in the order of ``dim_of``.  Once containment
+    holds, those are the members of dimension d >= 0 that cover nothing of
+    dimension d - 1.
     """
-    gens = list(facets)
-    for x in family:
-        meet = full
-        for p in facets:
-            if x & p == x:
-                meet &= p
-        if meet != x:
-            gens.append(x)
-    return gens
+    contained, uncovered, extra = True, [], []
+    try:
+        for x, d in dim_of.items():
+            meet, top = full, -2
+            for p in facets:
+                y = x & p
+                if y == x:
+                    meet &= p
+                else:
+                    e = dim_of[y]  # KeyError: y is not a member
+                    if e > top:
+                        top = e
+            if meet != x:
+                extra.append(x)
+            if top >= d:
+                contained = False
+            if top < d - 1:
+                uncovered.append(x)
+        if extra:
+            pending, uncovered = set(uncovered), []
+            for x, d in dim_of.items():
+                top = max((dim_of[x & m] for m in extra if x | m != m),
+                          default=-2)
+                if top >= d:
+                    contained = False
+                if top < d - 1 and x in pending:
+                    uncovered.append(x)
+    except KeyError:
+        return None
+    return contained, uncovered
 
 
 def _flag_vector_dp(lat: FaceLattice) -> "FlagVector":

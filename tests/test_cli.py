@@ -293,6 +293,32 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == "" and "--format" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "CIC.", "--format", "csv"],
+        ["links", "CIC.", "--rule", "bogus"],
+        ["verify", "nosuch"],
+        ["basis", "x"],
+        ["hvec"],
+        [],
+        ["hvec", "CIC.", "two\nlines"],
+    ])
+    def test_argparse_refusals_are_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_keeps_its_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: hvcalc") and len(out.splitlines()) > 3
+        assert err == ""
+
     @pytest.mark.parametrize("argv", [["lattice", "IC."], ["order", "X{1}", "Y{1}"],
                                       ["verify", "tables"]])
     def test_out_without_format(self, capsys, tmp_path, argv):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -312,6 +313,36 @@ class TestSerialization:
             FaceLattice.from_json(data, validate=False)
         assert where in str(e.value)
 
+    def test_faces_in_dimension_then_vertex_order(self):
+        for w in words_up_to(5, "ICB"):
+            lat = build(w)
+            rows = [(f["dim"], f["verts"]) for f in lat.to_json()["faces"]]
+            assert rows == sorted(rows) and len(rows) == len(lat), w
+            # byte for byte what a sort keyed by (dim, sorted face) writes
+            keyed = sorted(lat.faces.items(),
+                           key=lambda fd: (fd[1], sorted(fd[0])))
+            assert lat.dumps() == json.dumps(
+                {"n": lat.n, "faces": [{"verts": sorted(f), "dim": d}
+                                       for f, d in keyed]},
+                separators=(",", ":")), w
+
+    @pytest.mark.parametrize("verts", [[True], [1.0], [0, True], [0, 1.0]])
+    def test_vertex_ids_are_ints_not_bools_or_floats(self, verts):
+        item = {"verts": verts, "dim": 0}
+        data = {"n": 0, "faces": [{"verts": [], "dim": -1}, item]}
+        with pytest.raises(ValueError) as e:
+            FaceLattice.from_json(data, validate=False)
+        assert str(e.value) == (
+            f"lattice JSON faces[1] = {item!r:.80}: "
+            "need an integer 'dim' and a list of integer 'verts'")
+
+    def test_int_subclass_vertex_ids(self):
+        V = IntEnum("V", {"A": 0, "B": 1})
+        data = {"n": 1, "faces": [
+            {"verts": [], "dim": -1}, {"verts": [V.A], "dim": 0},
+            {"verts": [V.B], "dim": 0}, {"verts": [V.A, 1], "dim": 1}]}
+        assert FaceLattice.from_json(data).faces == build(W("C")).faces
+
     def test_vertex_set_listed_twice(self):
         data = build(W("IC")).to_json()
         edge = next(i for i, f in enumerate(data["faces"]) if f["dim"] == 1)
@@ -346,28 +377,37 @@ def reference_closed(lat):
 
 
 def reference_validate(lat):
-    """Every pair of faces compared directly."""
+    """Every pair of faces compared directly, with the messages and the
+    precedence of ``FaceLattice.validate``: a closure failure anywhere is
+    reported before containment, and containment before the first
+    uncovered face by dimension."""
     faces, n = lat.faces, lat.n
     if n not in set(faces.values()):
         raise ValueError("full face missing")
     for f, d in faces.items():
-        if not (-1 <= d <= n) or (d == -1 and f):
-            raise ValueError("bad dimension")
+        if not (-1 <= d <= n):
+            raise ValueError(f"face dimension {d} out of range")
+        if d == -1 and f:
+            raise ValueError("only the empty set may have dimension -1")
     vs = set(lat.vertices)
     for f, d in faces.items():
-        if (d == 0 and len(f) != 1) or (not f <= vs and d >= 0):
-            raise ValueError("bad vertices")
+        if d == 0 and len(f) != 1:
+            raise ValueError("a vertex face must be a singleton")
+        if not f <= vs and d >= 0:
+            raise ValueError(f"face {sorted(f)} uses unknown vertices")
     full = lat.full_face
-    for f, d in faces.items():
+    for f in faces:
         if not f <= full:
-            raise ValueError("not below the full face")
-        if any(f < g and d >= e for g, e in faces.items()):
-            raise ValueError("containment must raise dimension")
-    for g, d in faces.items():
-        if d >= 0 and not any(f < g and e == d - 1 for f, e in faces.items()):
-            raise ValueError("covers nothing")
+            raise ValueError(f"face {sorted(f)} is not below the full face")
+    if sum(d == n for d in faces.values()) > 1:
+        raise ValueError("containment must raise dimension")
     if not reference_closed(lat):
-        raise ValueError("not closed under intersection")
+        raise ValueError("face set is not closed under intersection")
+    if any(f < g and d >= e for f, d in faces.items() for g, e in faces.items()):
+        raise ValueError("containment must raise dimension")
+    for g, d in sorted(faces.items(), key=lambda fd: fd[1]):
+        if d >= 0 and not any(f < g and e == d - 1 for f, e in faces.items()):
+            raise ValueError(f"face {sorted(g)} covers nothing of dimension {d - 1}")
 
 
 def outcome(fn, *args):
@@ -375,6 +415,24 @@ def outcome(fn, *args):
         return ("returned", fn(*args))
     except (ValueError, KeyError) as e:
         return ("raised", type(e).__name__)
+
+
+def verdict(fn, *args):
+    """What ``fn`` returned, or the type and message of what it raised."""
+    try:
+        return ("returned", fn(*args))
+    except (ValueError, KeyError) as e:
+        return (type(e).__name__, str(e))
+
+
+def meet_of_facets_above(lat, f):
+    """The intersection of the faces of dimension n - 1 containing f, the
+    whole vertex set if there are none."""
+    meet = frozenset(lat.vertices)
+    for g, d in lat.faces.items():
+        if d == lat.n - 1 and f <= g:
+            meet &= g
+    return meet
 
 
 def mutants(lat, rng, count):
@@ -404,6 +462,15 @@ def mutants(lat, rng, count):
 
 
 class TestGeneratorChecks:
+    def check(self, lat, label):
+        """validate and closed_under_intersection against the pairwise
+        references; returns the references' verdicts."""
+        want = verdict(reference_validate, lat)
+        assert verdict(FaceLattice.validate, lat) == want, label
+        closed = outcome(reference_closed, lat)
+        assert outcome(FaceLattice.closed_under_intersection, lat) == closed, label
+        return want, closed
+
     def test_differential_against_pairwise_reference(self):
         rng = random.Random(20)
         tally = Counter()
@@ -411,21 +478,63 @@ class TestGeneratorChecks:
             lat = build(w)
             assert outcome(FaceLattice.validate, lat) == ("returned", None)
             for kind, mut in mutants(lat, rng, 16):
-                want = outcome(reference_validate, mut)
-                assert outcome(FaceLattice.validate, mut) == want, (w, kind)
-                closed = outcome(reference_closed, mut)
-                assert outcome(FaceLattice.closed_under_intersection,
-                               mut) == closed, (w, kind)
-                tally[kind, want[0], closed] += 1
+                want, closed = self.check(mut, (w, kind))
+                tally[kind, want[0] == "returned", closed] += 1
         # every mutation kind is exercised, and the verdicts are mixed
         kinds = {k for k, _, _ in tally}
         assert kinds == {"drop", "shift", "add", "truncate"}
         assert tally.keys() >= {
-            ("add", "returned", ("returned", True)),
-            ("add", "raised", ("returned", False)),
-            ("shift", "raised", ("returned", True)),
-            ("drop", "raised", ("raised", "KeyError")),
+            ("add", True, ("returned", True)),
+            ("add", False, ("returned", False)),
+            ("shift", False, ("returned", True)),
+            ("drop", False, ("raised", "KeyError")),
         }
+
+    def test_dim_5_sample_against_pairwise_reference(self):
+        rng = random.Random(22)
+        messages = Counter()
+        for w in random.Random(5).sample(list(all_words(5, "ICB")), 16):
+            for kind, mut in mutants(build(w), rng, 6):
+                want, _ = self.check(mut, (w, kind))
+                messages[want[1]] += 1
+        assert messages.keys() >= {
+            None, "face set is not closed under intersection",
+            "containment must raise dimension"}
+
+    @pytest.mark.parametrize("order", range(12))
+    def test_closure_fault_is_reported_before_containment(self, order):
+        # the triangles {0,1,2} and {1,2,3} meet in the missing edge {1,2},
+        # and the edge {0,2} has the dimension of the triangle above it
+        faces = {frozenset(): -1, frozenset(range(4)): 3,
+                 frozenset({0, 1, 2}): 2, frozenset({1, 2, 3}): 2,
+                 frozenset({0, 2}): 2}
+        for v in range(4):
+            faces[frozenset({v})] = 0
+        for e in ({0, 1}, {1, 3}, {2, 3}):
+            faces[frozenset(e)] = 1
+        items = list(faces.items())
+        random.Random(order).shuffle(items)
+        lat = FaceLattice(3, dict(items))
+        assert not reference_closed(lat)
+        assert any(f < g and d >= e for f, d in items for g, e in items)
+        assert self.check(lat, order)[0] == (
+            "ValueError", "face set is not closed under intersection")
+
+    @pytest.mark.parametrize("n, faces, name", [
+        # a triangle with its vertices and no edges
+        (2, {(0, 1, 2): 2}, "face [0, 1, 2] covers nothing of dimension 1"),
+        # the 2-faces {0,1,2} and {0,1,3} meet in the edge {0,1}, and the
+        # 2-face {2,3} has only vertices below it
+        (3, {(0, 1): 1, (0, 1, 2): 2, (0, 1, 3): 2, (2, 3): 2,
+             (0, 1, 2, 3): 3},
+         "face [2, 3] covers nothing of dimension 1"),
+    ])
+    def test_uncovered_face_is_named(self, n, faces, name):
+        faces = {frozenset(f): d for f, d in faces.items()}
+        faces[frozenset()] = -1
+        for v in set().union(*faces):
+            faces[frozenset({v})] = 0
+        assert self.check(FaceLattice(n, faces), name)[0] == ("ValueError", name)
 
     def test_non_coatomic_members_join_the_generators(self):
         # a triangle facet and a dangling edge {0,1} that lies in no facet:
@@ -438,9 +547,11 @@ class TestGeneratorChecks:
         for e in ({2, 3}, {3, 4}, {2, 4}):
             faces[frozenset(e)] = 1
         lat = FaceLattice(3, faces)
-        assert reference_closed(lat) and lat.closed_under_intersection()
-        reference_validate(lat)
-        lat.validate()
+        # members that are not the meet of the facets above them make the
+        # checks take the pass over the extra generators
+        assert meet_of_facets_above(lat, frozenset({0, 1})) != {0, 1}
+        assert self.check(lat, "dangling edge") == (
+            ("returned", None), ("returned", True))
         # two segments {0,1,2} and {1,2,3} with no facet above them: their
         # intersection {1,2} is missing, and only they can show it
         faces = {frozenset(): -1, frozenset(range(4)): 3,
@@ -448,8 +559,10 @@ class TestGeneratorChecks:
         for v in range(4):
             faces[frozenset({v})] = 0
         lat = FaceLattice(3, faces)
-        assert not reference_closed(lat)
-        assert not lat.closed_under_intersection()
+        assert meet_of_facets_above(lat, frozenset({0, 1, 2})) != {0, 1, 2}
+        assert self.check(lat, "two segments") == (
+            ("ValueError", "face set is not closed under intersection"),
+            ("returned", False))
 
     def test_large_simplex_validates_quickly(self):
         data = build(W("C" * 12)).to_json()
