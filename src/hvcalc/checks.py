@@ -184,7 +184,7 @@ def _random_aux_vector(rng, degree):
     tm = {}
     for w in chosen:
         m = degree - word_degree(w)
-        tm[w] = BiGradedPoly([rng.randint(-9, 9) for _ in range(m + 1)])
+        tm[w] = [rng.randint(-9, 9) for _ in range(m + 1)]
     return HVector(degree, AUX, tm)
 
 

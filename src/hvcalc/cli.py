@@ -89,9 +89,9 @@ def _hvector_out(h, fmt):
         return json.dumps(h.to_json(), ensure_ascii=True)
     if fmt == "csv":
         lines = ["word,poly"]
-        for w, p in h.sorted_terms():
+        for w, cs in h.sorted_terms():
             lines.append(f"{render_word(w, h.flavor)},"
-                         + " ".join(render_scalar(c) for c in p.coeffs))
+                         + " ".join(render_scalar(c) for c in cs))
         return "\n".join(lines)
     return h.render()
 

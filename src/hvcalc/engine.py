@@ -14,10 +14,11 @@ Folding these over a generator word from the seed [1] gives the auxiliary
 vector; eliminating the sliding pads (first variable = frozen variable plus
 pad, with pad * first variable = 0) gives the extended vector.
 
-The operators are implemented once, as kernels on plain term maps (word ->
-list of exact coefficients) that keep exactly the terms a checked HVector
-would keep.  The fold and the change of variables run on these maps, and a
-checked HVector is built only for a value a public function returns.
+The operators are implemented once, as kernels on term maps (word -> exact
+coefficients), the format of ``HVector.terms``.  A kernel reads a vector's
+terms directly and keeps exactly the terms a checked HVector would keep.
+The fold and the change of variables run on these maps, and a checked
+HVector is built only for a value a public function returns.
 
 Also here: palindromy and operator-identity checks, the classical h of a
 simple polytope from its face vector, and the naive pseudo h-vector.
@@ -32,16 +33,6 @@ from .symbols import (
     AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads,
 )
 from .words import GeneratorWord
-
-
-def _vector(degree, flavor, terms) -> HVector:
-    """The one checked HVector of a term map word -> coefficient list."""
-    return HVector(degree, flavor,
-                   {w: BiGradedPoly(cs) for w, cs in terms.items()})
-
-
-def _coeffs(h: HVector) -> dict:
-    return {w: p.coeffs for w, p in h.terms.items()}
 
 
 def _cylinder_terms(terms: dict) -> dict:
@@ -87,12 +78,12 @@ def apply_cylinder(h: HVector) -> HVector:
     """Product with a segment: every polynomial times the linear sum."""
     if h.flavor != AUX:
         raise ValueError("cylinder operator acts on auxiliary vectors")
-    return _vector(h.degree + 1, AUX, _cylinder_terms(_coeffs(h)))
+    return HVector(h.degree + 1, AUX, _cylinder_terms(h.terms))
 
 
 def _cone(h: HVector, pad, flavor) -> HVector:
     """The cone rule on a vector of either flavor, padding with ``pad``."""
-    return _vector(h.degree + 1, flavor, _cone_terms(_coeffs(h), pad))
+    return HVector(h.degree + 1, flavor, _cone_terms(h.terms, pad))
 
 
 def apply_cone(h: HVector) -> HVector:
@@ -115,7 +106,7 @@ def aux_hvector(w: GeneratorWord) -> HVector:
     for op in w.rightmost_first():
         terms = (_cone_terms(terms, PAD_AUX) if op == "C"
                  else _cylinder_terms(terms))
-    return _vector(w.dim, AUX, terms)
+    return HVector(w.dim, AUX, terms)
 
 
 def to_extended(h: HVector) -> HVector:
@@ -129,8 +120,7 @@ def to_extended(h: HVector) -> HVector:
         raise ValueError("change of variables starts from an auxiliary vector")
     acc: dict[tuple, list] = {}
     get = acc.get
-    for word, p in h.terms.items():
-        cs = p.coeffs
+    for word, cs in h.terms.items():
         m = len(cs) - 1
         for j in range(m + 1):
             # j pads come from the monomials X^p Y^q with p >= j, that is
@@ -141,7 +131,7 @@ def to_extended(h: HVector) -> HVector:
             for w2 in rewrite_pads((PAD_AUX,) * j + word):
                 out = get(w2)
                 acc[w2] = head if out is None else list(map(add, out, head))
-    return _vector(h.degree, FINAL, acc)
+    return HVector(h.degree, FINAL, acc)
 
 
 def extended_hvector(w: GeneratorWord) -> HVector:

@@ -3,11 +3,13 @@
 The basic value is a formal sum of terms ``P * W`` where ``P`` is a
 homogeneous polynomial in two commuting degree-one variables and ``W`` is a
 word over a padding symbol of degree one and local symbols ``{k}`` of degree
-2k+1.  Two flavors exist: the auxiliary flavor (variables X, Y and sliding
-pad Ā) and the final flavor (variables x, y and frozen pad A).  Every word
-is implicitly terminated, and a pad sitting against the terminator
-annihilates the whole term; that is the only normalization rule applied on
-construction.
+2k+1.  An ``HVector`` holds each term as its word and the tuple of the
+polynomial's coefficients, the same data the engine's kernels compute on;
+``BiGradedPoly`` is the type of a standalone polynomial.  Two flavors
+exist: the auxiliary flavor (variables X, Y and sliding pad Ā) and the
+final flavor (variables x, y and frozen pad A).  Every word is implicitly
+terminated, and a pad sitting against the terminator annihilates the whole
+term; that is the only normalization rule applied on construction.
 
 The pad elimination system that converts auxiliary words to final words is
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 PAD = "A"        # final-flavor padding symbol
 PAD_AUX = "Ā"  # aux-flavor padding symbol, rendered as a barred A
@@ -45,6 +48,18 @@ def _exact(c):
     if isinstance(c, bool) or not isinstance(c, int):
         raise TypeError(f"exact coefficient required, got {type(c).__name__}")
     return c
+
+
+def _coeff_tuple(coeffs) -> tuple:
+    """The checked coefficients of one polynomial: exact, at least one."""
+    cs = tuple(coeffs)
+    for c in cs:
+        if type(c) is not int:
+            cs = tuple(map(_exact, cs))
+            break
+    if not cs:
+        raise ValueError("a polynomial needs at least one coefficient")
+    return cs
 
 
 def sym_degree(s) -> int:
@@ -110,14 +125,7 @@ class BiGradedPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(coeffs)
-        for c in cs:
-            if type(c) is not int:
-                cs = tuple(map(_exact, cs))
-                break
-        if not cs:
-            raise ValueError("a polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", _coeff_tuple(coeffs))
 
     def __setattr__(self, *a):
         raise AttributeError("BiGradedPoly is immutable")
@@ -125,10 +133,6 @@ class BiGradedPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, degree: int) -> "BiGradedPoly":
-        return cls((0,) * (degree + 1))
 
     @classmethod
     def one(cls) -> "BiGradedPoly":
@@ -145,9 +149,6 @@ class BiGradedPoly:
             raise ValueError("degree mismatch in polynomial addition")
         return BiGradedPoly(a + b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c) -> "BiGradedPoly":
         return BiGradedPoly(c * a for a in self.coeffs)
 
@@ -157,26 +158,24 @@ class BiGradedPoly:
         mid = [cs[i] + cs[i + 1] for i in range(len(cs) - 1)]
         return BiGradedPoly((cs[0], *mid, cs[-1]))
 
-    def times_second(self) -> "BiGradedPoly":
-        return BiGradedPoly((0,) + self.coeffs)
-
     def is_palindromic(self) -> bool:
         return self.coeffs == self.coeffs[::-1]
 
-    def coefficient(self, second_exp: int):
-        """Coefficient of (first)^(m-j) (second)^j."""
-        return self.coeffs[second_exp]
-
     def render(self, aux=False) -> str:
-        lo, hi = ("[", "]") if aux else ("(", ")")
-        if all(isinstance(c, int) and 0 <= c <= 9 for c in self.coeffs):
-            body = "".join(str(c) for c in self.coeffs)
-        else:
-            body = ",".join(render_scalar(c) for c in self.coeffs)
-        return lo + body + hi
+        return render_coeffs(self.coeffs, aux)
 
     def __repr__(self):
         return f"BiGradedPoly({list(self.coeffs)!r})"
+
+
+def render_coeffs(cs, aux=False) -> str:
+    """A polynomial's coefficients as text: ``(121)``, or ``[1,-1]`` for aux."""
+    lo, hi = ("[", "]") if aux else ("(", ")")
+    if all(isinstance(c, int) and 0 <= c <= 9 for c in cs):
+        body = "".join(str(c) for c in cs)
+    else:
+        body = ",".join(render_scalar(c) for c in cs)
+    return lo + body + hi
 
 
 def render_scalar(c) -> str:
@@ -220,7 +219,13 @@ def rewrite_pads(word) -> tuple:
 
 
 class HVector:
-    """Formal sum of terms word -> homogeneous polynomial, of fixed degree.
+    """Formal sum of terms word -> coefficient tuple, of fixed degree.
+
+    A term's value is the tuple of its polynomial's coefficients, as in
+    ``BiGradedPoly.coeffs``; the constructor is where a term is checked.
+    It takes any sequence of exact coefficients (ints, or Fractions, which
+    collapse to int when integral) and refuses an empty one, floats,
+    strings and non-sequences such as a ``BiGradedPoly``.
 
     Invariants: deg(poly) + deg(word) equals the vector degree for every
     term, no term maps to the zero polynomial, no word ends in a pad, and
@@ -236,11 +241,11 @@ class HVector:
             raise ValueError(f"bad flavor {flavor!r}")
         bad_pad = PAD_AUX if flavor == FINAL else PAD
         clean = {}
-        for word, poly in (terms or {}).items():
+        for word, cs in (terms or {}).items():
             word = tuple(word)
+            cs = _coeff_tuple(cs)
             if word and word[-1] in _PADS:
                 continue  # trailing pad meets the terminator
-            cs = poly.coeffs
             if not any(cs):
                 continue
             if bad_pad in word:
@@ -248,7 +253,7 @@ class HVector:
             if len(cs) - 1 + word_degree(word) != degree:
                 raise ValueError(
                     f"term {word!r} breaks degree {degree} homogeneity")
-            clean[word] = poly
+            clean[word] = cs
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "terms", clean)
@@ -263,7 +268,7 @@ class HVector:
     @classmethod
     def unit(cls, flavor: str) -> "HVector":
         """The degree-zero vector with constant polynomial 1 on the empty word."""
-        return cls(0, flavor, {(): BiGradedPoly.one()})
+        return cls(0, flavor, {(): (1,)})
 
     def __eq__(self, other):
         return (isinstance(other, HVector) and self.degree == other.degree
@@ -272,49 +277,45 @@ class HVector:
     def __hash__(self):
         return hash((self.degree, self.flavor, frozenset(self.terms.items())))
 
-    def _merge(self, other, sign):
+    def _merge(self, other, op):
         if self.degree != other.degree or self.flavor != other.flavor:
             raise ValueError("degree/flavor mismatch in h-vector addition")
         terms = dict(self.terms)
-        for word, poly in other.terms.items():
-            p = poly if sign > 0 else -poly
-            if word in terms:
-                terms[word] = terms[word] + p
-            else:
-                terms[word] = p
+        for word, cs in other.terms.items():
+            # equal words of equal-degree vectors have equal-length tuples
+            terms[word] = tuple(map(op, terms.get(word, (0,) * len(cs)), cs))
         return HVector(self.degree, self.flavor, terms)
 
     def __add__(self, other):
-        return self._merge(other, +1)
+        return self._merge(other, add)
 
     def __sub__(self, other):
-        return self._merge(other, -1)
+        return self._merge(other, sub)
 
     def scale(self, c) -> "HVector":
         return HVector(self.degree, self.flavor,
-                       {w: p.scale(c) for w, p in self.terms.items()})
+                       {w: [c * a for a in cs] for w, cs in self.terms.items()})
 
     def times_second(self) -> "HVector":
         """Multiply every polynomial by the second variable (y or Y)."""
         return HVector(self.degree + 1, self.flavor,
-                       {w: p.times_second() for w, p in self.terms.items()})
+                       {w: (0, *cs) for w, cs in self.terms.items()})
 
     def mpih(self) -> BiGradedPoly:
         """The empty-word polynomial; structurally zero when absent."""
-        return self.terms.get((), BiGradedPoly.zero(self.degree))
+        return BiGradedPoly(self.terms.get((), (0,) * (self.degree + 1)))
 
     def coefficient(self, xexp: int, yexp: int, word):
         """Coefficient of (first)^xexp (second)^yexp word, or 0."""
-        word = tuple(word)
-        poly = self.terms.get(word)
-        if poly is None:
+        if xexp < 0 or yexp < 0:
+            raise ValueError("negative exponent")
+        cs = self.terms.get(tuple(word))
+        if cs is None or xexp + yexp != len(cs) - 1:
             return 0
-        if xexp + yexp != poly.degree:
-            return 0
-        return poly.coefficient(yexp)
+        return cs[yexp]
 
     def is_palindromic(self) -> bool:
-        return all(p.is_palindromic() for p in self.terms.values())
+        return all(cs == cs[::-1] for cs in self.terms.values())
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: word_sort_key(kv[0]))
@@ -324,8 +325,8 @@ class HVector:
             return "0"
         aux = self.flavor == AUX
         parts = []
-        for word, poly in self.sorted_terms():
-            parts.append(poly.render(aux=aux) + render_word(word, self.flavor))
+        for word, cs in self.sorted_terms():
+            parts.append(render_coeffs(cs, aux) + render_word(word, self.flavor))
         return " + ".join(parts)
 
     def to_json(self) -> dict:
@@ -334,8 +335,8 @@ class HVector:
             "flavor": self.flavor,
             "terms": [
                 {"word": word_to_json(w),
-                 "poly": [scalar_to_json(c) for c in p.coeffs]}
-                for w, p in self.sorted_terms()
+                 "poly": [scalar_to_json(c) for c in cs]}
+                for w, cs in self.sorted_terms()
             ],
         }
 

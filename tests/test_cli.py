@@ -375,12 +375,12 @@ class TestCommands:
     def test_failing_family_check_names_its_counterexample(
             self, capsys, monkeypatch):
         from hvcalc import engine
-        from hvcalc.symbols import AUX, BiGradedPoly, HVector
+        from hvcalc.symbols import AUX, HVector
         real = engine.aux_hvector
 
         def lopsided(w):
             if w == GeneratorWord("ICC"):
-                return HVector(3, AUX, {(): BiGradedPoly([1, 2, 2, 2])})
+                return HVector(3, AUX, {(): (1, 2, 2, 2)})
             return real(w)
 
         monkeypatch.setattr(engine, "aux_hvector", lopsided)

@@ -19,7 +19,7 @@ from hvcalc.words import words_up_to
 
 
 def aux_vec(degree, terms):
-    return HVector(degree, AUX, {w: BiGradedPoly(cs) for w, cs in terms.items()})
+    return HVector(degree, AUX, terms)
 
 
 class TestConeRows:
@@ -145,9 +145,9 @@ def reference_to_extended(h):
     a X^p Y^q rewrites pad^j W for each j <= p on its own."""
     acc = {}
     n = h.degree
-    for word, p in h.terms.items():
-        m = p.degree
-        for t, a in enumerate(p.coeffs):
+    for word, poly in h.terms.items():
+        m = len(poly) - 1
+        for t, a in enumerate(poly):
             if a == 0:
                 continue
             for j in range(m - t + 1):
@@ -156,7 +156,7 @@ def reference_to_extended(h):
                     if cs is None:
                         cs = acc[w2] = [0] * (n - word_degree(w2) + 1)
                     cs[t] += a
-    return HVector(n, FINAL, {w: BiGradedPoly(cs) for w, cs in acc.items()})
+    return HVector(n, FINAL, acc)
 
 
 def reference_cone(h):
@@ -166,20 +166,21 @@ def reference_cone(h):
     def add(word, poly):
         out[word] = out[word] + poly if word in out else poly
 
-    for word, p in h.terms.items():
-        m, cs = p.degree, p.coeffs
+    for word, cs in h.terms.items():
+        m = len(cs) - 1
         add(word, BiGradedPoly(cs[:m // 2 + 1] + cs[m // 2:]))
         for k in range(1, m // 2 + 1):
             add((PAD_AUX,) * (m - 2 * k) + (k,) + word,
                 BiGradedPoly((cs[k] - cs[k - 1],)))
         add((PAD_AUX,) * (m + 1) + word, BiGradedPoly((-cs[0],)))
-    return HVector(h.degree + 1, AUX, out)
+    return HVector(h.degree + 1, AUX, {w: p.coeffs for w, p in out.items()})
 
 
 def reference_cylinder(h):
     """The cylinder rule polynomial by polynomial."""
     return HVector(h.degree + 1, AUX,
-                   {w: p.mul_linear() for w, p in h.terms.items()})
+                   {w: BiGradedPoly(cs).mul_linear().coeffs
+                    for w, cs in h.terms.items()})
 
 
 def reference_fold(ops, h=None):
@@ -192,7 +193,7 @@ def reference_fold(ops, h=None):
 
 def kernel_fold(ops, h):
     """The aux fold on term maps from ``h``, checked once at the end."""
-    terms = {w: p.coeffs for w, p in h.terms.items()}
+    terms = h.terms
     for op in reversed(ops):
         terms = (_cone_terms(terms, PAD_AUX) if op == "C"
                  else _cylinder_terms(terms))
@@ -202,8 +203,8 @@ def kernel_fold(ops, h):
 def typed_terms(h):
     """Terms with each coefficient's type next to its value."""
     return (h.degree, h.flavor,
-            {w: tuple((type(c), c) for c in p.coeffs)
-             for w, p in h.terms.items()})
+            {w: tuple((type(c), c) for c in cs)
+             for w, cs in h.terms.items()})
 
 
 def random_aux_vectors(seed, count, fractions=False):
@@ -212,9 +213,8 @@ def random_aux_vectors(seed, count, fractions=False):
         h = _random_aux_vector(rng, rng.randint(0, 9))
         if fractions:
             h = HVector(h.degree, AUX, {
-                w: BiGradedPoly([Fraction(c, rng.choice((1, 2, 3)))
-                                 for c in p.coeffs])
-                for w, p in h.terms.items()})
+                w: [Fraction(c, rng.choice((1, 2, 3))) for c in cs]
+                for w, cs in h.terms.items()})
         yield h
 
 
@@ -255,15 +255,14 @@ class TestAgainstReference:
                                  reference_cone),
                                 (_cylinder_terms, reference_cylinder)):
                 # the kernel keeps exactly the terms the constructor keeps
-                got = kernel({w: p.coeffs for w, p in h.terms.items()})
-                assert got == {w: list(p.coeffs)
-                               for w, p in ref(h).terms.items()}, h
+                got = kernel(h.terms)
+                assert got == {w: list(cs)
+                               for w, cs in ref(h).terms.items()}, h
             # a fold of several operators, where uncollapsed fractions
             # meet in the sums, gives what checking every step gives
             ops = "".join(rng.choice("IC") for _ in range(rng.randint(1, 4)))
             want = reference_fold(ops, h)
-            got = HVector(want.degree, AUX, {
-                w: BiGradedPoly(cs) for w, cs in kernel_fold(ops, h).items()})
+            got = HVector(want.degree, AUX, kernel_fold(ops, h))
             assert typed_terms(got) == typed_terms(want), (ops, h)
 
     def test_cone_of_unit_drops_full_pad_term(self):
@@ -288,8 +287,34 @@ class TestAgainstReference:
         assert got == reference_to_extended(reference_cone(h))
         assert typed_terms(got) == typed_terms(
             reference_to_extended(reference_cone(h)))
-        types = {type(c) for p in got.terms.values() for c in p.coeffs}
+        types = {type(c) for cs in got.terms.values() for c in cs}
         assert types == {int, Fraction}
+
+
+class TestTermFormat:
+    """Every route returns terms as coefficient tuples, with no polynomial
+    object in between."""
+
+    def test_terms_are_tuples_on_every_route(self):
+        from hvcalc import flaglin, links
+        from hvcalc.lattice import build
+        aux = aux_hvector(W("CICIC"))
+        lat = build(W("BICCC"))
+        for h in (aux, extended_hvector(W("CICIC")), apply_cone(aux),
+                  apply_cylinder(aux), to_extended(aux),
+                  links.h_by_links(lat, links.CONJUGATION),
+                  links.h_by_links(lat, links.DIRECT),
+                  flaglin.linear_h(lat.flag_vector())):
+            assert h.terms
+            assert all(type(cs) is tuple for cs in h.terms.values()), h
+
+    def test_extended_hvector_builds_no_poly(self, monkeypatch):
+        def refuse(self, coeffs):
+            raise AssertionError("BiGradedPoly built")
+
+        monkeypatch.setattr(BiGradedPoly, "__init__", refuse)
+        for w in words_up_to(6, "IC"):
+            extended_hvector(w)
 
 
 GOLDEN = {
@@ -347,8 +372,8 @@ class TestDerived:
 
     def test_nonnegative_on_generator_words(self):
         for w in words_up_to(8, "IC"):
-            for p in aux_hvector(w).terms.values():
-                assert all(c >= 0 for c in p.coeffs), w
+            for cs in aux_hvector(w).terms.values():
+                assert all(c >= 0 for c in cs), w
 
     def test_ic_equation(self):
         assert check_ic_equation(aux_vec(4, {(): [1, 4, 9, 4, 1]}))

@@ -10,15 +10,14 @@ from hvcalc.lattice import build, empty_polytope, point
 from hvcalc.links import (
     CONJUGATION, DIRECT, LinkCalculator, g_eval, h_by_links,
 )
-from hvcalc.symbols import AUX, FINAL, PAD, BiGradedPoly, HVector
+from hvcalc.symbols import AUX, FINAL, PAD, HVector
 from hvcalc.terms import enumerate_terms
 from hvcalc.words import GeneratorWord as W
 from hvcalc.words import words_up_to
 
 
 def final_vec(degree, terms):
-    return HVector(degree, FINAL,
-                   {w: BiGradedPoly(cs) for w, cs in terms.items()})
+    return HVector(degree, FINAL, terms)
 
 
 # -- reference: the cone transported to final vectors through a dense lift ---
@@ -30,9 +29,9 @@ def final_vec(degree, terms):
 def _vectorize(h, terms):
     index = {(t.xexp, t.yexp, t.word): i for i, t in enumerate(terms)}
     out = [0] * len(terms)
-    for word, poly in h.terms.items():
-        m = poly.degree
-        for j, c in enumerate(poly.coeffs):
+    for word, cs in h.terms.items():
+        m = len(cs) - 1
+        for j, c in enumerate(cs):
             if c != 0:
                 out[index[(m - j, j, word)]] = c
     return out
@@ -44,8 +43,7 @@ def _devectorize(vec, terms, degree, flavor):
         if c != 0:
             cs = polys.setdefault(t.word, [0] * (t.xexp + t.yexp + 1))
             cs[t.yexp] = c
-    return HVector(degree, flavor,
-                   {w: BiGradedPoly(cs) for w, cs in polys.items()})
+    return HVector(degree, flavor, polys)
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +54,7 @@ def _lift_solver(n):
     for t in aux_terms:
         poly = [0] * (t.xexp + t.yexp + 1)
         poly[t.yexp] = 1
-        h = HVector(n, AUX, {t.word: BiGradedPoly(poly)})
+        h = HVector(n, AUX, {t.word: poly})
         cols.append(_vectorize(engine.to_extended(h), fin_terms))
     assert len(fin_terms) == len(aux_terms)
     inv = flaglin._inverse(list(zip(*cols)))
@@ -122,7 +120,7 @@ REFERENCE = {rule: FinalLinkCalculator(rule) for rule in (CONJUGATION, DIRECT)}
 def typed_terms(h):
     """An h-vector with the type of every coefficient made visible."""
     return (h.degree, h.flavor,
-            {w: [(type(c), c) for c in p.coeffs] for w, p in h.terms.items()})
+            {w: [(type(c), c) for c in cs] for w, cs in h.terms.items()})
 
 
 class TestLift:
@@ -146,8 +144,8 @@ class TestLift:
     def test_integer_values_lift_to_integers(self):
         h = final_vec(4, {(PAD, 1): [3]})
         lifted = lift_to_aux(h)
-        for p in lifted.terms.values():
-            assert all(isinstance(c, int) for c in p.coeffs)
+        for cs in lifted.terms.values():
+            assert all(isinstance(c, int) for c in cs)
 
     def test_rejects_aux_input(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,12 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from hvcalc.engine import extended_hvector
 from hvcalc.symbols import (
     AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, render_word, rewrite_pads,
     word_degree, word_to_json,
 )
+from hvcalc.words import GeneratorWord
 
 
 class TestPoly:
@@ -34,7 +36,7 @@ class TestPoly:
                 == BiGradedPoly([1, 3, 4, 4, 3, 1]))
 
     def test_structural_zero_keeps_degree(self):
-        z = BiGradedPoly.zero(3)
+        z = HVector.zero(3, FINAL).mpih()
         assert z.degree == 3 and not any(z.coeffs)
 
     def test_palindromic(self):
@@ -196,87 +198,119 @@ class TestRewrite:
 
 class TestHVector:
     def test_cancellation(self):
-        u = HVector(4, AUX, {(): BiGradedPoly([1, 2, 2, 2, 1]),
-                             (PAD_AUX, 1): BiGradedPoly([1])})
-        v = HVector(4, AUX, {(PAD_AUX, 1): BiGradedPoly([1])})
+        u = HVector(4, AUX, {(): (1, 2, 2, 2, 1), (PAD_AUX, 1): (1,)})
+        v = HVector(4, AUX, {(PAD_AUX, 1): (1,)})
         w = u + v.scale(-1)
-        assert w.terms == {(): BiGradedPoly([1, 2, 2, 2, 1])}
+        assert w.terms == {(): (1, 2, 2, 2, 1)}
 
     def test_distinct_words_retained(self):
-        u = HVector(4, AUX, {(1,): BiGradedPoly([1, 1])})
-        v = HVector(4, AUX, {(PAD_AUX, 1): BiGradedPoly([1])})
+        u = HVector(4, AUX, {(1,): (1, 1)})
+        v = HVector(4, AUX, {(PAD_AUX, 1): (1,)})
         assert len((u + v).terms) == 2
 
     def test_scale(self):
-        h = HVector(3, AUX, {(): BiGradedPoly([1, 2, 2, 1]),
-                             (1,): BiGradedPoly([1])})
+        h = HVector(3, AUX, {(): (1, 2, 2, 1), (1,): (1,)})
         doubled = h.scale(2)
-        assert doubled.terms[()] == BiGradedPoly([2, 4, 4, 2])
-        assert doubled.terms[(1,)] == BiGradedPoly([2])
+        assert doubled.terms[()] == (2, 4, 4, 2)
+        assert doubled.terms[(1,)] == (2,)
 
     def test_degree_mismatch(self):
-        u = HVector(3, AUX, {(): BiGradedPoly([1, 1, 1, 1])})
-        v = HVector(2, AUX, {(): BiGradedPoly([1, 1, 1])})
+        u = HVector(3, AUX, {(): (1, 1, 1, 1)})
+        v = HVector(2, AUX, {(): (1, 1, 1)})
         with pytest.raises(ValueError):
             u + v
 
     def test_flavor_mismatch(self):
-        u = HVector(3, AUX, {(): BiGradedPoly([1, 1, 1, 1])})
-        v = HVector(3, FINAL, {(): BiGradedPoly([1, 1, 1, 1])})
+        u = HVector(3, AUX, {(): (1, 1, 1, 1)})
+        v = HVector(3, FINAL, {(): (1, 1, 1, 1)})
         with pytest.raises(ValueError):
             u + v
 
     def test_trailing_pad_annihilated(self):
-        h = HVector(2, AUX, {(PAD_AUX, PAD_AUX): BiGradedPoly([1])})
+        h = HVector(2, AUX, {(PAD_AUX, PAD_AUX): (1,)})
         assert not h.terms
 
     def test_zero_poly_dropped_and_renders_zero(self):
-        h = HVector(3, FINAL, {(): BiGradedPoly.zero(3)})
+        h = HVector(3, FINAL, {(): (0, 0, 0, 0)})
         assert not h.terms and h.render() == "0"
 
     def test_homogeneity_enforced(self):
         with pytest.raises(ValueError):
-            HVector(3, FINAL, {(1,): BiGradedPoly([1, 1])})
+            HVector(3, FINAL, {(1,): (1, 1)})
 
     def test_wrong_flavor_word(self):
         with pytest.raises(ValueError):
-            HVector(4, FINAL, {(PAD_AUX, 1): BiGradedPoly([1])})
+            HVector(4, FINAL, {(PAD_AUX, 1): (1,)})
         with pytest.raises(ValueError):
-            HVector(4, AUX, {(PAD, 1): BiGradedPoly([1])})
+            HVector(4, AUX, {(PAD, 1): (1,)})
 
     def test_refusals_among_valid_terms(self):
-        good = {(): BiGradedPoly([1, 2, 2, 2, 1]), (1,): BiGradedPoly([1, 1])}
-        for word, poly in [((2,), BiGradedPoly([1])),           # degree 5
-                           ((PAD, 1), BiGradedPoly([1])),       # final pad
-                           ((PAD_AUX, 1.0), BiGradedPoly([1])),  # float local
-                           ((0, 1), BiGradedPoly([1]))]:        # local {0}
+        good = {(): (1, 2, 2, 2, 1), (1,): (1, 1)}
+        for word, poly in [((2,), (1,)),            # degree 5
+                           ((PAD, 1), (1,)),        # final pad
+                           ((PAD_AUX, 1.0), (1,)),  # float local
+                           ((0, 1), (1,)),          # local {0}
+                           ((1,), ())]:             # no coefficients
             with pytest.raises(ValueError):
                 HVector(4, AUX, {**good, word: poly})
 
+    @pytest.mark.parametrize("bad", [1.5, "1", True, None])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_inexact_coefficient_refused(self, bad, at):
+        cs = [1, 2, 1]
+        cs[at] = bad
+        with pytest.raises(TypeError):
+            HVector(2, FINAL, {(): cs})
+
+    def test_poly_value_refused(self):
+        # a term's value is a coefficient sequence, never a BiGradedPoly
+        with pytest.raises(TypeError):
+            HVector(2, FINAL, {(): BiGradedPoly([1, 2, 1])})
+
+    def test_integral_fractions_collapse(self):
+        half = HVector(1, FINAL, {(): (Fraction(1, 2), Fraction(3, 2))})
+        assert half.terms[()] == (Fraction(1, 2), Fraction(3, 2))
+        for h in (HVector(1, FINAL, {(): (Fraction(4, 2), 1)}),
+                  half + half,
+                  half.scale(2),
+                  HVector(1, FINAL, {(): (4, 2)}).scale(Fraction(1, 2))):
+            assert [type(c) for c in h.terms[()]] == [int, int], h
+
+    def test_terms_are_tuples(self):
+        h = HVector(4, AUX, {(): [1, 2, 2, 2, 1], (1,): [1, 1]})
+        for v in (h, h + h, h - h.scale(2), h.scale(3), h.times_second()):
+            assert all(type(cs) is tuple for cs in v.terms.values()), v
+
     def test_render_order_matches_display(self):
         h = HVector(5, FINAL, {
-            (2,): BiGradedPoly([1]),
-            (): BiGradedPoly([1, 3, 4, 4, 3, 1]),
-            (PAD, PAD, 1): BiGradedPoly([2]),
-            (PAD, 1): BiGradedPoly([1, 1]),
-            (1,): BiGradedPoly([1, 1, 1]),
+            (2,): (1,),
+            (): (1, 3, 4, 4, 3, 1),
+            (PAD, PAD, 1): (2,),
+            (PAD, 1): (1, 1),
+            (1,): (1, 1, 1),
         })
         assert h.render() == "(134431) + (111){1} + (11)A{1} + (2)AA{1} + (1){2}"
 
     def test_json(self):
-        h = HVector(4, FINAL, {(PAD, 1): BiGradedPoly([1])})
+        h = HVector(4, FINAL, {(PAD, 1): (1,)})
         data = h.to_json()
         assert data == {"degree": 4, "flavor": "final",
                         "terms": [{"word": ["A", {"local": 1}], "poly": [1]}]}
 
     def test_coefficient(self):
-        h = HVector(5, FINAL, {(PAD, 1): BiGradedPoly([-2, 4])})
+        h = HVector(5, FINAL, {(PAD, 1): (-2, 4)})
         assert h.coefficient(1, 0, (PAD, 1)) == -2
         assert h.coefficient(0, 1, (PAD, 1)) == 4
         assert h.coefficient(0, 0, (2,)) == 0
 
+    def test_coefficient_refuses_negative_exponent(self):
+        h = extended_hvector(GeneratorWord("IC"))
+        assert h.render() == "(121)"
+        for xexp, yexp in ((3, -1), (-1, 3), (-1, 0)):
+            with pytest.raises(ValueError, match="negative exponent"):
+                h.coefficient(xexp, yexp, ())
+
     @given(st.integers(0, 3), st.integers(0, 3))
     def test_module_axioms(self, a, b):
-        h = HVector(3, AUX, {(): BiGradedPoly([1, 2, 2, 1]),
-                             (1,): BiGradedPoly([3])})
+        h = HVector(3, AUX, {(): (1, 2, 2, 1), (1,): (3,)})
         assert h.scale(a) + h.scale(b) == h.scale(a + b)

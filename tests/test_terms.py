@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hvcalc import engine
 from hvcalc.symbols import (
-    AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector,
+    AUX, FINAL, PAD, PAD_AUX, HVector,
 )
 from hvcalc.terms import (
     IndexTerm, broadly_similar, downset, enumerate_terms, fib, implies,
@@ -133,15 +133,14 @@ class TestDownset:
             for t in enumerate_terms(n, AUX):
                 poly = [0] * (t.xexp + t.yexp + 1)
                 poly[t.yexp] = 1
-                h = HVector(n, AUX, {t.word: BiGradedPoly(poly)})
+                h = HVector(n, AUX, {t.word: poly})
                 expanded = engine.to_extended(h)
                 want = {}
                 for u in downset(t):
                     frozen = tuple(PAD if s == PAD_AUX else s for s in u.word)
                     cs = want.setdefault(frozen, [0] * (u.xexp + u.yexp + 1))
                     cs[u.yexp] += 1
-                want_h = HVector(
-                    n, FINAL, {w: BiGradedPoly(cs) for w, cs in want.items()})
+                want_h = HVector(n, FINAL, want)
                 assert expanded == want_h, t
 
 
