@@ -323,7 +323,9 @@ def check_strata(max_downset_degree=9):
 # -- suite registry -------------------------------------------------------------
 
 # The largest dimension a bounded suite runs, whatever max_dim asks for.
-DIM_CAPS = {"palindromy": 8, "unimodality": 8, "gds-rank": 7, "oracle": 6}
+DIM_CAPS = {"palindromy": 16, "unimodality": 16, "gds-rank": 7, "oracle": 6}
+# The dimension a suite runs without max_dim, where that is below its cap.
+DIM_DEFAULTS = {"palindromy": 8, "unimodality": 8}
 GDS_B_CAP = 6       # gds-rank's words with B
 FIB_BASIS_DIM = 7   # fibonacci's basis count, whatever max_dim asks for
 # What the suites that take no dimension bound run instead.
@@ -340,20 +342,26 @@ def _cap(max_dim, cap):
     return min(max_dim or cap, cap)
 
 
+def _dim(suite, max_dim):
+    """The dimension bound suite ``suite`` runs for ``max_dim``."""
+    cap = DIM_CAPS[suite]
+    return min(max_dim or DIM_DEFAULTS.get(suite, cap), cap)
+
+
 SUITES = {
     "tables": lambda max_dim: check_tables() + check_aux_checkpoint(),
     "ic-equation": lambda max_dim: check_ic_equation_suite(),
     "palindromy": lambda max_dim: check_palindromy(
-        _cap(max_dim, DIM_CAPS["palindromy"])),
+        _dim("palindromy", max_dim)),
     "fibonacci": lambda max_dim: check_fibonacci_terms(max_dim or 12),
     "gds-rank": lambda max_dim: check_fibonacci_ranks(
-        _cap(max_dim, DIM_CAPS["gds-rank"]), _cap(max_dim, GDS_B_CAP)),
-    "oracle": lambda max_dim: check_oracles(_cap(max_dim, DIM_CAPS["oracle"])),
+        _dim("gds-rank", max_dim), _cap(max_dim, GDS_B_CAP)),
+    "oracle": lambda max_dim: check_oracles(_dim("oracle", max_dim)),
     "link-agreement": lambda max_dim: (check_triple_agreement()
                                        + check_bayer()
                                        + check_pseudo_octahedron()),
     "unimodality": lambda max_dim: check_unimodality(
-        _cap(max_dim, DIM_CAPS["unimodality"])),
+        _dim("unimodality", max_dim)),
     "strata": lambda max_dim: check_strata(),
 }
 ALL_SUITES = tuple(SUITES)
@@ -379,7 +387,7 @@ def max_dim_note(name: str, max_dim) -> str | None:
         if suite in FIXED_RUNS:
             parts.append(f"{suite} ignores it and runs {FIXED_RUNS[suite]}")
         elif suite == "gds-rank" and max_dim > GDS_B_CAP:
-            parts.append(f"gds-rank ran dim <= {_cap(max_dim, DIM_CAPS[suite])}"
+            parts.append(f"gds-rank ran dim <= {_dim(suite, max_dim)}"
                          f" ({{I,C}} words) and dim <= {GDS_B_CAP} (words with B)")
         elif suite in DIM_CAPS and max_dim > DIM_CAPS[suite]:
             parts.append(f"{suite} ran dim <= {DIM_CAPS[suite]}")

@@ -18,7 +18,13 @@ The operators are implemented once, as kernels on term maps (word -> exact
 coefficients), the format of ``HVector.terms``.  A kernel reads a vector's
 terms directly and keeps exactly the terms a checked HVector would keep.
 The fold and the change of variables run on these maps, and a checked
-HVector is built only for a value a public function returns.
+HVector is built only for a value a public function returns: one per
+call, so ``extended_hvector`` checks its final vector and never builds the
+auxiliary one.  The words a term is sent to depend only on its word and
+degree, so the kernels read them from per-word plans, cached once per
+process: the cone's record and correction words (``_cone_words``) and the
+change of variables' final words with their head lengths
+(``_expansion``).  The coefficients are summed afresh on every call.
 
 Also here: palindromy and operator-identity checks, the classical h of a
 simple polytope from its face vector, and the naive pseudo h-vector.
@@ -26,6 +32,7 @@ simple polytope from its face vector, and the naive pseudo h-vector.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from operator import add
 
@@ -45,6 +52,20 @@ def _cylinder_terms(terms: dict) -> dict:
             for w, cs in terms.items()}
 
 
+@lru_cache(maxsize=None)
+def _cone_words(word, m: int, pad) -> tuple:
+    """The words the cone rule writes for a degree-m term on ``word``.
+
+    The record words pad^(m-2k) {k} W for k = 1..m//2, and the full-pad
+    correction word pad^(m+1) W, or None for the empty word, where the
+    correction meets the terminator.  The pad is part of the key: the link
+    route's direct rule cones final vectors with the final pad.
+    """
+    records = tuple((pad,) * (m - 2 * k) + (k,) + word
+                    for k in range(1, m // 2 + 1))
+    return records, ((pad,) * (m + 1) + word if word else None)
+
+
 def _cone_terms(terms: dict, pad) -> dict:
     """The three-part cone rule on a term map, padding with ``pad``.
 
@@ -61,16 +82,15 @@ def _cone_terms(terms: dict, pad) -> dict:
         acc = get(word)
         grown = [*cs[:mid + 1], *cs[mid:]]
         out[word] = grown if acc is None else list(map(add, acc, grown))
-        for k in range(1, mid + 1):
-            # a record or correction word carries a constant: one entry
-            w2 = (pad,) * (m - 2 * k) + (k,) + word
+        records, correction = _cone_words(word, m, pad)
+        # a record or correction word carries a constant: one entry
+        for k, w2 in enumerate(records, 1):
             acc = get(w2)
             c = cs[k] - cs[k - 1]
             out[w2] = [c] if acc is None else [acc[0] + c]
-        if word:
-            w2 = (pad,) * (m + 1) + word
-            acc = get(w2)
-            out[w2] = [-cs[0]] if acc is None else [acc[0] - cs[0]]
+        if correction is not None:
+            acc = get(correction)
+            out[correction] = [-cs[0]] if acc is None else [acc[0] - cs[0]]
     return {w: cs for w, cs in out.items() if any(cs)}
 
 
@@ -93,11 +113,8 @@ def apply_cone(h: HVector) -> HVector:
     return _cone(h, PAD_AUX, AUX)
 
 
-def aux_hvector(w: GeneratorWord) -> HVector:
-    """Fold the two operators over a bipyramid-free word from the seed.
-
-    The fold runs on term maps; only its result is a checked HVector.
-    """
+def _aux_terms(w: GeneratorWord) -> dict:
+    """The two operators folded over a bipyramid-free word from the seed."""
     if not w.is_bipyramid_free():
         raise ValueError(
             f"word {w} contains the bipyramid operator; "
@@ -106,36 +123,58 @@ def aux_hvector(w: GeneratorWord) -> HVector:
     for op in w.rightmost_first():
         terms = (_cone_terms(terms, PAD_AUX) if op == "C"
                  else _cylinder_terms(terms))
-    return HVector(w.dim, AUX, terms)
+    return terms
 
 
-def to_extended(h: HVector) -> HVector:
-    """Change of variables from the auxiliary to the final flavor.
+def aux_hvector(w: GeneratorWord) -> HVector:
+    """Fold the two operators over a bipyramid-free word from the seed."""
+    return HVector(w.dim, AUX, _aux_terms(w))
+
+
+@lru_cache(maxsize=None)
+def _expansion(word, m: int) -> tuple:
+    """Where the change of variables sends a degree-m term on ``word``.
 
     Each monomial X^p Y^q expands as sum_j x^(p-j) y^q pad^j because a
     sliding pad kills x on its left; the pads, new and old, are then pushed
-    through the word by the elimination rules.
+    through the word by the elimination rules.  The j pads come from the
+    monomials with p >= j, that is q <= m - j, so their coefficients land
+    on y^q of each rewrite: the plan is the pairs (m - j + 1, final words
+    of pad^j W) over the j whose rewrite leaves a word.
     """
-    if h.flavor != AUX:
-        raise ValueError("change of variables starts from an auxiliary vector")
+    plan = []
+    for j in range(m + 1):
+        finals = rewrite_pads((PAD_AUX,) * j + word)
+        if finals:
+            plan.append((m - j + 1, finals))
+    return tuple(plan)
+
+
+def _extended_terms(terms: dict) -> dict:
+    """The change of variables on a term map: each term's head
+    coefficients summed into the final words of its plan."""
     acc: dict[tuple, list] = {}
     get = acc.get
-    for word, cs in h.terms.items():
-        m = len(cs) - 1
-        for j in range(m + 1):
-            # j pads come from the monomials X^p Y^q with p >= j, that is
-            # q <= m - j; their coefficients land on y^q of each rewrite
-            head = cs[:m - j + 1]
+    for word, cs in terms.items():
+        for length, finals in _expansion(word, len(cs) - 1):
+            head = cs[:length]
             if not any(head):
                 continue
-            for w2 in rewrite_pads((PAD_AUX,) * j + word):
+            for w2 in finals:
                 out = get(w2)
                 acc[w2] = head if out is None else list(map(add, out, head))
-    return HVector(h.degree, FINAL, acc)
+    return acc
+
+
+def to_extended(h: HVector) -> HVector:
+    """Change of variables from the auxiliary to the final flavor."""
+    if h.flavor != AUX:
+        raise ValueError("change of variables starts from an auxiliary vector")
+    return HVector(h.degree, FINAL, _extended_terms(h.terms))
 
 
 def extended_hvector(w: GeneratorWord) -> HVector:
-    return to_extended(aux_hvector(w))
+    return HVector(w.dim, FINAL, _extended_terms(_aux_terms(w)))
 
 
 def check_ic_equation(h: HVector) -> bool:

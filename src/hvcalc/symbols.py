@@ -158,9 +158,6 @@ class BiGradedPoly:
         mid = [cs[i] + cs[i + 1] for i in range(len(cs) - 1)]
         return BiGradedPoly((cs[0], *mid, cs[-1]))
 
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
-
     def render(self, aux=False) -> str:
         return render_coeffs(self.coeffs, aux)
 

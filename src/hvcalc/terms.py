@@ -32,8 +32,14 @@ class IndexTerm:
 
     def __init__(self, xexp: int, yexp: int, word: tuple = (),
                  flavor: str = FINAL):
+        if flavor not in (AUX, FINAL):
+            raise ValueError(f"bad flavor {flavor!r}")
+        for e in (xexp, yexp):
+            if type(e) is not int:  # bools and floats are not exponents
+                raise TypeError(f"exponent must be an int, got {e!r}")
         if xexp < 0 or yexp < 0:
             raise ValueError("negative exponent")
+        word = tuple(word)
         word_degree(word)  # refuses any symbol but a pad or an int >= 1
         if not word_ok_for_flavor(word, flavor):
             raise ValueError(f"word {word!r} clashes with {flavor}")

@@ -218,7 +218,10 @@ class TestCommands:
          "and dim <= 6 (words with B)"),
         (("tables", "--max-dim", "4"), "tables ignores it"),
     ])
-    def test_max_dim_note(self, capsys, argv, note):
+    def test_max_dim_note(self, capsys, monkeypatch, argv, note):
+        from hvcalc import checks
+        # a lowered palindromy cap keeps the dim-12 run at dim 8
+        monkeypatch.setitem(checks.DIM_CAPS, "palindromy", 8)
         rc, out, err = run(capsys, "verify", *argv)
         assert rc == 0 and out.splitlines()[-1].endswith("checks passed")
         assert err.count("\n") == 1
@@ -235,8 +238,9 @@ class TestCommands:
         rc, _, err = run(capsys, "verify", *argv)
         assert rc == 0 and err == ""
 
-    def test_note_leaves_stdout_alone(self, capsys):
+    def test_note_leaves_stdout_alone(self, capsys, monkeypatch):
         from hvcalc import checks
+        monkeypatch.setitem(checks.DIM_CAPS, "palindromy", 8)
         rc, out, err = run(capsys, "verify", "palindromy", "--max-dim", "12")
         want = [r.line() for r in checks.run_suite("palindromy", 8)]
         assert out.splitlines()[:-1] == want
@@ -245,13 +249,35 @@ class TestCommands:
 
     def test_note_names_every_suite_of_all(self):
         from hvcalc import checks
-        note = checks.max_dim_note("all", 12)
+        note = checks.max_dim_note("all", 17)
         for suite in ("tables", "ic-equation", "palindromy", "fibonacci",
                       "gds-rank", "oracle", "link-agreement", "unimodality",
                       "strata"):
             assert suite in note
         assert "\n" not in note
         assert checks.max_dim_note("all", None) is None
+
+    @pytest.mark.parametrize("suite,label", [
+        ("palindromy", "auxiliary vectors are palindromic"),
+        ("unimodality", "mpih parts are unimodal up to halfway"),
+    ])
+    def test_explicit_bound_runs_past_the_default(self, capsys, suite, label):
+        rc, out, err = run(capsys, "verify", suite, "--max-dim", "10")
+        assert rc == 0 and err == ""
+        assert out.splitlines() == [f"pass  {label}, dim <= 10",
+                                    "1/1 checks passed"]
+        rc, out, err = run(capsys, "verify", suite)
+        assert rc == 0 and err == "" and f"{label}, dim <= 8" in out
+
+    def test_engine_suites_cap_at_sixteen(self):
+        from hvcalc import checks
+        for suite in ("palindromy", "unimodality"):
+            assert checks._dim(suite, None) == 8
+            assert checks._dim(suite, 12) == 12
+            assert checks._dim(suite, 40) == 16
+            assert checks.max_dim_note(suite, 16) is None
+            assert (checks.max_dim_note(suite, 17)
+                    == f"--max-dim 17: {suite} ran dim <= 16")
 
     def test_oracle_labels_the_bounds_that_ran(self, capsys):
         rc, out, _ = run(capsys, "verify", "oracle", "--max-dim", "3")

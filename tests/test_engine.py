@@ -1,19 +1,22 @@
 """The symbolic engine: operators, golden values, derived checks."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hvcalc.checks import _random_aux_vector
 from hvcalc.engine import (
-    _cone_terms, _cylinder_terms, apply_cone, apply_cylinder, aux_hvector,
-    check_ic_equation, classical_h_simple, extended_hvector, pseudo_h,
-    to_extended,
+    _cone_terms, _cone_words, _cylinder_terms, _expansion, apply_cone,
+    apply_cylinder, aux_hvector, check_ic_equation, classical_h_simple,
+    extended_hvector, pseudo_h, to_extended,
 )
 from hvcalc.symbols import (
-    AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads, word_degree,
+    AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, rewrite_pads,
+    word_degree,
 )
+from hvcalc.terms import words_up_to_degree
 from hvcalc.words import GeneratorWord as W
 from hvcalc.words import words_up_to
 
@@ -159,8 +162,8 @@ def reference_to_extended(h):
     return HVector(n, FINAL, acc)
 
 
-def reference_cone(h):
-    """The cone rule summed polynomial by polynomial."""
+def reference_cone(h, pad=PAD_AUX):
+    """The cone rule summed polynomial by polynomial, padding with ``pad``."""
     out = {}
 
     def add(word, poly):
@@ -170,10 +173,10 @@ def reference_cone(h):
         m = len(cs) - 1
         add(word, BiGradedPoly(cs[:m // 2 + 1] + cs[m // 2:]))
         for k in range(1, m // 2 + 1):
-            add((PAD_AUX,) * (m - 2 * k) + (k,) + word,
+            add((pad,) * (m - 2 * k) + (k,) + word,
                 BiGradedPoly((cs[k] - cs[k - 1],)))
-        add((PAD_AUX,) * (m + 1) + word, BiGradedPoly((-cs[0],)))
-    return HVector(h.degree + 1, AUX, {w: p.coeffs for w, p in out.items()})
+        add((pad,) * (m + 1) + word, BiGradedPoly((-cs[0],)))
+    return HVector(h.degree + 1, h.flavor, {w: p.coeffs for w, p in out.items()})
 
 
 def reference_cylinder(h):
@@ -289,6 +292,65 @@ class TestAgainstReference:
             reference_to_extended(reference_cone(h)))
         types = {type(c) for cs in got.terms.values() for c in cs}
         assert types == {int, Fraction}
+
+
+class TestPlans:
+    """The per-word plans the kernels read, against their definitions."""
+
+    @pytest.mark.parametrize("first", [PAD_AUX, PAD],
+                             ids=["aux-pad-first", "final-pad-first"])
+    def test_cone_words_keep_the_pad_apart(self, first):
+        # pad-free terms are valid in both flavors, so each (word, m) is
+        # coned with the aux pad and with the final pad in turn
+        _cone_words.cache_clear()
+        second = PAD if first == PAD_AUX else PAD_AUX
+        for w in words_up_to(7, "IC"):
+            h = aux_hvector(w)
+            terms = {u: cs for u, cs in h.terms.items() if PAD_AUX not in u}
+            for pad in (first, second):
+                flavor = AUX if pad == PAD_AUX else FINAL
+                want = reference_cone(HVector(h.degree, flavor, terms), pad)
+                got = HVector(h.degree + 1, flavor, _cone_terms(terms, pad))
+                assert typed_terms(got) == typed_terms(want), (w, pad)
+
+    def test_cone_words(self):
+        assert _cone_words((), 4, PAD_AUX) == (
+            ((PAD_AUX, PAD_AUX, 1), (2,)), None)
+        assert _cone_words((1,), 3, PAD) == (((PAD, 1, 1),), (PAD,) * 4 + (1,))
+        assert _cone_words((1,), 1, PAD_AUX) == ((), (PAD_AUX, PAD_AUX, 1))
+
+    def test_expansion_against_the_pad_count_rule(self):
+        # y^t of a degree-m term on W reaches the rewrites of pad^j W for
+        # every j <= m - t, each pad taking one power of x
+        for word in words_up_to_degree(9, AUX):
+            for m in range(10 - word_degree(word)):
+                plan = _expansion(word, m)
+                for t in range(m + 1):
+                    want = Counter(w2 for j in range(m - t + 1)
+                                   for w2 in rewrite_pads((PAD_AUX,) * j + word))
+                    got = Counter(w2 for length, finals in plan
+                                  if t < length for w2 in finals)
+                    assert got == want, (word, m, t)
+
+    def test_one_checked_vector_per_call(self, monkeypatch):
+        built = []
+        init = HVector.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[1] if len(args) > 1 else kwargs["flavor"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HVector, "__init__", counting)
+        for w in words_up_to(6, "IC"):
+            del built[:]
+            extended_hvector(w)
+            assert built == [FINAL], w
+            del built[:]
+            h = aux_hvector(w)
+            assert built == [AUX], w
+            del built[:]
+            to_extended(h)
+            assert built == [FINAL], w
 
 
 class TestTermFormat:

@@ -39,10 +39,6 @@ class TestPoly:
         z = HVector.zero(3, FINAL).mpih()
         assert z.degree == 3 and not any(z.coeffs)
 
-    def test_palindromic(self):
-        assert BiGradedPoly([1, 2, 1]).is_palindromic()
-        assert not BiGradedPoly([1, 2]).is_palindromic()
-
     def test_fraction_collapse(self):
         p = BiGradedPoly([Fraction(4, 2), Fraction(1, 3)])
         assert p.coeffs[0] == 2 and isinstance(p.coeffs[0], int)

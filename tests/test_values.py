@@ -93,6 +93,25 @@ class TestIndexTerm:
         with pytest.raises(ValueError, match="negative exponent"):
             IndexTerm(*args)
 
+    def test_word_stored_as_tuple(self):
+        t = IndexTerm(0, 0, [1])
+        assert type(t.word) is tuple
+        assert t == IndexTerm(0, 0, (1,)) and hash(t) == hash(IndexTerm(0, 0, (1,)))
+        assert IndexTerm(1, 0, [PAD_AUX, 2], AUX).render() == "XĀ{2}"
+
+    @pytest.mark.parametrize("args", [
+        (1.5, 0, ()), (0, 2.0, (1,)), (True, 0, ()), (0, False, ()),
+        ("1", 0, ()), (None, 0, ()),
+    ])
+    def test_non_int_exponent_refused(self, args):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            IndexTerm(*args)
+
+    @pytest.mark.parametrize("flavor", ["bogus", "AUX", None])
+    def test_unknown_flavor_refused(self, flavor):
+        with pytest.raises(ValueError, match="bad flavor"):
+            IndexTerm(1, 0, (1,), flavor)
+
 
 class TestCheckResult:
     def test_equality_repr_and_default(self):
