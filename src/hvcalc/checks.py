@@ -1,6 +1,7 @@
 """Named verification suites shared by the CLI and the acceptance tests.
 
-Each check returns CheckResult records; a suite is a list of checks.  All
+Each check returns CheckResult records; a suite is a row of checks in the
+SUITES table, with the bounds it runs at for a given max_dim.  All
 expected values here are either golden table rows, hand-derived small
 cases, or cross-route comparisons (engine vs lattice vs link recursion).
 Randomized checks use a fixed seed so runs are byte-reproducible.
@@ -150,7 +151,7 @@ def check_fibonacci_ranks(max_ic=7, max_b=6):
     return out
 
 
-def check_fibonacci_terms(max_n=12):
+def check_fibonacci_terms(max_n=12, basis_dim=7):
     out = []
     ok_counts = ok_le = ok_gt = ok_eq = True
     for n in range(max_n + 1):
@@ -170,9 +171,8 @@ def check_fibonacci_terms(max_n=12):
     out.append(_res(f"words of degree <= n number F_n, n <= {max_n}", ok_words))
     ok_basis = all(
         len(flaglin.ic_basis(n)) == terms.fib(n + 1)
-        for n in range(FIB_BASIS_DIM + 1))
-    out.append(_res(f"basis words number F_(n+1), n <= {FIB_BASIS_DIM}",
-                    ok_basis))
+        for n in range(basis_dim + 1))
+    out.append(_res(f"basis words number F_(n+1), n <= {basis_dim}", ok_basis))
     return out
 
 
@@ -322,57 +322,54 @@ def check_strata(max_downset_degree=9):
 
 # -- suite registry -------------------------------------------------------------
 
-# The largest dimension a bounded suite runs, whatever max_dim asks for.
-DIM_CAPS = {"palindromy": 16, "unimodality": 16, "gds-rank": 7, "oracle": 6}
-# The dimension a suite runs without max_dim, where that is below its cap.
-DIM_DEFAULTS = {"palindromy": 8, "unimodality": 8}
-GDS_B_CAP = 6       # gds-rank's words with B
-FIB_BASIS_DIM = 7   # fibonacci's basis count, whatever max_dim asks for
-# What the suites that take no dimension bound run instead.
-FIXED_RUNS = {
-    "tables": "the golden table words, dim <= 5",
-    "ic-equation": ("random aux vectors of degree <= 6, engine words of "
-                    "dim <= 5 and flag-level words of dim <= 6"),
-    "link-agreement": "dim <= 4 plus the dim-5 basis",
-    "strata": "the five strata examples and downsets of degree <= 9",
-}
-
-
-def _cap(max_dim, cap):
-    return min(max_dim or cap, cap)
-
-
-def _dim(suite, max_dim):
-    """The dimension bound suite ``suite`` runs for ``max_dim``."""
-    cap = DIM_CAPS[suite]
-    return min(max_dim or DIM_DEFAULTS.get(suite, cap), cap)
-
-
+# Each suite's checks and either the text of its fixed run or its bounds.  A
+# bound (label, default, cap) runs at min(max_dim or default, cap), or at its
+# cap whatever max_dim asks if its default is None.  Each check is called with
+# the values of the bounds in order; the note names a bound by its label,
+# formatted with its value.
 SUITES = {
-    "tables": lambda max_dim: check_tables() + check_aux_checkpoint(),
-    "ic-equation": lambda max_dim: check_ic_equation_suite(),
-    "palindromy": lambda max_dim: check_palindromy(
-        _dim("palindromy", max_dim)),
-    "fibonacci": lambda max_dim: check_fibonacci_terms(max_dim or 12),
-    "gds-rank": lambda max_dim: check_fibonacci_ranks(
-        _dim("gds-rank", max_dim), _cap(max_dim, GDS_B_CAP)),
-    "oracle": lambda max_dim: check_oracles(_dim("oracle", max_dim)),
-    "link-agreement": lambda max_dim: (check_triple_agreement()
-                                       + check_bayer()
-                                       + check_pseudo_octahedron()),
-    "unimodality": lambda max_dim: check_unimodality(
-        _dim("unimodality", max_dim)),
-    "strata": lambda max_dim: check_strata(),
+    "tables": ((check_tables, check_aux_checkpoint),
+               "the golden table words, dim <= 5"),
+    "ic-equation": ((check_ic_equation_suite,),
+                    "random aux vectors of degree <= 6, engine words of "
+                    "dim <= 5 and flag-level words of dim <= 6"),
+    "palindromy": ((check_palindromy,), (("dim <= {}", 8, 16),)),
+    "fibonacci": ((check_fibonacci_terms,),
+                  (("n <= {} (terms and words)", 12, 16),
+                   ("dim <= {} (basis words)", None, 7))),
+    "gds-rank": ((check_fibonacci_ranks,),
+                 (("dim <= {} ({{I,C}} words)", 7, 7),
+                  ("dim <= {} (words with B)", 6, 6))),
+    "oracle": ((check_oracles,), (("dim <= {}", 6, 6),)),
+    "link-agreement": ((check_triple_agreement, check_bayer,
+                        check_pseudo_octahedron),
+                       "dim <= 4 plus the dim-5 basis"),
+    "unimodality": ((check_unimodality,), (("dim <= {}", 8, 16),)),
+    "strata": ((check_strata,),
+               "the five strata examples and downsets of degree <= 9"),
 }
-ALL_SUITES = tuple(SUITES)
-SUITES["all"] = lambda max_dim: [r for name in ALL_SUITES
-                                 for r in SUITES[name](max_dim)]
+
+
+def _plan(name: str, max_dim):
+    """(suite, row, bound values) for each suite that ``name`` selects;
+    ``name`` "all" selects every suite in the table."""
+    if max_dim is not None and (type(max_dim) is not int or max_dim < 1):
+        raise ValueError(f"max_dim must be an int >= 1, got {max_dim!r}")
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    plan = []
+    for suite in (SUITES if name == "all" else (name,)):
+        row = SUITES[suite]
+        bounds = () if isinstance(row[1], str) else row[1]
+        plan.append((suite, row, [
+            cap if default is None else min(max_dim or default, cap)
+            for _, default, cap in bounds]))
+    return plan
 
 
 def run_suite(name: str, max_dim=None):
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](max_dim)
+    return [r for _, (checks, _), values in _plan(name, max_dim)
+            for check in checks for r in check(*values)]
 
 
 def max_dim_note(name: str, max_dim) -> str | None:
@@ -383,16 +380,12 @@ def max_dim_note(name: str, max_dim) -> str | None:
     if max_dim is None:
         return None
     parts = []
-    for suite in (ALL_SUITES if name == "all" else (name,)):
-        if suite in FIXED_RUNS:
-            parts.append(f"{suite} ignores it and runs {FIXED_RUNS[suite]}")
-        elif suite == "gds-rank" and max_dim > GDS_B_CAP:
-            parts.append(f"gds-rank ran dim <= {_dim(suite, max_dim)}"
-                         f" ({{I,C}} words) and dim <= {GDS_B_CAP} (words with B)")
-        elif suite in DIM_CAPS and max_dim > DIM_CAPS[suite]:
-            parts.append(f"{suite} ran dim <= {DIM_CAPS[suite]}")
-        elif suite == "fibonacci" and max_dim != FIB_BASIS_DIM:
-            parts.append(f"fibonacci counted basis words up to dim {FIB_BASIS_DIM}")
+    for suite, (_, how), values in _plan(name, max_dim):
+        if isinstance(how, str):
+            parts.append(f"{suite} ignores it and runs {how}")
+        elif any(v != max_dim for v in values):
+            parts.append(f"{suite} ran " + " and ".join(
+                label.format(v) for (label, _, _), v in zip(how, values)))
     if not parts:
         return None
     return f"--max-dim {max_dim}: " + "; ".join(parts)

@@ -150,8 +150,6 @@ def cmd_lattice(args):
 
 
 def cmd_basis(args):
-    if args.n < 0:
-        raise CliError(f"dimension must be non-negative, got {args.n}")
     ws = flaglin.ic_basis(args.n)
     if args.format == "json":
         _emit(json.dumps([w.render() for w in ws]), args.out)
@@ -236,8 +234,6 @@ def cmd_order(args):
 
 
 def cmd_verify(args):
-    if args.max_dim is not None and args.max_dim < 1:
-        raise CliError(f"--max-dim must be at least 1, got {args.max_dim}")
     results = checks.run_suite(args.suite, args.max_dim)
     note = checks.max_dim_note(args.suite, args.max_dim)
     if note:
@@ -330,7 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_order)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(checks.SUITES))
+    p.add_argument("suite", choices=sorted([*checks.SUITES, "all"]))
     p.add_argument("--max-dim", type=int, default=None)
     common(p)
     p.set_defaults(fn=cmd_verify)

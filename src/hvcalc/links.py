@@ -93,12 +93,13 @@ _CALCULATORS = {rule: LinkCalculator(rule) for rule in RULES}
 
 def h_by_links(L: FaceLattice, rule: str = CONJUGATION) -> HVector:
     """Extended h-vector by the face-sum recursion alone."""
-    calc = _CALCULATORS[rule]
+    # an unknown rule falls through to the constructor, which refuses it
+    calc = _CALCULATORS.get(rule) or LinkCalculator(rule)
     return calc.final(calc.h(L))
 
 
 def g_eval(i: int, B: FaceLattice, rule: str = CONJUGATION) -> HVector:
     """Level functional on a concrete lattice."""
-    calc = _CALCULATORS[rule]
+    calc = _CALCULATORS.get(rule) or LinkCalculator(rule)
     return calc.final(calc.g(i, B))
 

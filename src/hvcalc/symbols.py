@@ -304,6 +304,9 @@ class HVector:
 
     def coefficient(self, xexp: int, yexp: int, word):
         """Coefficient of (first)^xexp (second)^yexp word, or 0."""
+        for e in (xexp, yexp):
+            if type(e) is not int:  # bools and floats are not exponents
+                raise TypeError(f"exponent must be an int, got {e!r}")
         if xexp < 0 or yexp < 0:
             raise ValueError("negative exponent")
         cs = self.terms.get(tuple(word))

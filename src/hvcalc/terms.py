@@ -178,20 +178,22 @@ def words_of_degree(d: int, flavor: str = FINAL) -> tuple:
 
 
 def words_up_to_degree(n: int, flavor: str = FINAL) -> list:
+    """Every word of degree <= n, in display order (degree leads its key)."""
     out = []
     for d in range(n + 1):
         out.extend(words_of_degree(d, flavor))
-    return sorted(out, key=word_sort_key)
+    return out
 
 
 def enumerate_terms(n: int, flavor: str = FINAL) -> list:
-    """Every index term of degree n, in display order."""
+    """Every index term of degree n, in display order: by word, then by
+    the second exponent."""
     out = []
     for w in words_up_to_degree(n, flavor):
         rest = n - word_degree(w)
         for j in range(rest + 1):
             out.append(IndexTerm(rest - j, j, w, flavor))
-    return sorted(out, key=_term_sort_key)
+    return out
 
 
 def fib(k: int) -> int:

@@ -13,6 +13,24 @@ from hvcalc.symbols import PAD, PAD_AUX
 from hvcalc.words import GeneratorWord, WordParseError
 
 
+def lower_palindromy_cap(monkeypatch):
+    """Cap the palindromy row of the suite table at its default of 8."""
+    from hvcalc import checks
+    check_fns, _ = checks.SUITES["palindromy"]
+    monkeypatch.setitem(checks.SUITES, "palindromy",
+                        (check_fns, (("dim <= {}", 8, 8),)))
+
+
+def record_runs(monkeypatch, suite):
+    """Swap the checks of ``suite`` for one that records the bound values
+    it is called with and checks nothing; returns the record."""
+    from hvcalc import checks
+    ran = []
+    monkeypatch.setitem(checks.SUITES, suite, (
+        (lambda *values: ran.append(values) or [],), checks.SUITES[suite][1]))
+    return ran
+
+
 class TestParseWord:
     def test_examples(self):
         assert GeneratorWord.parse("CICIC.").ops == "CICIC"
@@ -219,9 +237,8 @@ class TestCommands:
         (("tables", "--max-dim", "4"), "tables ignores it"),
     ])
     def test_max_dim_note(self, capsys, monkeypatch, argv, note):
-        from hvcalc import checks
         # a lowered palindromy cap keeps the dim-12 run at dim 8
-        monkeypatch.setitem(checks.DIM_CAPS, "palindromy", 8)
+        lower_palindromy_cap(monkeypatch)
         rc, out, err = run(capsys, "verify", *argv)
         assert rc == 0 and out.splitlines()[-1].endswith("checks passed")
         assert err.count("\n") == 1
@@ -240,7 +257,7 @@ class TestCommands:
 
     def test_note_leaves_stdout_alone(self, capsys, monkeypatch):
         from hvcalc import checks
-        monkeypatch.setitem(checks.DIM_CAPS, "palindromy", 8)
+        lower_palindromy_cap(monkeypatch)
         rc, out, err = run(capsys, "verify", "palindromy", "--max-dim", "12")
         want = [r.line() for r in checks.run_suite("palindromy", 8)]
         assert out.splitlines()[:-1] == want
@@ -269,12 +286,13 @@ class TestCommands:
         rc, out, err = run(capsys, "verify", suite)
         assert rc == 0 and err == "" and f"{label}, dim <= 8" in out
 
-    def test_engine_suites_cap_at_sixteen(self):
+    def test_engine_suites_cap_at_sixteen(self, monkeypatch):
         from hvcalc import checks
         for suite in ("palindromy", "unimodality"):
-            assert checks._dim(suite, None) == 8
-            assert checks._dim(suite, 12) == 12
-            assert checks._dim(suite, 40) == 16
+            ran = record_runs(monkeypatch, suite)
+            for max_dim in (None, 12, 40):
+                checks.run_suite(suite, max_dim)
+            assert ran == [(8,), (12,), (16,)]
             assert checks.max_dim_note(suite, 16) is None
             assert (checks.max_dim_note(suite, 17)
                     == f"--max-dim 17: {suite} ran dim <= 16")
@@ -448,11 +466,63 @@ class TestCommands:
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         from hvcalc import checks as checks_mod
-        fake = dict(checks_mod.SUITES)
-        fake["doomed"] = lambda max_dim: [
-            checks_mod.CheckResult("always wrong", False, "by design")]
-        monkeypatch.setattr(checks_mod, "SUITES", fake)
+        monkeypatch.setitem(checks_mod.SUITES, "doomed", ((lambda: [
+            checks_mod.CheckResult("always wrong", False, "by design")],),
+            "one check that fails"))
         rc = main(["verify", "doomed"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "FAIL" in captured.out and "first failure" in captured.err
+
+
+class TestSuiteTable:
+    @pytest.mark.parametrize("max_dim", [0, -3, True, 1.5])
+    def test_bad_max_dim_refused(self, max_dim):
+        from hvcalc import checks
+        with pytest.raises(ValueError, match="max_dim must be an int >= 1"):
+            checks.run_suite("palindromy", max_dim)
+        with pytest.raises(ValueError, match="max_dim must be an int >= 1"):
+            checks.max_dim_note("palindromy", max_dim)
+
+    def test_fibonacci_is_capped(self, monkeypatch):
+        from hvcalc import checks
+        ran = record_runs(monkeypatch, "fibonacci")
+        assert checks.run_suite("fibonacci", 40) == []
+        assert checks.run_suite("fibonacci") == []
+        assert ran == [(16, 7), (12, 7)]
+        assert checks.max_dim_note("fibonacci", 40) == (
+            "--max-dim 40: fibonacci ran n <= 16 (terms and words) "
+            "and dim <= 7 (basis words)")
+        assert checks.max_dim_note("fibonacci", 7) is None
+
+    def test_fibonacci_cli_past_the_cap(self, capsys, monkeypatch):
+        ran = record_runs(monkeypatch, "fibonacci")
+        rc, out, err = run(capsys, "verify", "fibonacci", "--max-dim", "40")
+        assert rc == 0 and out == "0/0 checks passed\n" and ran == [(16, 7)]
+        assert err.count("\n") == 1 and "fibonacci ran n <= 16" in err
+
+    def test_a_new_row_needs_no_other_edit(self, capsys, monkeypatch):
+        from hvcalc import checks
+        ran = []
+        ok = checks.CheckResult("ok", True)
+        monkeypatch.setitem(checks.SUITES, "fake", (
+            (lambda d, e: ran.append((d, e)) or [ok],),
+            (("dim <= {}", 3, 5), ("degree <= {}", None, 4))))
+        for max_dim in (None, 1, 4, 5, 9):
+            assert checks.run_suite("fake", max_dim) == [ok]
+        assert ran == [(3, 4), (1, 4), (4, 4), (5, 4), (5, 4)]
+        assert checks.max_dim_note("fake", 4) is None
+        assert checks.max_dim_note("fake", 1) == (
+            "--max-dim 1: fake ran dim <= 1 and degree <= 4")
+        assert checks.max_dim_note("fake", 9) == (
+            "--max-dim 9: fake ran dim <= 5 and degree <= 4")
+        assert checks.max_dim_note("all", 9).endswith(
+            "; fake ran dim <= 5 and degree <= 4")
+        rc, out, err = run(capsys, "verify", "fake", "--max-dim", "9")
+        assert rc == 0 and out == "pass  ok\n1/1 checks passed\n"
+        assert err == "note: --max-dim 9: fake ran dim <= 5 and degree <= 4\n"
+
+    def test_unknown_suite(self):
+        from hvcalc import checks
+        with pytest.raises(KeyError):
+            checks.run_suite("bogus")

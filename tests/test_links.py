@@ -276,6 +276,13 @@ class TestAgainstReference:
         with pytest.raises(ValueError):
             LinkCalculator("solomonoff")
 
+    def test_unknown_rule_in_the_module_functions(self):
+        lat = build(W("IC"))
+        for call in (lambda: h_by_links(lat, "bogus"),
+                     lambda: g_eval(0, lat, "bogus")):
+            with pytest.raises(ValueError, match="^unknown cone rule 'bogus'$"):
+                call()
+
 
 class TestBayer:
     def test_coefficient_both_routes(self):

@@ -306,6 +306,15 @@ class TestHVector:
             with pytest.raises(ValueError, match="negative exponent"):
                 h.coefficient(xexp, yexp, ())
 
+    @pytest.mark.parametrize("xexp,yexp", [
+        (True, 1), (1.0, 1), (1, True), (1, 1.0), ("1", 1), (None, 1)],
+        ids=["bool-x", "float-x", "bool-y", "float-y", "str-x", "none-x"])
+    def test_coefficient_refuses_non_int_exponent(self, xexp, yexp):
+        h = extended_hvector(GeneratorWord("IC"))
+        assert h.render() == "(121)" and h.coefficient(1, 1, ()) == 2
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            h.coefficient(xexp, yexp, ())
+
     @given(st.integers(0, 3), st.integers(0, 3))
     def test_module_axioms(self, a, b):
         h = HVector(3, AUX, {(): (1, 2, 2, 1), (1,): (3,)})

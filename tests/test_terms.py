@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hvcalc import engine
 from hvcalc.symbols import (
-    AUX, FINAL, PAD, PAD_AUX, HVector,
+    AUX, FINAL, PAD, PAD_AUX, HVector, word_sort_key,
 )
 from hvcalc.terms import (
     IndexTerm, broadly_similar, downset, enumerate_terms, fib, implies,
@@ -169,6 +169,17 @@ class TestEnumeration:
     def test_aux_and_final_counts_match(self):
         for n in range(10):
             assert len(enumerate_terms(n, AUX)) == len(enumerate_terms(n, FINAL))
+
+    @pytest.mark.parametrize("flavor", [AUX, FINAL])
+    def test_built_in_display_order(self, flavor):
+        # words by word_sort_key, terms by word and then second exponent,
+        # with no two keys equal, so the order is fixed without a sort
+        for n in range(15):
+            keys = [word_sort_key(w) for w in words_up_to_degree(n, flavor)]
+            assert keys == sorted(set(keys)), n
+            keys = [(word_sort_key(t.word), t.yexp)
+                    for t in enumerate_terms(n, flavor)]
+            assert keys == sorted(set(keys)), n
 
     def test_renders_are_distinct(self):
         ts = enumerate_terms(7)
