@@ -245,7 +245,7 @@ def _n_edges_at_every_vertex(w):
     return set(lat.vertex_edge_degrees().values()) == {lat.n}
 
 
-def check_oracles(max_dim=6, closure_dim=6, cone_base_dim=5):
+def check_oracles(max_dim=6, cone_base_dim=5, closure_dim=6):
     ws = list(words_up_to(max_dim, "ICB"))
     simple = [w for w in ws if w.dim > 0 and _is_simple_word(w.ops)]
     return [
@@ -340,7 +340,8 @@ SUITES = {
     "gds-rank": ((check_fibonacci_ranks,),
                  (("dim <= {} ({{I,C}} words)", 7, 7),
                   ("dim <= {} (words with B)", 6, 6))),
-    "oracle": ((check_oracles,), (("dim <= {}", 6, 6),)),
+    "oracle": ((check_oracles,), (("dim <= {}", 6, 6),
+                                  ("base dim <= {} (cone transform)", 5, 5))),
     "link-agreement": ((check_triple_agreement, check_bayer,
                         check_pseudo_octahedron),
                        "dim <= 4 plus the dim-5 basis"),

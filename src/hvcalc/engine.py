@@ -120,7 +120,7 @@ def _aux_terms(w: GeneratorWord) -> dict:
             f"word {w} contains the bipyramid operator; "
             "use the linear extension over flag vectors instead")
     terms = {(): [1]}
-    for op in w.rightmost_first():
+    for op in reversed(w.ops):
         terms = (_cone_terms(terms, PAD_AUX) if op == "C"
                  else _cylinder_terms(terms))
     return terms
@@ -208,7 +208,7 @@ def pseudo_h(w: GeneratorWord) -> BiGradedPoly:
     if not w.is_bipyramid_free():
         raise ValueError("pseudo h is defined by the I/C rules only")
     p = BiGradedPoly.one()
-    for op in w.rightmost_first():
+    for op in reversed(w.ops):
         if op == "I":
             p = p.mul_linear()
         else:

@@ -34,6 +34,7 @@ from itertools import accumulate
 from math import prod
 from operator import add, and_
 
+from ._frozen import Frozen
 from .words import GeneratorWord
 
 
@@ -448,7 +449,7 @@ def _skipped_dimension(faces, start, up) -> str:
                         f"of dimension {d + 1} between them")
 
 
-class FlagVector:
+class FlagVector(Frozen):
     """Exact chain counts of the dimension subsets of {0..n-1}, as one
     tuple in binary-counter order: entry S counts the chains whose
     dimension set is the set of bits of S.  A lattice of dimension n <= 0
@@ -463,8 +464,8 @@ class FlagVector:
         if len(counts) != 1 << max(n, 0):
             raise ValueError(f"a flag vector of dimension {n} has "
                              f"{1 << max(n, 0)} entries, got {len(counts)}")
-        self.n = n
-        self.counts = counts
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
 
     def __getitem__(self, S) -> int:
         key = 0
@@ -483,13 +484,6 @@ class FlagVector:
 
     def face_counts(self) -> list:
         return [self.counts[1 << i] for i in range(self.n)]
-
-    def __eq__(self, other):
-        return (isinstance(other, FlagVector) and self.n == other.n
-                and self.counts == other.counts)
-
-    def __hash__(self):
-        return hash((self.n, self.counts))
 
     def __add__(self, other):
         if self.n != other.n:

@@ -29,6 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
+from types import MappingProxyType
+
+from ._frozen import Frozen
 
 PAD = "A"        # final-flavor padding symbol
 PAD_AUX = "Ā"  # aux-flavor padding symbol, rendered as a barred A
@@ -60,6 +63,19 @@ def _coeff_tuple(coeffs) -> tuple:
     if not cs:
         raise ValueError("a polynomial needs at least one coefficient")
     return cs
+
+
+def _check_flavor(flavor):
+    if flavor not in (AUX, FINAL):
+        raise ValueError(f"bad flavor {flavor!r}")
+
+
+def _check_exponents(xexp, yexp):
+    for e in (xexp, yexp):
+        if type(e) is not int:  # bools and floats are not exponents
+            raise TypeError(f"exponent must be an int, got {e!r}")
+    if xexp < 0 or yexp < 0:
+        raise ValueError("negative exponent")
 
 
 def sym_degree(s) -> int:
@@ -114,7 +130,7 @@ def word_to_json(word):
             for s in word]
 
 
-class BiGradedPoly:
+class BiGradedPoly(Frozen):
     """Homogeneous polynomial in two commuting variables, as a coefficient list.
 
     ``coeffs[t]`` is the coefficient of (first variable)^(m-t) (second
@@ -127,9 +143,6 @@ class BiGradedPoly:
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _coeff_tuple(coeffs))
 
-    def __setattr__(self, *a):
-        raise AttributeError("BiGradedPoly is immutable")
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -137,12 +150,6 @@ class BiGradedPoly:
     @classmethod
     def one(cls) -> "BiGradedPoly":
         return cls((1,))
-
-    def __eq__(self, other):
-        return isinstance(other, BiGradedPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         if self.degree != other.degree:
@@ -215,7 +222,7 @@ def rewrite_pads(word) -> tuple:
     return frozen + rewrite_pads(word[:i] + (nxt, PAD_AUX) + word[i + 2:])
 
 
-class HVector:
+class HVector(Frozen):
     """Formal sum of terms word -> coefficient tuple, of fixed degree.
 
     A term's value is the tuple of its polynomial's coefficients, as in
@@ -228,14 +235,13 @@ class HVector:
     term, no term maps to the zero polynomial, no word ends in a pad, and
     every word matches the vector's flavor.  Terms violating the trailing
     pad rule are annihilated on construction (the terminator at work);
-    zero polynomials are dropped.
+    zero polynomials are dropped.  ``terms`` is a read-only mapping.
     """
 
     __slots__ = ("degree", "flavor", "terms")
 
     def __init__(self, degree: int, flavor: str, terms=None):
-        if flavor not in (AUX, FINAL):
-            raise ValueError(f"bad flavor {flavor!r}")
+        _check_flavor(flavor)
         bad_pad = PAD_AUX if flavor == FINAL else PAD
         clean = {}
         for word, cs in (terms or {}).items():
@@ -253,10 +259,7 @@ class HVector:
             clean[word] = cs
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HVector is immutable")
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def zero(cls, degree: int, flavor: str) -> "HVector":
@@ -266,10 +269,6 @@ class HVector:
     def unit(cls, flavor: str) -> "HVector":
         """The degree-zero vector with constant polynomial 1 on the empty word."""
         return cls(0, flavor, {(): (1,)})
-
-    def __eq__(self, other):
-        return (isinstance(other, HVector) and self.degree == other.degree
-                and self.flavor == other.flavor and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.degree, self.flavor, frozenset(self.terms.items())))
@@ -304,11 +303,7 @@ class HVector:
 
     def coefficient(self, xexp: int, yexp: int, word):
         """Coefficient of (first)^xexp (second)^yexp word, or 0."""
-        for e in (xexp, yexp):
-            if type(e) is not int:  # bools and floats are not exponents
-                raise TypeError(f"exponent must be an int, got {e!r}")
-        if xexp < 0 or yexp < 0:
-            raise ValueError("negative exponent")
+        _check_exponents(xexp, yexp)
         cs = self.terms.get(tuple(word))
         if cs is None or xexp + yexp != len(cs) - 1:
             return 0

@@ -19,26 +19,22 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .symbols import (
-    AUX, FINAL, PAD, PAD_AUX, render_word, sym_degree, word_degree,
-    word_locals, word_ok_for_flavor, word_sort_key,
+    AUX, FINAL, PAD, PAD_AUX, _check_exponents, _check_flavor, render_word,
+    sym_degree, word_degree, word_locals, word_ok_for_flavor, word_sort_key,
 )
 
 
-class IndexTerm:
+class IndexTerm(Frozen):
     """x^xexp y^yexp times a word, in one flavor; immutable and hashable."""
 
     __slots__ = ("xexp", "yexp", "word", "flavor")
 
     def __init__(self, xexp: int, yexp: int, word: tuple = (),
                  flavor: str = FINAL):
-        if flavor not in (AUX, FINAL):
-            raise ValueError(f"bad flavor {flavor!r}")
-        for e in (xexp, yexp):
-            if type(e) is not int:  # bools and floats are not exponents
-                raise TypeError(f"exponent must be an int, got {e!r}")
-        if xexp < 0 or yexp < 0:
-            raise ValueError("negative exponent")
+        _check_flavor(flavor)
+        _check_exponents(xexp, yexp)
         word = tuple(word)
         word_degree(word)  # refuses any symbol but a pad or an int >= 1
         if not word_ok_for_flavor(word, flavor):
@@ -50,27 +46,6 @@ class IndexTerm:
         init(self, "yexp", yexp)
         init(self, "word", word)
         init(self, "flavor", flavor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self):
-        return (self.xexp, self.yexp, self.word, self.flavor)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"IndexTerm(xexp={self.xexp!r}, yexp={self.yexp!r}, "
-                f"word={self.word!r}, flavor={self.flavor!r})")
 
     @property
     def degree(self) -> int:

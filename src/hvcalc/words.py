@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import total_ordering
 from itertools import product
 
+from ._frozen import Frozen
+
 OPS = "ICB"
 
 
@@ -21,7 +23,7 @@ class WordParseError(ValueError):
 
 
 @total_ordering
-class GeneratorWord:
+class GeneratorWord(Frozen):
     """Sequence of constructor letters, applied right to left to the point.
 
     Immutable, hashable and ordered by its letters.
@@ -35,27 +37,10 @@ class GeneratorWord:
                 raise ValueError(f"bad constructor letter {ch!r}")
         object.__setattr__(self, "ops", ops)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"GeneratorWord(ops={self.ops!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ops == other.ops
-
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.ops < other.ops
-
-    def __hash__(self):
-        return hash((self.ops,))
 
     @property
     def dim(self) -> int:
@@ -63,10 +48,6 @@ class GeneratorWord:
 
     def is_bipyramid_free(self) -> bool:
         return "B" not in self.ops
-
-    def rightmost_first(self):
-        """Constructor letters in application order."""
-        return reversed(self.ops)
 
     def render(self) -> str:
         return self.ops + "."

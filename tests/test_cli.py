@@ -495,6 +495,18 @@ class TestSuiteTable:
             "and dim <= 7 (basis words)")
         assert checks.max_dim_note("fibonacci", 7) is None
 
+    def test_oracle_cone_bound_is_in_the_table(self, monkeypatch):
+        from hvcalc import checks
+        ran = record_runs(monkeypatch, "oracle")
+        for max_dim in (None, 3, 5, 6, 9):
+            checks.run_suite("oracle", max_dim)
+        assert ran == [(6, 5), (3, 3), (5, 5), (6, 5), (6, 5)]
+        for max_dim in range(1, 6):
+            assert checks.max_dim_note("oracle", max_dim) is None
+        assert checks.max_dim_note("oracle", 6) == (
+            "--max-dim 6: oracle ran dim <= 6 and base dim <= 5 "
+            "(cone transform)")
+
     def test_fibonacci_cli_past_the_cap(self, capsys, monkeypatch):
         ran = record_runs(monkeypatch, "fibonacci")
         rc, out, err = run(capsys, "verify", "fibonacci", "--max-dim", "40")

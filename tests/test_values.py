@@ -8,8 +8,12 @@ from pathlib import Path
 import pytest
 
 import hvcalc
+from hvcalc._frozen import Frozen
 from hvcalc.checks import CheckResult
-from hvcalc.symbols import AUX, FINAL, PAD, PAD_AUX
+from hvcalc.flaglin import word_flag_vector
+from hvcalc.lattice import FlagVector, build
+from hvcalc.links import h_by_links
+from hvcalc.symbols import AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector
 from hvcalc.terms import IndexTerm
 from hvcalc.words import GeneratorWord
 
@@ -111,6 +115,109 @@ class TestIndexTerm:
     def test_unknown_flavor_refused(self, flavor):
         with pytest.raises(ValueError, match="bad flavor"):
             IndexTerm(1, 0, (1,), flavor)
+
+
+@pytest.mark.parametrize("cls", [GeneratorWord, IndexTerm, FlagVector,
+                                 HVector, BiGradedPoly])
+def test_one_frozen_base(cls):
+    assert issubclass(cls, Frozen)
+    assert "__setattr__" not in vars(cls) and "__delattr__" not in vars(cls)
+
+
+def _refuses_edits(value, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+class TestFlagVector:
+    def test_equality_and_hash(self):
+        a, b = FlagVector(2, (1, 4, 4, 8)), FlagVector(2, (1, 4, 4, 8))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(a) == hash((2, (1, 4, 4, 8)))
+        assert a != FlagVector(2, (1, 3, 3, 6)) and a != FlagVector(1, (1, 2))
+        assert a.__eq__((2, (1, 4, 4, 8))) is NotImplemented
+        assert len({a, b, FlagVector(1, (1, 2))}) == 2
+
+    def test_immutable(self):
+        fv = FlagVector(2, (1, 4, 4, 8))
+        _refuses_edits(fv, ("n", "counts"))
+        assert (fv.n, fv.counts) == (2, (1, 4, 4, 8))
+
+
+class TestBiGradedPoly:
+    def test_equality_and_hash(self):
+        a, b = BiGradedPoly((1, 2, 1)), BiGradedPoly([1, 2, 1])
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(a) == hash(((1, 2, 1),))
+        assert a != BiGradedPoly((1, 1)) and a != BiGradedPoly((1, 2, 2))
+        assert a.__eq__((1, 2, 1)) is NotImplemented
+        assert repr(a) == "BiGradedPoly([1, 2, 1])"
+
+    def test_immutable(self):
+        p = BiGradedPoly((1, 2, 1))
+        _refuses_edits(p, ("coeffs",))
+        assert p.coeffs == (1, 2, 1)
+
+
+class TestHVector:
+    def vector(self):
+        return HVector(3, FINAL, {(): (1, 2, 2, 1), (1,): [1]})
+
+    def test_equality_and_hash(self):
+        a, b = self.vector(), self.vector()
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(a) == hash(
+            (3, FINAL, frozenset({((), (1, 2, 2, 1)), ((1,), (1,))})))
+        assert a != HVector(3, FINAL, {(): (1, 2, 2, 1)})
+        assert HVector.unit(AUX) != HVector.unit(FINAL)
+        assert a.__eq__(a.terms) is NotImplemented
+        assert len({a, b, HVector.unit(FINAL)}) == 2
+
+    def test_immutable(self):
+        h = self.vector()
+        _refuses_edits(h, ("degree", "flavor", "terms"))
+        with pytest.raises(TypeError):
+            h.terms[()] = (0, 0, 0, 1)
+        with pytest.raises(TypeError):
+            del h.terms[(1,)]
+        with pytest.raises(AttributeError):
+            h.terms.clear()
+        assert h == self.vector() and h.render() == "(1221) + (1){1}"
+
+
+class TestCachedValuesStayPut:
+    """Values the caches hand out are shared: an edit must be refused, not
+    carried into the next caller's answer."""
+
+    def test_word_flag_vector(self):
+        first = word_flag_vector(GeneratorWord("IC"))
+        with pytest.raises(AttributeError):
+            first.counts = (1, 0, 0, 0)
+        assert word_flag_vector(GeneratorWord("IC")) == first
+        got = word_flag_vector(GeneratorWord("CIC"))
+        assert got.counts == (1, 5, 8, 16, 5, 16, 16, 32)
+        assert got == build(GeneratorWord("CIC")).flag_vector()
+
+    def test_h_by_links(self):
+        first = h_by_links(build(GeneratorWord("CIC")), "direct")
+        text = first.render()
+        with pytest.raises(AttributeError):
+            first.terms.clear()
+        again = h_by_links(build(GeneratorWord("CIC")), "direct")
+        assert again == first and again.render() == text != "0"
+
+    def test_lattice_flag_vector(self):
+        lat = build(GeneratorWord("CIC"))
+        first = lat.flag_vector()
+        with pytest.raises(AttributeError):
+            first.n = 5
+        assert lat.flag_vector().n == 3
+        assert lat.flag_vector() == word_flag_vector(GeneratorWord("CIC"))
 
 
 class TestCheckResult:
