@@ -245,16 +245,14 @@ def _n_edges_at_every_vertex(w):
     return set(lat.vertex_edge_degrees().values()) == {lat.n}
 
 
-def check_oracles(max_dim=6, cone_base_dim=5, closure_dim=6):
+def check_oracles(max_dim=6, cone_base_dim=5):
     ws = list(words_up_to(max_dim, "ICB"))
     simple = [w for w in ws if w.dim > 0 and _is_simple_word(w.ops)]
     return [
         _each(f"Euler relation on all lattices, dim <= {max_dim}",
               ws, lambda w: build(w).euler_ok()),
-        _each("intersection closure on all lattices, "
-              f"dim <= {min(max_dim, closure_dim)}",
-              [w for w in ws if w.dim <= closure_dim],
-              lambda w: build(w).closed_under_intersection()),
+        _each(f"intersection closure on all lattices, dim <= {max_dim}",
+              ws, lambda w: build(w).closed_under_intersection()),
         _each(f"simple words have n edges at every vertex, dim <= {max_dim}",
               simple, _n_edges_at_every_vertex),
         _each("classical h of the face vector = mpih part on simple words, "

@@ -6,7 +6,11 @@ with its dimension, from the empty face (dim -1) up to the whole polytope
 assign dimensions explicitly, so grading never has to be recovered from the
 order.  Flag vectors are obtained by counting chains of proper nonempty
 faces; this is the combinatorial oracle against which the symbolic engine
-is checked.
+is checked.  One top-down pass (``_chain_pass``) counts the chains, checks
+that no face skips a dimension, and groups the nonempty faces into link
+classes, of equal dimension and equal link flag vector, which the link
+route sums over.  A lattice caches what the pass finds, so its faces are
+a read-only mapping.
 
 The empty polytope (dim -1, lone face = the empty set) is a legal lattice:
 it shows up as the link of the whole polytope along itself, and its pyramid
@@ -28,11 +32,11 @@ on a polytope lattice, and allocates nothing of size F * F.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from functools import reduce
 from itertools import accumulate
 from math import prod
 from operator import add, and_
+from types import MappingProxyType
 
 from ._frozen import Frozen
 from .words import GeneratorWord
@@ -41,12 +45,12 @@ from .words import GeneratorWord
 class FaceLattice:
     """Faces as vertex subsets with explicit dimensions."""
 
-    __slots__ = ("n", "faces", "_flag")
+    __slots__ = ("n", "faces", "_flag", "_classes")
 
     def __init__(self, n: int, faces: dict):
         self.n = n
-        self.faces = dict(faces)
-        self._flag = None
+        self.faces = MappingProxyType(dict(faces))
+        self._flag = self._classes = None
         if frozenset() not in self.faces or self.faces[frozenset()] != -1:
             raise ValueError("the empty face of dimension -1 is mandatory")
 
@@ -128,8 +132,17 @@ class FaceLattice:
 
     def flag_vector(self) -> "FlagVector":
         if self._flag is None:
-            self._flag = _flag_vector_dp(self)
+            self._flag, self._classes = _chain_pass(self)
         return self._flag
+
+    def link_classes(self) -> list:
+        """The nonempty faces grouped by dimension and link flag vector, as
+        (dimension, a face of the class, the number of faces in it), the
+        whole polytope last as its own class."""
+        if self.n < 0:
+            return []
+        self.flag_vector()
+        return [*self._classes, (self.n, self.full_face, 1)]
 
     # -- links ---------------------------------------------------------------
 
@@ -357,96 +370,82 @@ def _facet_pass(dim_of: dict, facets: list, full: int):
     return contained, uncovered
 
 
-def _flag_vector_dp(lat: FaceLattice) -> "FlagVector":
-    """Count the chains of every dimension set in one pass over the faces.
+def _chain_pass(lat: FaceLattice):
+    """Count the chains of every dimension set, and class the proper faces
+    by their links, in one pass over the faces from the top down.
 
-    An index from each vertex to the bitset of faces containing it gives,
-    by one AND over a face's vertices, every face above it: those one level
-    up are its covers, and their number over all faces is the exact count
-    of comparable pairs.  The faces below g, as a bitset, are its covers
-    and the faces below them.  A family in which some face lies above
-    another with no face of the dimension in between (``validate`` accepts
-    some) misses pairs that way, and raises ValueError.
+    The faces are indexed top level first.  An index from each vertex to
+    the bitset of faces containing it gives, by one AND over a face's
+    vertices, its up-set: the faces above it.  Those one level up are its
+    covers.  The up-set of every face must be its covers and their up-sets;
+    a family in which some face lies above another with no face of the
+    dimension in between (``validate`` accepts some) fails that, and raises
+    ValueError.  Only the up-sets of the level above are kept.
 
-    Z[g] packs the chains ending at g into one int, one slot of ``width``
-    bits per dimension set (a bitmask): Z[g] = (1 + sum of Z[f] over f
-    below g), shifted up by 2^dim(g) slots.  ``width`` exceeds the bit
-    length of prod(f_d + 1), which bounds every count, so no slot carries.
-    Faces with equal Z share one bitset, so the sum costs one AND and one
-    bit count per distinct value below g: at most 20 on a generator word
-    of dimension 6 and 88 on a basis word of dimension 9, and up to one
-    per face below on a family whose faces all differ.
+    Z[f] packs the chains starting at f into one int, one slot of ``width``
+    bits per dimension set, with dimension d at bit n - 1 - d of the slot's
+    set, so the values of the few high faces stay short: Z[f] = (1 + sum of
+    Z[g] over g above f), shifted up by 2^(n - 1 - dim f) slots.  ``width``
+    exceeds the bit length of prod(f_d + 1), which bounds every count, so
+    no slot carries.  Faces with equal Z share one bitset, so the sum costs
+    one AND and one bit count per distinct value above f.  Equal Z means
+    one dimension and equal chain counts of the interval up to the whole
+    polytope, which is the link; so the classes of equal Z are the link
+    classes.
+
+    Returns the flag vector and, for each class, (dimension, a face of it,
+    the number of faces in it).
     """
     n = lat.n
     if n <= 0:
-        return FlagVector(n, (1,))
-    levels = [[] for _ in range(n + 1)]  # the last stays empty
+        return FlagVector(n, (1,)), ()
+    levels = [[] for _ in range(n)]  # levels[k] holds dimension n - 1 - k
     for f, d in lat.faces.items():
         if 0 <= d < n:
-            levels[d].append(f)
+            levels[n - 1 - d].append(f)
     faces = [f for lv in levels for f in lv]
-    sizes = [len(lv) for lv in levels]
-    start = list(accumulate(sizes, initial=0))
+    start = list(accumulate(map(len, levels), initial=0))
     index = dict.fromkeys(lat.vertices, 0)
     for i, f in enumerate(faces):
         for v in f:
             index[v] |= 1 << i
 
-    def up(f):
-        """Bitset of the faces containing face f, f included."""
-        return reduce(and_, map(index.__getitem__, faces[f]))
-
-    width = prod(s + 1 for s in sizes).bit_length()
-    down = [0] * len(faces)
+    width = prod(len(lv) + 1 for lv in levels).bit_length()
     classes = {}  # Z value -> bitset of the faces with that Z
-    total, found, pairs = 1, 0, 0
-    for d in range(n):
-        top, shift, cover = start[d + 1], width << d, (1 << sizes[d + 1]) - 1
-        lower = list(classes.items())
-        for g in range(start[d], top):
-            below, down[g] = down[g], 0
+    ups = []  # the up-sets of the level above, each with its face
+    for k in range(n):
+        higher, shift, level_ups = list(classes.items()), width << k, []
+        above = (1 << start[k]) - 1
+        for f in range(start[k], start[k + 1]):
+            up = reduce(and_, map(index.__getitem__, faces[f])) & above
+            reached, covers = 0, up >> start[k - 1]  # up is 0 when k is 0
+            while covers:
+                low = covers & -covers
+                reached |= ups[low.bit_length() - 1]
+                covers ^= low
+            if reached != up:
+                g = faces[(up & ~reached).bit_length() - 1]
+                raise ValueError(
+                    f"face {sorted(g)} of dimension {lat.faces[g]} lies "
+                    f"above face {sorted(faces[f])} of dimension {n - 1 - k} "
+                    f"with no face of dimension {n - k} between them")
+            level_ups.append(up | 1 << f)
             z = 1
-            for value, members in lower:
-                z += value * (below & members).bit_count()
+            for value, members in higher:
+                z += value * (up & members).bit_count()
             z <<= shift
-            classes[z] = classes.get(z, 0) | 1 << g
-            found += below.bit_count()
-            higher = up(g) >> top
-            pairs += higher.bit_count()
-            below |= 1 << g
-            covers = higher & cover
-            while covers:
-                low = covers & -covers
-                down[top + low.bit_length() - 1] |= below
-                covers ^= low
-    if found != pairs:
-        raise ValueError(_skipped_dimension(faces, start, up))
-    total += sum(z * members.bit_count() for z, members in classes.items())
+            classes[z] = classes.get(z, 0) | 1 << f
+        ups = level_ups
+    total = 1 + sum(z * members.bit_count() for z, members in classes.items())
     slot = (1 << width) - 1
-    return FlagVector(n, tuple(total >> S * width & slot
-                             for S in range(1 << n)))
-
-
-def _skipped_dimension(faces, start, up) -> str:
-    """Name a face f and a face g above it, two or more levels up, that
-    lies above no cover of f.  Chains through covers reach every pair of
-    comparable faces unless there is such a pair."""
-    for d in range(len(start) - 2):
-        for f in range(start[d], start[d + 1]):
-            above = up(f)
-            covers = above & (1 << start[d + 2]) - (1 << start[d + 1])
-            reached = 0  # the faces above a cover of f
-            while covers:
-                low = covers & -covers
-                reached |= up(low.bit_length() - 1)
-                covers ^= low
-            missed = (above & ~reached) >> start[d + 2]
-            if missed:
-                g = start[d + 2] + (missed & -missed).bit_length() - 1
-                return (f"face {sorted(faces[g])} of dimension "
-                        f"{bisect_right(start, g) - 1} lies above face "
-                        f"{sorted(faces[f])} of dimension {d} with no face "
-                        f"of dimension {d + 1} between them")
+    # bit d of a dimension set S is bit n - 1 - d of its slot
+    counts = tuple(total >> int(f"{S:0{n}b}"[::-1], 2) * width & slot
+                   for S in range(1 << n))
+    reps = []
+    for members in classes.values():
+        f = faces[(members & -members).bit_length() - 1]
+        reps.append((lat.faces[f], f, members.bit_count()))
+    return FlagVector(n, counts), tuple(reps)
 
 
 class FlagVector(Frozen):

@@ -12,6 +12,9 @@ and h of a link is computed by the same face sum, all the way down.  The
 sum ranges over nonempty faces including the whole polytope, whose link is
 the empty polytope; that convention is pinned by the point, segment and
 square hand values and then by exhaustive agreement with the engine.
+Faces of one dimension whose links have equal flag vectors add equal
+terms, so the sum runs over the lattice's link classes
+(``FaceLattice.link_classes``): one link per class, times the class size.
 
 The cone acting on final vectors admits two readings, kept behind a
 switch.  The conjugation reading is the auxiliary cone operator carried
@@ -65,9 +68,8 @@ class LinkCalculator:
         if got is not None:
             return got
         total = HVector.zero(L.n, self.flavor)
-        for face, d in L.faces.items():
-            if d >= 0:
-                total = total + self.g(d, L.link(face))
+        for d, face, count in L.link_classes():
+            total = total + self.g(d, L.link(face)).scale(count)
         self._h[key] = total
         return total
 

@@ -83,8 +83,8 @@ class TestConstructors:
         assert (second.n, second.faces) == (first.n, first.faces)
         assert second.flag_vector() == first.flag_vector()
         expected = dict(first.faces)
-        first.faces.clear()
-        first.faces[frozenset()] = -1
+        with pytest.raises(TypeError):
+            first.faces[frozenset()] = -1
         third = build(w)
         assert third.faces == expected and second.faces == expected
 
@@ -699,3 +699,76 @@ class TestFlagDP:
                            env={"PYTHONPATH": src, "PATH": ""})
         assert p.returncode == 0 and p.stderr == "", p.stderr
         assert p.stdout.strip()
+
+
+def link_truth(lat):
+    """(dimension, link flag vector) of every nonempty face, one link built
+    per face, as a multiset."""
+    return Counter((d, lat.link(f).flag_vector())
+                   for f, d in lat.faces.items() if d >= 0)
+
+
+class TestLinkClasses:
+    """The classes of the top-down pass against one link per face."""
+
+    def check(self, lat, label):
+        classes = lat.link_classes()
+        assert all(lat.faces[f] == d for d, f, _ in classes), label
+        expanded = Counter()
+        for d, f, count in classes:
+            expanded[d, lat.link(f).flag_vector()] += count
+        # the classes are the distinct (dimension, link flag vector) pairs
+        assert len(expanded) == len(classes), label
+        assert expanded == link_truth(lat), label
+
+    def test_every_word_up_to_dim_5(self):
+        for w in words_up_to(5, "ICB"):
+            self.check(build(w), w)
+
+    def test_validating_mutants(self):
+        rng = random.Random(7)
+        tally = Counter()
+        for w in words_up_to(4, "ICB"):
+            for _, mut in mutants(build(w), rng, 16):
+                if outcome(FaceLattice.validate, mut) != ("returned", None):
+                    continue
+                try:
+                    mut.link_classes()
+                except ValueError:
+                    assert skips_a_dimension(mut), w
+                    tally["skips"] += 1
+                    continue
+                try:
+                    link_truth(mut)
+                except ValueError:  # some interval has no lattice as link
+                    tally["no link"] += 1
+                    continue
+                self.check(mut, w)
+                tally["equal"] += 1
+        assert tally["equal"] >= 50, tally
+
+    def test_edge_cases(self):
+        assert empty_polytope().link_classes() == []
+        assert point().link_classes() == [(0, frozenset({0}), 1)]
+        (d0, v, c0), whole = build(W("C")).link_classes()
+        assert (d0, c0) == (0, 2) and v in ({0}, {1})
+        assert whole == (1, frozenset({0, 1}), 1)
+
+    def test_returns_a_fresh_list(self):
+        lat = build(W("IC"))
+        lat.link_classes().clear()
+        assert len(lat.link_classes()) == 3
+
+    def test_non_graded_refusals_name_the_highest_skip(self):
+        lat = FaceLattice.from_json(NON_GRADED)
+        cone = lat.pyramid()
+        for bad, message in (
+                (lat, "face [0, 1, 3] of dimension 2 lies above face [3] of "
+                      "dimension 0 with no face of dimension 1 between them"),
+                (cone, "face [0, 1, 3, 4] of dimension 3 lies above face "
+                       "[3, 4] of dimension 1 with no face of dimension 2 "
+                       "between them")):
+            for call in (bad.flag_vector, bad.link_classes):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == message

@@ -6,14 +6,14 @@ from functools import lru_cache
 import pytest
 
 from hvcalc import checks, engine, flaglin
-from hvcalc.lattice import build, empty_polytope, point
+from hvcalc.lattice import FaceLattice, build, empty_polytope, point
 from hvcalc.links import (
     CONJUGATION, DIRECT, LinkCalculator, g_eval, h_by_links,
 )
 from hvcalc.symbols import AUX, FINAL, PAD, HVector
 from hvcalc.terms import enumerate_terms
 from hvcalc.words import GeneratorWord as W
-from hvcalc.words import words_up_to
+from hvcalc.words import all_words, words_up_to
 
 
 def final_vec(degree, terms):
@@ -290,3 +290,56 @@ class TestBayer:
         assert flaglin.linear_h(lat.flag_vector()).coefficient(
             1, 0, (PAD, 1)) == -2
         assert h_by_links(lat).coefficient(1, 0, (PAD, 1)) == -2
+
+
+class PerFaceLinkCalculator(LinkCalculator):
+    """The face sum with one link built per nonempty face: the reference
+    for the sum over link classes."""
+
+    def h(self, L):
+        key = L.flag_vector()
+        if key not in self._h:
+            total = HVector.zero(L.n, self.flavor)
+            for face, d in L.faces.items():
+                if d >= 0:
+                    total = total + self.g(d, L.link(face))
+            self._h[key] = total
+        return self._h[key]
+
+
+PER_FACE = {rule: PerFaceLinkCalculator(rule) for rule in (CONJUGATION, DIRECT)}
+
+
+class TestLinkClasses:
+    def check(self, lat, rule, label):
+        calc = PER_FACE[rule]
+        assert typed_terms(h_by_links(lat, rule)) == typed_terms(
+            calc.final(calc.h(lat))), label
+
+    @pytest.mark.parametrize("rule", [CONJUGATION, DIRECT])
+    def test_per_face_sum_icb_dim5(self, rule):
+        for w in words_up_to(5, "ICB"):
+            self.check(build(w), rule, w)
+
+    @pytest.mark.parametrize("rule", [CONJUGATION, DIRECT])
+    def test_per_face_sum_dim_6_sample(self, rule):
+        for w in random.Random(6).sample(list(all_words(6, "ICB")), 40):
+            self.check(build(w), rule, w)
+
+    def test_one_link_per_class(self, monkeypatch):
+        calls = []
+        link = FaceLattice.link
+
+        def counted(lat, face):
+            calls.append((lat, face))
+            return link(lat, face)
+
+        monkeypatch.setattr(FaceLattice, "link", counted)
+        lat = build(W("BICIC"))
+        LinkCalculator().h(lat)
+        mine = [face for owner, face in calls if owner is lat]
+        assert mine == [face for _, face, _ in lat.link_classes()]
+        assert len(mine) < sum(d >= 0 for d in lat.faces.values())
+        for owner in {id(o): o for o, _ in calls}.values():
+            faces = [face for o, face in calls if o is owner]
+            assert len(faces) == len(set(faces)) <= len(owner.link_classes())
