@@ -17,16 +17,15 @@ it shows up as the link of the whole polytope along itself, and its pyramid
 is the point.
 
 The intersection closure and the pairwise parts of ``validate`` are checked
-against a generator set rather than against every pair of faces, in one
-pass of each face against the facets (``_facet_pass``).  Every face of a
-polytope is the intersection of the facets containing it (coatomicity), so
-the generators are the facets plus any member that is not such an
-intersection; every member is then the intersection of the generators
-above it.  The pass finds those extra generators while it checks the
-facets, and a second pass takes every face against the extra generators
-only; on a polytope lattice there are none.  Each check costs
-O(F * |generators|) bitmask operations for F faces, which is O(F * facets)
-on a polytope lattice, and allocates nothing of size F * F.
+on one family of vertex bitmasks (``FaceLattice._family``) against a
+generator set rather than against every pair of faces, in one loop of each
+face against the generators (``_facet_pass``).  Every face of a polytope is
+the intersection of the facets containing it (coatomicity), so the
+generators are the facets plus any member that is not such an
+intersection.  The loop finds those extra generators, and reruns with
+them added; a polytope lattice has none.  Each check costs
+O(F * |generators|) bitmask operations for F faces, O(F * facets) on a
+polytope lattice, and allocates nothing of size F * F.
 """
 
 from __future__ import annotations
@@ -43,14 +42,18 @@ from .words import GeneratorWord
 
 
 class FaceLattice:
-    """Faces as vertex subsets with explicit dimensions."""
+    """Faces as vertex subsets with explicit dimensions, fixed once built:
+    no field can be assigned or deleted, so the cached pass cannot go stale."""
 
-    __slots__ = ("n", "faces", "_flag", "_classes")
+    __slots__ = ("n", "faces", "_pass")
+
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
 
     def __init__(self, n: int, faces: dict):
-        self.n = n
-        self.faces = MappingProxyType(dict(faces))
-        self._flag = self._classes = None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "faces", MappingProxyType(dict(faces)))
+        object.__setattr__(self, "_pass", None)
         if frozenset() not in self.faces or self.faces[frozenset()] != -1:
             raise ValueError("the empty face of dimension -1 is mandatory")
 
@@ -68,7 +71,7 @@ class FaceLattice:
     def face_counts(self) -> list:
         """[f_0, ..., f_{n-1}]: proper nonempty face counts by dimension."""
         out = [0] * max(self.n, 0)
-        for _, d in self.faces.items():
+        for d in self.faces.values():
             if 0 <= d < self.n:
                 out[d] += 1
         return out
@@ -131,9 +134,9 @@ class FaceLattice:
     # -- flag counting -----------------------------------------------------
 
     def flag_vector(self) -> "FlagVector":
-        if self._flag is None:
-            self._flag, self._classes = _chain_pass(self)
-        return self._flag
+        if self._pass is None:
+            object.__setattr__(self, "_pass", _chain_pass(self))
+        return self._pass[0]
 
     def link_classes(self) -> list:
         """The nonempty faces grouped by dimension and link flag vector, as
@@ -142,7 +145,7 @@ class FaceLattice:
         if self.n < 0:
             return []
         self.flag_vector()
-        return [*self._classes, (self.n, self.full_face, 1)]
+        return [*self._pass[1], (self.n, self.full_face, 1)]
 
     # -- links ---------------------------------------------------------------
 
@@ -160,12 +163,10 @@ class FaceLattice:
         atoms = sorted((g for g, d in above if d == d0 + 1), key=sorted)
         aidx = {a: i for i, a in enumerate(atoms)}
         faces = {frozenset(): -1}
-        seen = set()
         for g, d in above:
             fa = frozenset(aidx[a] for a in atoms if a <= g)
-            if fa in seen:
+            if fa in faces:
                 raise ValueError("interval is not atomic; not a polytope lattice")
-            seen.add(fa)
             faces[fa] = d - d0 - 1
         return FaceLattice(self.n - d0 - 1, faces)
 
@@ -178,22 +179,27 @@ class FaceLattice:
 
     def closed_under_intersection(self) -> bool:
         """Whether the proper faces, the empty set and the whole vertex set
-        are closed under pairwise intersection.
+        are closed under pairwise intersection: one loop over the facets,
+        O(F * facets), rerun only off polytope lattices (``_facet_pass``)."""
+        return _facet_pass(*self._family()) is not None
 
-        Exact in O(F * facets) on a polytope lattice: one pass of the
-        members against the facets, and a second against the extra
-        generators, which runs on no polytope lattice (see
-        ``_facet_pass``).
-        """
+    def _family(self) -> tuple:
+        """``(dim_of, facets, full)`` for ``_facet_pass``: the proper faces
+        as vertex bitmasks in the order of ``faces``, then the empty set at
+        -1 and the whole vertex set ``full`` at n; the facets are the
+        members of dimension n - 1, for the point the empty set.  ``full``
+        spans the whole vertex list, so every member is a submask of it
+        even when one vertex id sits in two vertex faces."""
         verts = self.vertices
         bit = {v: 1 << i for i, v in enumerate(verts)}
+        # the bits of distinct vertices are distinct, so a sum is a union
         dim_of = {sum(map(bit.__getitem__, f)): d
                   for f, d in self.faces.items() if 0 <= d < self.n}
         full = (1 << len(verts)) - 1
-        facets = [m for m, d in dim_of.items() if d == self.n - 1]
         dim_of.setdefault(0, -1)
         dim_of.setdefault(full, self.n)
-        return _facet_pass(dim_of, facets, full) is not None
+        facets = [m for m, d in dim_of.items() if d == self.n - 1]
+        return dim_of, facets, full
 
     def vertex_edge_degrees(self) -> dict:
         degs = {v: 0 for v in self.vertices}
@@ -244,9 +250,9 @@ class FaceLattice:
 
         The per-face checks come first, then that every face lies below a
         single face of dimension n.  Three exact checks against the
-        generator set follow, made together by ``_facet_pass``: one pass
-        of the F faces against the facets, O(F * facets), and a second
-        against the extra generators, which runs on no polytope lattice:
+        generator set follow, made together by ``_facet_pass`` on the
+        ``_family`` masks: one loop of the F faces against the facets,
+        O(F * facets), rerun with the extra generators off polytopes only:
 
         - closure: ``x & m`` is a face for every face x and generator m;
         - containment raises dimension: with closure known, it holds iff
@@ -260,8 +266,7 @@ class FaceLattice:
         both closure and containment is reported as not closed under
         intersection.
         """
-        dims = set(self.faces.values())
-        if self.n not in dims:
+        if self.n not in self.faces.values():
             raise ValueError("full face missing")
         for f, d in self.faces.items():
             if not (-1 <= d <= self.n):
@@ -282,13 +287,10 @@ class FaceLattice:
         if sum(d == self.n for d in self.faces.values()) > 1:
             raise ValueError("containment must raise dimension")
 
-        # vertices are distinct singletons and make up the full face; the
-        # bits of a face are distinct, so their sum is their union
-        bit = {v: 1 << i for i, v in enumerate(verts)}
-        dim_of = {sum(map(bit.__getitem__, f)): d
-                  for f, d in self.faces.items()}
-        facets = [m for m, d in dim_of.items() if d == self.n - 1]
-        verdict = _facet_pass(dim_of, facets, (1 << len(verts)) - 1)
+        # vertices are distinct singletons and make up the full face, so
+        # the family holds every face, those of one dimension in order
+        family = self._family()
+        verdict = _facet_pass(*family)
         if verdict is None:
             raise ValueError("face set is not closed under intersection")
         contained, uncovered = verdict
@@ -299,6 +301,7 @@ class FaceLattice:
         if uncovered:
             # the first by dimension, then in the order of the faces; its
             # bits, lowest first, are its vertices in increasing order
+            dim_of = family[0]
             g = min(uncovered, key=dim_of.__getitem__)
             d = dim_of[g]
             face = [v for i, v in enumerate(verts) if g >> i & 1]
@@ -315,20 +318,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _facet_pass(dim_of: dict, facets: list, full: int):
+def _facet_pass(dim_of: dict, generators: list, full: int):
     """Closure, containment and covers of a family of bitmasks, checked
-    in one pass over the facets.
+    in one loop over the generators.
 
-    ``dim_of`` maps every member, a mask below ``full``, to its dimension;
-    ``facets`` may be any list of members.  The generators are the facets
-    plus every member that is not the meet of the facets containing it
-    (the empty meet being ``full``).  Every member is then the meet of the
-    generators containing it, so the family is closed iff x & m is a member
-    for every member x and generator m.  Each member x is taken once
-    against the facets: those containing x are met as they come, and of
-    the others only the highest dimension of x & p is kept.  A second pass
-    takes every member against the extra generators; a polytope lattice is
-    coatomic and has none.
+    ``dim_of`` maps every member, a submask of ``full``, to its dimension;
+    ``generators`` may be any list of members, at first the facets.  Each
+    member x is taken once against them: those containing x are met as
+    they come (the empty meet being ``full``), and of the others only the
+    highest dimension of x & m is kept.  If every member is the meet of
+    the generators containing it, the family is closed iff x & m is a
+    member for every member x and generator m.  If not, the loop runs once
+    more with those other members added to the generators, and that
+    rerun stops: an added member contains itself, so its meet is itself,
+    and more generators cannot change a meet that is already the member,
+    as every member is a submask of ``full``.  On a polytope lattice,
+    which is coatomic, the loop runs once.
 
     Returns None if the family is not closed.  Otherwise, with top(x) the
     highest dimension of x & m over the generators m not containing x (-2
@@ -342,10 +347,10 @@ def _facet_pass(dim_of: dict, facets: list, full: int):
     try:
         for x, d in dim_of.items():
             meet, top = full, -2
-            for p in facets:
-                y = x & p
+            for m in generators:
+                y = x & m
                 if y == x:
-                    meet &= p
+                    meet &= m
                 else:
                     e = dim_of[y]  # KeyError: y is not a member
                     if e > top:
@@ -356,17 +361,10 @@ def _facet_pass(dim_of: dict, facets: list, full: int):
                 contained = False
             if top < d - 1:
                 uncovered.append(x)
-        if extra:
-            pending, uncovered = set(uncovered), []
-            for x, d in dim_of.items():
-                top = max((dim_of[x & m] for m in extra if x | m != m),
-                          default=-2)
-                if top >= d:
-                    contained = False
-                if top < d - 1 and x in pending:
-                    uncovered.append(x)
     except KeyError:
         return None
+    if extra:
+        return _facet_pass(dim_of, generators + extra, full)
     return contained, uncovered
 
 

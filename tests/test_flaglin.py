@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 import pytest
 
@@ -159,10 +161,22 @@ def _reference_transform(n):
     return pivots, T
 
 
+@lru_cache(maxsize=None)
+def _reference_rows(n):
+    """The rows of T, each as integers over its common denominator, so
+    that T f is formed in integers with one Fraction per entry."""
+    pivots, T = _reference_transform(n)
+    rows = []
+    for trow in T:
+        den = lcm(*(t.denominator for t in trow))
+        rows.append(([t.numerator * (den // t.denominator) for t in trow], den))
+    return pivots, rows
+
+
 def _reference_express(fv):
-    pivots, T = _reference_transform(fv.n)
+    pivots, rows = _reference_rows(fv.n)
     f = fv.as_vector()
-    u = [sum(t * x for t, x in zip(trow, f)) for trow in T]
+    u = [Fraction(sum(map(mul, row, f)), den) for row, den in rows]
     if any(u[len(pivots):]):
         raise NotInSpanError(u[len(pivots):])
     coeffs = [Fraction(0)] * len(ic_basis(fv.n))

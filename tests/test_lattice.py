@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import hvcalc
+from hvcalc import lattice
 from hvcalc.lattice import FaceLattice, FlagVector, build, empty_polytope, point
 from hvcalc.words import GeneratorWord as W
 from hvcalc.words import all_words, words_up_to
@@ -571,6 +572,32 @@ class TestGeneratorChecks:
         lat = FaceLattice.from_json(data)
         assert time.perf_counter() - t0 < 1.0
         assert lat.n == 12
+
+
+class TestFacetPassRerun:
+    def test_vertex_id_in_two_vertex_faces(self, monkeypatch):
+        # the triangle with its edge {0, 1} shifted down to a vertex face:
+        # vertex ids 0 and 1 then each sit in two vertex faces
+        faces = dict(build(W("CC")).faces)
+        faces[frozenset({0, 1})] = 0
+        lat = FaceLattice(2, faces)
+        assert lat.vertices == [0, 0, 1, 1, 2]
+        calls, inner = [], lattice._facet_pass
+
+        def counted(dim_of, generators, full):
+            calls.append(len(generators))
+            assert len(calls) <= 2, "the rerun did not stop"
+            return inner(dim_of, generators, full)
+
+        monkeypatch.setattr(lattice, "_facet_pass", counted)
+        assert verdict(FaceLattice.validate, lat) == verdict(
+            reference_validate, lat) == (
+            "ValueError", "a vertex face must be a singleton")
+        assert FaceLattice.closed_under_intersection(lat) is True
+        assert reference_closed(lat) is True
+        # the loop over the facets {0, 2} and {1, 2}, then its one rerun
+        # with the extra generators added
+        assert len(calls) == 2 and calls[0] == 2 < calls[1]
 
 
 # -- the pure-Python pair scan the flag DP replaced ---------------------------

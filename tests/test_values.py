@@ -219,6 +219,20 @@ class TestCachedValuesStayPut:
         assert lat.flag_vector().n == 3
         assert lat.flag_vector() == word_flag_vector(GeneratorWord("CIC"))
 
+    def test_lattice_fields(self):
+        # the lattice caches its chain pass, so its faces and dimension
+        # are fixed once built
+        lat = build(GeneratorWord("CIC"))
+        flags, classes = lat.flag_vector(), lat.link_classes()
+        for name, value in (("faces", {frozenset(): -1}), ("n", 5),
+                            ("_pass", None)):
+            with pytest.raises(AttributeError):
+                setattr(lat, name, value)
+            with pytest.raises(AttributeError):
+                delattr(lat, name)
+        assert lat.n == 3 and len(lat.faces) == 20
+        assert lat.flag_vector() == flags and lat.link_classes() == classes
+
 
 class TestCheckResult:
     def test_equality_repr_and_default(self):
