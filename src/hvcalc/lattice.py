@@ -9,8 +9,8 @@ faces; this is the combinatorial oracle against which the symbolic engine
 is checked.  One top-down pass (``_chain_pass``) counts the chains, checks
 that no face skips a dimension, and groups the nonempty faces into link
 classes, of equal dimension and equal link flag vector, which the link
-route sums over.  A lattice caches what the pass finds, so its faces are
-a read-only mapping.
+route sums over, each with its link's flag vector in its packed counts.
+A lattice caches the pass, so its faces are a read-only mapping.
 
 The empty polytope (dim -1, lone face = the empty set) is a legal lattice:
 it shows up as the link of the whole polytope along itself, and its pyramid
@@ -140,12 +140,17 @@ class FaceLattice:
 
     def link_classes(self) -> list:
         """The nonempty faces grouped by dimension and link flag vector, as
-        (dimension, a face of the class, the number of faces in it), the
-        whole polytope last as its own class."""
+        (dimension, a face of the class, its size, the link flag vector,
+        unpacked here from the pass), the whole polytope last by itself."""
         if self.n < 0:
             return []
         self.flag_vector()
-        return [*self._pass[1], (self.n, self.full_face, 1)]
+        _, width, classes = self._pass
+        out = []
+        for d, f, count, z in classes:
+            m = self.n - 1 - d  # the link's dimension
+            out.append((d, f, count, _unpack(z >> (width << m), m, width)))
+        return [*out, (self.n, self.full_face, 1, FlagVector(-1, (1,)))]
 
     # -- links ---------------------------------------------------------------
 
@@ -389,14 +394,15 @@ def _chain_pass(lat: FaceLattice):
     one AND and one bit count per distinct value above f.  Equal Z means
     one dimension and equal chain counts of the interval up to the whole
     polytope, which is the link; so the classes of equal Z are the link
-    classes.
+    classes.  With m = n - 1 - dim f, Z[f] >> (width << m) is the packed
+    total of the link, of dimension m, which ``link_classes`` unpacks.
 
-    Returns the flag vector and, for each class, (dimension, a face of it,
-    the number of faces in it).
+    Returns the flag vector, ``width`` and, for each class, (dimension, a
+    face of it, the number of faces in it, Z).
     """
     n = lat.n
     if n <= 0:
-        return FlagVector(n, (1,)), ()
+        return FlagVector(n, (1,)), 0, ()
     levels = [[] for _ in range(n)]  # levels[k] holds dimension n - 1 - k
     for f, d in lat.faces.items():
         if 0 <= d < n:
@@ -435,15 +441,20 @@ def _chain_pass(lat: FaceLattice):
             classes[z] = classes.get(z, 0) | 1 << f
         ups = level_ups
     total = 1 + sum(z * members.bit_count() for z, members in classes.items())
-    slot = (1 << width) - 1
-    # bit d of a dimension set S is bit n - 1 - d of its slot
-    counts = tuple(total >> int(f"{S:0{n}b}"[::-1], 2) * width & slot
-                   for S in range(1 << n))
     reps = []
-    for members in classes.values():
+    for z, members in classes.items():
         f = faces[(members & -members).bit_length() - 1]
-        reps.append((lat.faces[f], f, members.bit_count()))
-    return FlagVector(n, counts), tuple(reps)
+        reps.append((lat.faces[f], f, members.bit_count(), z))
+    return _unpack(total, n, width), width, tuple(reps)
+
+
+def _unpack(total: int, n: int, width: int) -> "FlagVector":
+    """The flag vector of dimension n >= 0 packed in ``total`` by
+    ``_chain_pass``, one slot of ``width`` bits per dimension set."""
+    slot, order = (1 << width) - 1, [0]  # order[S]: the slot of the set S
+    for d in range(n):  # bit d of a set is bit n - 1 - d of its slot
+        order += [k | 1 << n - 1 - d for k in order]
+    return FlagVector(n, tuple(total >> k * width & slot for k in order))
 
 
 class FlagVector(Frozen):

@@ -14,7 +14,9 @@ the empty polytope; that convention is pinned by the point, segment and
 square hand values and then by exhaustive agreement with the engine.
 Faces of one dimension whose links have equal flag vectors add equal
 terms, so the sum runs over the lattice's link classes
-(``FaceLattice.link_classes``): one link per class, times the class size.
+(``FaceLattice.link_classes``), which carry each link's flag vector: one
+term per class, times the class size, and a link is built only when its
+term is not yet cached.
 
 The cone acting on final vectors admits two readings, kept behind a
 switch.  The conjugation reading is the auxiliary cone operator carried
@@ -42,8 +44,8 @@ RULES = (CONJUGATION, DIRECT)
 
 
 class LinkCalculator:
-    """Memoized face-sum evaluator; values are cached by flag vector,
-    which is what the functionals actually depend on.
+    """Memoized face-sum evaluator; the level functionals are cached by
+    level and flag vector, and each h of a link is met once, in its g_0.
 
     Under the conjugation rule the values are auxiliary vectors, under the
     direct rule final ones; ``final`` maps either to the final flavor.
@@ -56,21 +58,18 @@ class LinkCalculator:
             self.flavor, self._cone = FINAL, lambda h: _cone(h, PAD, FINAL)
         else:
             raise ValueError(f"unknown cone rule {rule!r}")
-        self._h = {}
         self._g = {}
 
     def final(self, h: HVector) -> HVector:
         return to_extended(h) if self.flavor == AUX else h
 
     def h(self, L: FaceLattice) -> HVector:
-        key = L.flag_vector()
-        got = self._h.get(key)
-        if got is not None:
-            return got
         total = HVector.zero(L.n, self.flavor)
-        for d, face, count in L.link_classes():
-            total = total + self.g(d, L.link(face)).scale(count)
-        self._h[key] = total
+        for d, face, count, fv in L.link_classes():
+            got = self._g.get((d, fv))
+            if got is None:
+                got = self.g(d, L.link(face))
+            total = total + got.scale(count)
         return total
 
     def g(self, i: int, B: FaceLattice) -> HVector:

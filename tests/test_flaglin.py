@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from operator import mul
 
 import pytest
@@ -133,48 +133,44 @@ class TestBasisSolve:
 
 @lru_cache(maxsize=None)
 def _reference_transform(n):
-    """Plain Fraction Gauss-Jordan on the 2^n x F_(n+1) basis matrix,
-    recording the row operations in a 2^n x 2^n transform T."""
+    """Plain fraction-free Gauss-Jordan on the 2^n x F_(n+1) basis matrix,
+    recording the row operations in a 2^n x 2^n integer transform T.
+
+    Row i is eliminated against pivot row r as M[r][c] M[i] - M[i][c] M[r],
+    the Fraction step scaled by M[r][c], and rows are kept over the gcd of
+    their entries; so the pivots are those of the Fraction elimination and
+    each row of T is a nonzero multiple of that elimination's row.  Returns
+    the pivots and each row of T with its divisor: its pivot entry for a
+    pivot row, where the Fraction elimination has 1, and 1 for the rows
+    past the rank."""
     basis = ic_basis(n)
-    rows = 1 << n
-    M = [[Fraction(build(w).flag_vector().as_vector()[r]) for w in basis]
-         for r in range(rows)]
-    T = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
+    rows, cols = 1 << n, len(basis)
+    counts = zip(*(build(w).flag_vector().counts for w in basis))
+    # each row is [M row | T row], T starting as the identity
+    A = [[*mrow, *(int(i == j) for j in range(rows))]
+         for i, mrow in enumerate(counts)]
     pivots = []
-    r = 0
-    for c in range(len(basis)):
-        pr = next((i for i in range(r, rows) if M[i][c] != 0), None)
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if A[i][c] != 0), None)
         if pr is None:
             continue
-        M[r], M[pr] = M[pr], M[r]
-        T[r], T[pr] = T[pr], T[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        T[r] = [x * inv for x in T[r]]
+        A[r], A[pr] = A[pr], A[r]
+        p = A[r][c]
         for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-                T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                row = [p * a - f * b for a, b in zip(A[i], A[r])]
+                g = gcd(*row)
+                A[i] = [x // g for x in row]
         pivots.append(c)
-        r += 1
-    return pivots, T
-
-
-@lru_cache(maxsize=None)
-def _reference_rows(n):
-    """The rows of T, each as integers over its common denominator, so
-    that T f is formed in integers with one Fraction per entry."""
-    pivots, T = _reference_transform(n)
-    rows = []
-    for trow in T:
-        den = lcm(*(t.denominator for t in trow))
-        rows.append(([t.numerator * (den // t.denominator) for t in trow], den))
-    return pivots, rows
+    dens = [A[r][c] for r, c in enumerate(pivots)]
+    dens += [1] * (rows - len(pivots))
+    return pivots, [(row[cols:], den) for row, den in zip(A, dens)]
 
 
 def _reference_express(fv):
-    pivots, rows = _reference_rows(fv.n)
+    pivots, rows = _reference_transform(fv.n)
     f = fv.as_vector()
     u = [Fraction(sum(map(mul, row, f)), den) for row, den in rows]
     if any(u[len(pivots):]):

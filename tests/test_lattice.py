@@ -730,9 +730,9 @@ class TestFlagDP:
 
 def link_truth(lat):
     """(dimension, link flag vector) of every nonempty face, one link built
-    per face, as a multiset."""
-    return Counter((d, lat.link(f).flag_vector())
-                   for f, d in lat.faces.items() if d >= 0)
+    per face."""
+    return {f: (d, lat.link(f).flag_vector())
+            for f, d in lat.faces.items() if d >= 0}
 
 
 class TestLinkClasses:
@@ -740,13 +740,15 @@ class TestLinkClasses:
 
     def check(self, lat, label):
         classes = lat.link_classes()
-        assert all(lat.faces[f] == d for d, f, _ in classes), label
+        truth = link_truth(lat)
         expanded = Counter()
-        for d, f, count in classes:
-            expanded[d, lat.link(f).flag_vector()] += count
+        for d, f, count, fv in classes:
+            # each class carries the dimension and link of its own face
+            assert truth[f] == (d, fv), label
+            expanded[d, fv] += count
         # the classes are the distinct (dimension, link flag vector) pairs
         assert len(expanded) == len(classes), label
-        assert expanded == link_truth(lat), label
+        assert expanded == Counter(truth.values()), label
 
     def test_every_word_up_to_dim_5(self):
         for w in words_up_to(5, "ICB"):
@@ -776,10 +778,12 @@ class TestLinkClasses:
 
     def test_edge_cases(self):
         assert empty_polytope().link_classes() == []
-        assert point().link_classes() == [(0, frozenset({0}), 1)]
-        (d0, v, c0), whole = build(W("C")).link_classes()
-        assert (d0, c0) == (0, 2) and v in ({0}, {1})
-        assert whole == (1, frozenset({0, 1}), 1)
+        assert point().link_classes() == [
+            (0, frozenset({0}), 1, FlagVector(-1, (1,)))]
+        (d0, v, c0, fv0), whole = build(W("C")).link_classes()
+        assert (d0, c0, fv0) == (0, 2, FlagVector(0, (1,)))
+        assert v in ({0}, {1})
+        assert whole == (1, frozenset({0, 1}), 1, FlagVector(-1, (1,)))
 
     def test_returns_a_fresh_list(self):
         lat = build(W("IC"))

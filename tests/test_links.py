@@ -294,7 +294,11 @@ class TestBayer:
 
 class PerFaceLinkCalculator(LinkCalculator):
     """The face sum with one link built per nonempty face: the reference
-    for the sum over link classes."""
+    for the sum over link classes, with its own cache of h by flag vector."""
+
+    def __init__(self, rule):
+        super().__init__(rule)
+        self._h = {}
 
     def h(self, L):
         key = L.flag_vector()
@@ -326,20 +330,24 @@ class TestLinkClasses:
         for w in random.Random(6).sample(list(all_words(6, "ICB")), 40):
             self.check(build(w), rule, w)
 
-    def test_one_link_per_class(self, monkeypatch):
-        calls = []
+    def test_links_built_only_on_a_miss(self, monkeypatch):
+        built = []
         link = FaceLattice.link
 
         def counted(lat, face):
-            calls.append((lat, face))
-            return link(lat, face)
+            B = link(lat, face)
+            built.append((lat.faces[frozenset(face)], B.flag_vector()))
+            return B
 
         monkeypatch.setattr(FaceLattice, "link", counted)
-        lat = build(W("BICIC"))
-        LinkCalculator().h(lat)
-        mine = [face for owner, face in calls if owner is lat]
-        assert mine == [face for _, face, _ in lat.link_classes()]
-        assert len(mine) < sum(d >= 0 for d in lat.faces.values())
-        for owner in {id(o): o for o, _ in calls}.values():
-            faces = [face for o, face in calls if o is owner]
-            assert len(faces) == len(set(faces)) <= len(owner.link_classes())
+        calc = LinkCalculator()
+        words = list(words_up_to(4, "ICB")) + [W("BICIC")]
+        cold = [calc.h(build(w)) for w in words]
+        # cold: at most one link per (dimension, link flag vector), over
+        # every lattice the recursion meets
+        assert built and len(built) == len(set(built))
+        assert len(built) < sum(len(build(w).link_classes()) for w in words)
+        # warm: every class of a fresh build of each word is cached
+        built.clear()
+        assert [calc.h(build(w)) for w in words] == cold
+        assert built == []
