@@ -36,12 +36,13 @@ _TERM_TOKEN = re.compile(
 
 
 def parse_term(text: str) -> IndexTerm:
-    """Parse terms like ``xA{1}``, ``X^2Y^3{5}``, ``Abar{1}{1}``."""
+    """Parse terms like ``xA{1}``, ``X^2Y^3{5}``, ``Abar{1}{1}`` and ``1``."""
     xexp = yexp = 0
     word = []
     aux = False
     final = False
-    for m in _TERM_TOKEN.finditer(text.replace(" ", "")):
+    text = text.replace(" ", "")
+    for m in _TERM_TOKEN.finditer("" if text == "1" else text):
         var, exp, pad, local, junk = m.groups()
         if junk is not None:
             raise CliError(f"bad term syntax near {junk!r}")

@@ -11,16 +11,16 @@ The basis solve reads only the sparse rows: the dimension sets with no
 two consecutive dimensions and with n - 1 left out.  There are F_(n+1) of
 them, and their flag numbers determine any flag vector in the span (Bayer
 & Billera 1985, "Generalized Dehn-Sommerville relations for polytopes,
-spheres and Eulerian partially ordered sets").  So the F x F submatrix of
-the basis on those rows is inverted once per dimension, and every
-expression is then checked by its full reconstruction on all 2^n rows.
+spheres and Eulerian partially ordered sets").  So each expression is one
+reduction of the F x F submatrix of the basis on those rows beside the
+target's entries there, checked by its full reconstruction on all 2^n rows.
 The basis columns come from the flag-level transforms below, not from
 lattices; the test suite pins them to the lattice counts on every basis
 word through dimension 9.
 
 Every exact elimination in the package goes through one fraction-free
-integer routine here, ``_eliminate``: the inverse of the sparse submatrix
-and the rank of a family of flag vectors.
+integer routine here, ``_eliminate``: the solve on the sparse rows and the
+rank of a family of flag vectors.
 
 It also carries the constructor transforms at the flag-vector level: the
 flag vector of a pyramid, prism or bipyramid computed linearly from the
@@ -34,9 +34,9 @@ test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from . import engine
 from .lattice import FlagVector
@@ -152,7 +152,8 @@ def _eliminate(rows) -> list:
     by the gcd of its entries.  Returns (pivot, int row) pairs sorted by
     pivot: the rows span the input rows, each is zero at every other
     pivot, and its first nonzero entry, at its pivot, is positive.  The
-    number of pairs is the rank.
+    number of pairs is the rank.  For A invertible, [A | b] reduces to rows
+    d_i e_i | b_i, so x_i = b_i / d_i solves A x = b.
     """
     reduced = []
     for row in rows:
@@ -181,49 +182,39 @@ def _primitive(row, piv):
     return [x // g for x in row]
 
 
-def _inverse(rows):
-    """Exact inverse of a square integer matrix, as rows of Fractions.
-
-    One reduction of [A | I] gives E A = D with D diagonal, so row i of
-    the inverse is the right half of reduced row i over its pivot.  Raises
-    if the rows are linearly dependent.
-    """
-    size = len(rows)
-    pairs = _eliminate([[*row, *(int(i == j) for j in range(size))]
-                        for i, row in enumerate(rows)])
-    if pairs[-1][0] != size - 1:
-        raise AssertionError("rows are linearly dependent")
-    return [[Fraction(x, row[p]) for x in row[size:]] for p, row in pairs]
-
-
 @lru_cache(maxsize=None)
 def _basis_data(n: int):
-    """The basis words, their flag vectors (the columns of M), the sparse
-    rows R and the inverse of the square submatrix M[R].
-
-    The flag numbers on the sparse sets determine a flag vector in the
-    span (Bayer & Billera 1985), so M[R] is invertible.  The columns come
-    from the flag-level transforms, which the test suite pins to the
-    lattice counts on every basis word through dimension 9.
+    """The basis words, their flag vectors (the columns of M) and the
+    sparse rows R, on which the square submatrix M[R] is invertible: the
+    flag numbers on the sparse sets determine a flag vector in the span
+    (Bayer & Billera 1985).  The columns come from the flag-level
+    transforms, which the test suite pins to the lattice counts on every
+    basis word through dimension 9.
     """
     basis = ic_basis(n)
     cols = [word_flag_vector(w).counts for w in basis]
     # the sparse sets: no two consecutive dimensions, and n - 1 left out
     rows = [key for key in range(1 << max(n - 1, 0)) if not key & key >> 1]
-    return basis, cols, rows, _inverse([[col[r] for col in cols]
-                                        for r in rows])
+    return basis, cols, rows
 
 
 def express_in_basis(fv: FlagVector):
     """Exact coefficients of fv over the basis flag vectors.
 
-    Solves on the rows R, then checks the full reconstruction; raises
-    NotInSpanError (carrying the nonzero entries of f - M c) when no exact
-    combination exists.  The tolerance is literally zero.
+    Solves M[R] c = f[R] by one reduction of [M[R] | f[R]], then checks
+    the full reconstruction; raises NotInSpanError (carrying the nonzero
+    entries of f - M c) when no exact combination exists.  The tolerance
+    is literally zero.
     """
-    _, cols, rows, minv = _basis_data(fv.n)
+    _, cols, rows = _basis_data(fv.n)
     f = fv.counts
-    coeffs = [sum(a * f[r] for a, r in zip(mrow, rows)) for mrow in minv]
+    # Fraction counts are scaled to integers first: gcd refuses Fractions
+    fden = lcm(*(f[r].denominator for r in rows))
+    pairs = _eliminate([[*(col[r] for col in cols), int(f[r] * fden)]
+                        for r in rows])
+    if [p for p, _ in pairs] != list(range(len(cols))):
+        raise AssertionError("rows are linearly dependent")
+    coeffs = [Fraction(row[-1], row[p] * fden) for p, row in pairs]
     # reconstruct in integers: den times M c, den the common denominator
     den = lcm(*(c.denominator for c in coeffs))
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -238,16 +229,9 @@ def express_in_basis(fv: FlagVector):
 def extend_linear(fv: FlagVector, value_on_word):
     """Extend a linear functional from basis words to the whole span."""
     basis = _basis_data(fv.n)[0]
-    coeffs = express_in_basis(fv)
-    total = None
-    for c, w in zip(coeffs, basis):
-        if c == 0:
-            continue
-        v = value_on_word(w).scale(c)
-        total = v if total is None else total + v
-    if total is None:
-        return value_on_word(basis[0]).scale(0)
-    return total
+    parts = [value_on_word(w).scale(c)
+             for c, w in zip(express_in_basis(fv), basis) if c]
+    return reduce(add, parts) if parts else value_on_word(basis[0]).scale(0)
 
 
 def linear_h(fv: FlagVector) -> HVector:

@@ -145,12 +145,14 @@ class FaceLattice:
         if self.n < 0:
             return []
         self.flag_vector()
-        _, width, classes = self._pass
+        _, width, classes, full = self._pass
+        if full is None:
+            raise ValueError("no full face present")
         out = []
         for d, f, count, z in classes:
             m = self.n - 1 - d  # the link's dimension
             out.append((d, f, count, _unpack(z >> (width << m), m, width)))
-        return [*out, (self.n, self.full_face, 1, FlagVector(-1, (1,)))]
+        return [*out, (self.n, full, 1, FlagVector(-1, (1,)))]
 
     # -- links ---------------------------------------------------------------
 
@@ -397,16 +399,19 @@ def _chain_pass(lat: FaceLattice):
     classes.  With m = n - 1 - dim f, Z[f] >> (width << m) is the packed
     total of the link, of dimension m, which ``link_classes`` unpacks.
 
-    Returns the flag vector, ``width`` and, for each class, (dimension, a
-    face of it, the number of faces in it, Z).
+    Returns the flag vector, ``width``, for each class (dimension, a face
+    of it, the number of faces in it, Z), and the whole polytope's face, or
+    None if no face has dimension n.
     """
-    n = lat.n
-    if n <= 0:
-        return FlagVector(n, (1,)), 0, ()
+    n, full = lat.n, None
     levels = [[] for _ in range(n)]  # levels[k] holds dimension n - 1 - k
     for f, d in lat.faces.items():
         if 0 <= d < n:
             levels[n - 1 - d].append(f)
+        elif d == n and full is None:
+            full = f
+    if n <= 0:
+        return FlagVector(n, (1,)), 0, (), full
     faces = [f for lv in levels for f in lv]
     start = list(accumulate(map(len, levels), initial=0))
     index = dict.fromkeys(lat.vertices, 0)
@@ -445,7 +450,7 @@ def _chain_pass(lat: FaceLattice):
     for z, members in classes.items():
         f = faces[(members & -members).bit_length() - 1]
         reps.append((lat.faces[f], f, members.bit_count(), z))
-    return _unpack(total, n, width), width, tuple(reps)
+    return _unpack(total, n, width), width, tuple(reps), full
 
 
 def _unpack(total: int, n: int, width: int) -> "FlagVector":

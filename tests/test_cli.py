@@ -9,7 +9,8 @@ import pytest
 
 import hvcalc
 from hvcalc.cli import main, parse_term
-from hvcalc.symbols import PAD, PAD_AUX
+from hvcalc.symbols import FINAL, PAD, PAD_AUX
+from hvcalc.terms import IndexTerm, enumerate_terms
 from hvcalc.words import GeneratorWord, WordParseError
 
 
@@ -74,6 +75,15 @@ class TestParseTerm:
         from hvcalc.cli import CliError
         with pytest.raises(CliError):
             parse_term("xX{1}")
+
+    def test_constant_term(self):
+        assert parse_term("1") == IndexTerm(0, 0, (), FINAL)
+        assert parse_term(" 1 ") == IndexTerm(0, 0, (), FINAL)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_final_term_round_trips(self, n):
+        for t in enumerate_terms(n, FINAL):
+            assert parse_term(t.render()) == t, t.render()
 
 
 def run(capsys, *argv):
@@ -306,6 +316,13 @@ class TestCommands:
     def test_order(self, capsys):
         rc, out, _ = run(capsys, "order", "X{1}{1}", "Abar{1}{1}")
         assert rc == 0 and "=>" in out
+
+    def test_order_of_the_constant_term(self, capsys):
+        assert run(capsys, "order", "1", "1") == (
+            0, "1 = 1 (same strata)\n", "")
+
+    def test_express_coeff_of_the_constant_term(self, capsys):
+        assert run(capsys, "express", ".", "--coeff", "1") == (0, "1\n", "")
 
     def test_order_incomparable(self, capsys):
         rc, out, _ = run(capsys, "order", "{1}{2}", "{2}{1}")

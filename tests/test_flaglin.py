@@ -87,13 +87,13 @@ class TestBasisSolve:
 
     @pytest.mark.parametrize("n", range(10))
     def test_columns_are_the_lattice_counts(self, n):
-        basis, cols, _, _ = flaglin._basis_data(n)
+        basis, cols, _ = flaglin._basis_data(n)
         for w, col in zip(basis, cols):
             assert col == build(w).flag_vector().counts, w
 
     def test_rows_are_the_sparse_sets(self):
         for n in range(11):
-            _, cols, rows, minv = flaglin._basis_data(n)
+            _, cols, rows = flaglin._basis_data(n)
             sparse = [S for S in FlagVector(n, (0,) * (1 << n)).subsets()
                       if n - 1 not in S and not any(d + 1 in S for d in S)]
             assert [frozenset(d for d in range(n) if r >> d & 1)
@@ -101,11 +101,6 @@ class TestBasisSolve:
             assert len(rows) == fib(n + 1), n
             sub = [[col[r] for col in cols] for r in rows]
             assert len(flaglin._eliminate(sub)) == len(rows), n
-            if n <= 7:
-                ident = [[int(i == j) for j in range(len(rows))]
-                         for i in range(len(rows))]
-                assert [[sum(a * b for a, b in zip(mrow, scol))
-                         for scol in zip(*sub)] for mrow in minv] == ident, n
 
     def test_builds_no_lattice(self, monkeypatch):
         def no_point():
@@ -125,10 +120,30 @@ class TestBasisSolve:
             express_in_basis(FlagVector(n, tuple(v)))
         assert err.value.residual == [1]
 
-    def test_inverse_refuses_dependent_rows(self):
+    def test_dependent_basis_rows_raise(self, monkeypatch):
+        basis, cols, rows = flaglin._basis_data(2)
+        monkeypatch.setattr(flaglin, "_basis_data",
+                            lambda n: (basis, [cols[0], cols[0]], rows))
         with pytest.raises(AssertionError):
-            flaglin._inverse([[1, 2], [2, 4]])
-        assert flaglin._inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+            express_in_basis(word_flag_vector(W("IC")))
+
+    def test_one_elimination_per_expression(self, monkeypatch):
+        calls = []
+        eliminate = flaglin._eliminate
+        monkeypatch.setattr(flaglin, "_eliminate",
+                            lambda rows: calls.append(1) or eliminate(rows))
+        for k, w in enumerate(words_up_to(4, "ICB"), 1):
+            express_in_basis(word_flag_vector(w))
+            assert len(calls) == k, w
+
+    def test_fraction_counts(self):
+        for w in words_up_to(5, "ICB"):
+            fv = word_flag_vector(w)
+            half = express_in_basis(fv.scale(Fraction(1, 2)))
+            assert half == [c / 2 for c in express_in_basis(fv)], w
+            assert all(type(c) is Fraction for c in half), w
+        half_oct = word_flag_vector(W("BIC")).scale(Fraction(1, 2))
+        assert linear_h(half_oct).render() == "(1/2,5/2,5/2,1/2) + (3){1}"
 
 
 @lru_cache(maxsize=None)

@@ -785,6 +785,25 @@ class TestLinkClasses:
         assert v in ({0}, {1})
         assert whole == (1, frozenset({0, 1}), 1, FlagVector(-1, (1,)))
 
+    def test_no_full_face(self):
+        lat = FaceLattice(1, {frozenset(): -1, frozenset({0}): 0,
+                              frozenset({1}): 0})
+        assert lat.flag_vector() == FlagVector(1, (1, 2))
+        with pytest.raises(ValueError, match="no full face"):
+            lat.link_classes()
+
+    def test_reads_the_full_face_from_the_pass(self, monkeypatch):
+        lats = [build(W(ops)) for ops in ("", "C", "IC", "BIC", "CBIC")]
+        for lat in lats:
+            lat.flag_vector()
+        want = [lat.link_classes() for lat in lats]
+
+        def no_scan(self):
+            raise AssertionError("link_classes scanned the faces")
+
+        monkeypatch.setattr(FaceLattice, "full_face", property(no_scan))
+        assert [lat.link_classes() for lat in lats] == want
+
     def test_returns_a_fresh_list(self):
         lat = build(W("IC"))
         lat.link_classes().clear()

@@ -1,6 +1,7 @@
 """The face-sum recursion, the transported cone rule, and the lift."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -56,8 +57,14 @@ def _lift_solver(n):
         poly[t.yexp] = 1
         h = HVector(n, AUX, {t.word: poly})
         cols.append(_vectorize(engine.to_extended(h), fin_terms))
-    assert len(fin_terms) == len(aux_terms)
-    inv = flaglin._inverse(list(zip(*cols)))
+    size = len(fin_terms)
+    assert size == len(aux_terms)
+    # one reduction of [A | I] gives E A = D with D diagonal, so row i of
+    # the inverse is the right half of reduced row i over its pivot
+    pairs = flaglin._eliminate([[*row, *(int(i == j) for j in range(size))]
+                                for i, row in enumerate(zip(*cols))])
+    assert [p for p, _ in pairs] == list(range(size))
+    inv = [[Fraction(x, row[p]) for x in row[size:]] for p, row in pairs]
     return aux_terms, fin_terms, inv
 
 
