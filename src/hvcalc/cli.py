@@ -5,22 +5,18 @@ auxiliary vectors, flag vectors, lattices, basis expressions, link-recursion
 values, pseudo h, index terms and their order, and run verification suites.
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
 or parse errors and any other error (one line of stderr), 141 closed stdout.
+
+Each command imports only the layers it runs, and building the parser
+imports none: ``hvcalc terms 3`` never loads the lattice or the checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 
-from . import checks, engine, flaglin, links, terms
-from .lattice import FaceLattice, build
-from .symbols import (
-    AUX, FINAL, PAD, PAD_AUX, render_scalar, render_word, scalar_to_json,
-)
-from .terms import IndexTerm
 from .words import GeneratorWord, WordParseError
 
 FORMATS = ("text", "json", "csv")
@@ -32,11 +28,16 @@ class CliError(Exception):
 
 
 _TERM_TOKEN = re.compile(
-    r"(x|y|X|Y)(?:\^?(\d+))?|(Abar|Ā|Ā|A)|\{(\d+)\}|(.)")
+    r"(x|y|X|Y)(?:\^?(\d+))?|(Abar|Ā|Ā|A)|\{(\d+)\}|(.)", re.DOTALL)
 
 
-def parse_term(text: str) -> IndexTerm:
-    """Parse terms like ``xA{1}``, ``X^2Y^3{5}``, ``Abar{1}{1}`` and ``1``."""
+def parse_term(text: str):
+    """Parse terms like ``xA{1}``, ``X^2Y^3{5}``, ``Abar{1}{1}`` and ``1``
+    into an ``IndexTerm``."""
+    from .symbols import AUX, FINAL, PAD, PAD_AUX
+    from .terms import IndexTerm
+    if not text.strip():
+        raise CliError("empty term: write the constant term as 1")
     xexp = yexp = 0
     word = []
     aux = False
@@ -85,10 +86,16 @@ def _emit(text: str, out_path):
         print(text)
 
 
+def _dumps(data) -> str:
+    import json
+    return json.dumps(data)
+
+
 def _hvector_out(h, fmt):
     if fmt == "json":
-        return json.dumps(h.to_json(), ensure_ascii=True)
+        return _dumps(h.to_json())
     if fmt == "csv":
+        from .symbols import render_scalar, render_word
         lines = ["word,poly"]
         for w, cs in h.sorted_terms():
             lines.append(f"{render_word(w, h.flavor)},"
@@ -99,10 +106,12 @@ def _hvector_out(h, fmt):
 
 def _load_flag_vector(arg: str):
     """The flag vector of a generator word, or of a lattice JSON file."""
+    from .lattice import FaceLattice, build
     try:
         return build(GeneratorWord.parse(arg)).flag_vector()
     except WordParseError:
         pass
+    import json
     try:
         with open(arg) as fh:
             data = json.load(fh)
@@ -114,9 +123,12 @@ def _load_flag_vector(arg: str):
 def cmd_hvec(args):
     w = GeneratorWord.parse(args.word)
     if w.is_bipyramid_free():
+        from . import engine
         h = engine.extended_hvector(w)
         label = "engine"
     else:
+        from . import flaglin
+        from .lattice import build
         h = flaglin.linear_h(build(w).flag_vector())
         label = "linear extension"
     body = _hvector_out(h, args.format)
@@ -126,6 +138,7 @@ def cmd_hvec(args):
 
 
 def cmd_aux(args):
+    from . import engine
     w = GeneratorWord.parse(args.word)
     h = engine.aux_hvector(w)
     _emit(_hvector_out(h, args.format), args.out)
@@ -134,7 +147,7 @@ def cmd_aux(args):
 def cmd_flagvec(args):
     fv = _load_flag_vector(args.word)
     if args.format == "json":
-        _emit(json.dumps(fv.to_json()), args.out)
+        _emit(_dumps(fv.to_json()), args.out)
     elif args.format == "csv":
         _emit(fv.to_csv().rstrip("\n"), args.out)
     else:
@@ -146,21 +159,25 @@ def cmd_flagvec(args):
 
 
 def cmd_lattice(args):
+    from .lattice import build
     w = GeneratorWord.parse(args.word)
     _emit(build(w).dumps(), args.out)
 
 
 def cmd_basis(args):
+    from . import flaglin
     ws = flaglin.ic_basis(args.n)
     if args.format == "json":
-        _emit(json.dumps([w.render() for w in ws]), args.out)
+        _emit(_dumps([w.render() for w in ws]), args.out)
     else:
         _emit("\n".join(w.render() for w in ws), args.out)
 
 
 def cmd_express(args):
+    from . import flaglin
+    from .symbols import AUX, render_scalar, scalar_to_json
     fv = _load_flag_vector(args.word)
-    if args.coeff:
+    if args.coeff is not None:
         term = parse_term(args.coeff)
         if term.flavor == AUX:
             raise CliError(f"--coeff {term} is an aux term; the extended "
@@ -175,7 +192,7 @@ def cmd_express(args):
     basis = flaglin.ic_basis(fv.n)
     cs = flaglin.express_in_basis(fv)
     if args.format == "json":
-        _emit(json.dumps([{"word": w.render(), "coeff": scalar_to_json(c)}
+        _emit(_dumps([{"word": w.render(), "coeff": scalar_to_json(c)}
                           for w, c in zip(basis, cs)]), args.out)
     elif args.format == "csv":
         lines = ["word,coeff"] + [f"{w.render()},{render_scalar(c)}"
@@ -187,36 +204,44 @@ def cmd_express(args):
 
 
 def cmd_links(args):
+    from . import links
+    from .lattice import build
     w = GeneratorWord.parse(args.word)
-    h = links.h_by_links(build(w), args.rule)
+    h = links.h_by_links(build(w), args.rule or links.CONJUGATION)
     _emit(_hvector_out(h, args.format), args.out)
 
 
 def cmd_pseudo(args):
     w = GeneratorWord.parse(args.word)
     if w.is_bipyramid_free():
+        from . import engine
         p = engine.pseudo_h(w)
         label = "engine"
     else:
+        from . import flaglin
+        from .lattice import build
         p = flaglin.linear_pseudo_h(build(w).flag_vector())
         label = "linear extension"
     if args.format == "json":
-        _emit(json.dumps([scalar_to_json(c) for c in p.coeffs]), args.out)
+        from .symbols import scalar_to_json
+        _emit(_dumps([scalar_to_json(c) for c in p.coeffs]), args.out)
     else:
         _emit(f"{p.render()}   [{label}]", args.out)
 
 
 def cmd_terms(args):
+    from . import terms
     if args.n < 0:
         raise CliError(f"degree must be non-negative, got {args.n}")
     ts = terms.enumerate_terms(args.n)
     if args.format == "json":
-        _emit(json.dumps([t.render() for t in ts]), args.out)
+        _emit(_dumps([t.render() for t in ts]), args.out)
     else:
         _emit("\n".join(t.render() for t in ts), args.out)
 
 
 def cmd_order(args):
+    from . import terms
     t1 = parse_term(args.term1)
     t2 = parse_term(args.term2)
     fwd = terms.implies(t1, t2)
@@ -235,6 +260,7 @@ def cmd_order(args):
 
 
 def cmd_verify(args):
+    from . import checks
     results = checks.run_suite(args.suite, args.max_dim)
     note = checks.max_dim_note(args.suite, args.max_dim)
     if note:
@@ -258,6 +284,30 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error: {' '.join(message.split())}\n")
+
+
+class _LayerChoices:
+    """Choices that argparse reads from a layer only when it checks a value
+    or prints the choices, so that building the parser imports no layer."""
+
+    def __init__(self, load):
+        self._load = load
+
+    def __contains__(self, value):
+        return value in self._load()
+
+    def __iter__(self):
+        return iter(self._load())
+
+
+def _suite_names():
+    from . import checks
+    return sorted([*checks.SUITES, "all"])
+
+
+def _link_rules():
+    from . import links
+    return links.RULES
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -306,7 +356,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("links", help="h-vector via the link recursion")
     p.add_argument("word")
-    p.add_argument("--rule", choices=links.RULES, default=links.CONJUGATION)
+    # add_argument formats the metavar from the choices at once, so lazy
+    # choices are set on the action after it is added
+    p.add_argument("--rule").choices = _LayerChoices(_link_rules)
     common(p, FORMATS)
     p.set_defaults(fn=cmd_links)
 
@@ -327,7 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_order)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted([*checks.SUITES, "all"]))
+    p.add_argument("suite").choices = _LayerChoices(_suite_names)
     p.add_argument("--max-dim", type=int, default=None)
     common(p)
     p.set_defaults(fn=cmd_verify)

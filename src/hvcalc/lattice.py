@@ -30,7 +30,6 @@ polytope lattice, and allocates nothing of size F * F.
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from itertools import accumulate
 from math import prod
@@ -315,6 +314,7 @@ class FaceLattice:
             raise ValueError(f"face {face} covers nothing of dimension {d - 1}")
 
     def dumps(self) -> str:
+        import json
         return json.dumps(self.to_json(), separators=(",", ":"))
 
 

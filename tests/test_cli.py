@@ -1,14 +1,17 @@
 """Command-line surface: parsing, outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hvcalc
-from hvcalc.cli import main, parse_term
+from hvcalc.cli import CliError, main, parse_term
 from hvcalc.symbols import FINAL, PAD, PAD_AUX
 from hvcalc.terms import IndexTerm, enumerate_terms
 from hvcalc.words import GeneratorWord, WordParseError
@@ -72,13 +75,22 @@ class TestParseTerm:
         assert (t.xexp, t.yexp) == (2, 3)
 
     def test_mixed_flavors_rejected(self):
-        from hvcalc.cli import CliError
         with pytest.raises(CliError):
             parse_term("xX{1}")
 
     def test_constant_term(self):
         assert parse_term("1") == IndexTerm(0, 0, (), FINAL)
         assert parse_term(" 1 ") == IndexTerm(0, 0, (), FINAL)
+
+    @pytest.mark.parametrize("text", ["", " ", "  \t", "\n"])
+    def test_empty_term_refused(self, text):
+        # not read as the constant term, which is written 1
+        with pytest.raises(CliError, match="empty term"):
+            parse_term(text)
+
+    def test_newline_is_junk(self):
+        with pytest.raises(CliError, match="bad term syntax"):
+            parse_term("x\ny")
 
     @pytest.mark.parametrize("n", range(9))
     def test_every_final_term_round_trips(self, n):
@@ -90,6 +102,51 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_captured(argv):
+    """``main(argv)`` with its streams captured; an argparse exit is its
+    exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+# short texts of term tokens and junk, a dash among them for option lookalikes
+TERM_TEXTS = st.lists(st.sampled_from(
+    ["x", "y", "X", "Y", "A", "Abar", "Ā", "{", "}", "^", "0", "1", "2",
+     "{1}", "{2}", " ", "\t", "\n", "-", "q"]), max_size=6).map("".join)
+
+
+class TestTermFuzz:
+    @given(TERM_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_term_returns_a_term_or_refuses(self, text):
+        try:
+            t = parse_term(text)
+        except CliError:
+            return
+        assert isinstance(t, IndexTerm)
+
+    @given(TERM_TEXTS, TERM_TEXTS)
+    @settings(max_examples=150, deadline=None)
+    def test_order_exits_0_or_2(self, a, b):
+        rc, out, err = run_captured(["order", a, b])
+        assert rc in (0, 2) and "Traceback" not in err
+        if rc == 2:
+            assert len(err.splitlines()) == 1 and out == ""
+
+    @given(TERM_TEXTS)
+    @settings(max_examples=100, deadline=None)
+    def test_express_coeff_exits_0_or_2(self, t):
+        rc, out, err = run_captured(["express", "CIC.", "--coeff", t])
+        assert rc in (0, 2) and "Traceback" not in err
+        if rc == 2:
+            assert len(err.splitlines()) == 1 and out == ""
 
 
 class TestCommands:
@@ -183,6 +240,16 @@ class TestCommands:
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert err == "error: bad symbol 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "", "x"),
+        ("order", "x", "  "),
+        ("express", "C.", "--coeff", ""),
+    ])
+    def test_empty_term_exits_2(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == "error: empty term: write the constant term as 1\n"
 
     @pytest.mark.parametrize("coeff, says", [
         ("XAbar{1}", "aux term"),
