@@ -43,34 +43,33 @@ def parse_term(text: str):
     aux = False
     final = False
     text = text.replace(" ", "")
-    for m in _TERM_TOKEN.finditer("" if text == "1" else text):
-        var, exp, pad, local, junk = m.groups()
-        if junk is not None:
-            raise CliError(f"bad term syntax near {junk!r}")
-        if var is not None:
-            e = int(exp) if exp else 1
-            if var in "xy":
-                final = True
+    try:  # int() refuses a number past its digit limit with ValueError
+        for m in _TERM_TOKEN.finditer("" if text == "1" else text):
+            var, exp, pad, local, junk = m.groups()
+            if junk is not None:
+                raise CliError(f"bad term syntax near {junk!r}")
+            if var is not None:
+                e = int(exp) if exp else 1
+                if var in "xy":
+                    final = True
+                else:
+                    aux = True
+                if var in "xX":
+                    xexp += e
+                else:
+                    yexp += e
+            elif pad is not None:
+                if pad == "A":
+                    final = True
+                    word.append(PAD)
+                else:
+                    aux = True
+                    word.append(PAD_AUX)
             else:
-                aux = True
-            if var in "xX":
-                xexp += e
-            else:
-                yexp += e
-        elif pad is not None:
-            if pad == "A":
-                final = True
-                word.append(PAD)
-            else:
-                aux = True
-                word.append(PAD_AUX)
-        else:
-            word.append(int(local))
-    if aux and final:
-        raise CliError("term mixes aux and final symbols")
-    flavor = AUX if aux else FINAL
-    try:
-        return IndexTerm(xexp, yexp, tuple(word), flavor)
+                word.append(int(local))
+        if aux and final:
+            raise CliError("term mixes aux and final symbols")
+        return IndexTerm(xexp, yexp, tuple(word), AUX if aux else FINAL)
     except ValueError as e:
         raise CliError(str(e))
 
@@ -104,6 +103,25 @@ def _hvector_out(h, fmt):
     return h.render()
 
 
+def _listing(items, fmt):
+    """Rendered items, one a line or as a JSON list."""
+    rendered = [x.render() for x in items]
+    return _dumps(rendered) if fmt == "json" else "\n".join(rendered)
+
+
+def _by_route(word: str, engine_name: str, linear_name: str):
+    """``engine.<engine_name>`` of a bipyramid-free word, else
+    ``flaglin.<linear_name>`` of its flag vector; with the route's label."""
+    w = GeneratorWord.parse(word)
+    if w.is_bipyramid_free():
+        from . import engine
+        return getattr(engine, engine_name)(w), "engine"
+    from . import flaglin
+    from .lattice import build
+    return (getattr(flaglin, linear_name)(build(w).flag_vector()),
+            "linear extension")
+
+
 def _load_flag_vector(arg: str):
     """The flag vector of a generator word, or of a lattice JSON file."""
     from .lattice import FaceLattice, build
@@ -120,57 +138,38 @@ def _load_flag_vector(arg: str):
     return FaceLattice.from_json(data).flag_vector()
 
 
+# Each command returns the text it prints; ``_run`` writes it.
+
 def cmd_hvec(args):
-    w = GeneratorWord.parse(args.word)
-    if w.is_bipyramid_free():
-        from . import engine
-        h = engine.extended_hvector(w)
-        label = "engine"
-    else:
-        from . import flaglin
-        from .lattice import build
-        h = flaglin.linear_h(build(w).flag_vector())
-        label = "linear extension"
+    h, label = _by_route(args.word, "extended_hvector", "linear_h")
     body = _hvector_out(h, args.format)
-    if args.format == "text":
-        body += f"   [{label}]"
-    _emit(body, args.out)
+    return body + f"   [{label}]" if args.format == "text" else body
 
 
 def cmd_aux(args):
     from . import engine
     w = GeneratorWord.parse(args.word)
-    h = engine.aux_hvector(w)
-    _emit(_hvector_out(h, args.format), args.out)
+    return _hvector_out(engine.aux_hvector(w), args.format)
 
 
 def cmd_flagvec(args):
     fv = _load_flag_vector(args.word)
     if args.format == "json":
-        _emit(_dumps(fv.to_json()), args.out)
-    elif args.format == "csv":
-        _emit(fv.to_csv().rstrip("\n"), args.out)
-    else:
-        lines = []
-        for S in fv.subsets():
-            name = "{" + ",".join(str(i) for i in sorted(S)) + "}"
-            lines.append(f"f{name} = {fv[S]}")
-        _emit("\n".join(lines), args.out)
+        return _dumps(fv.to_json())
+    if args.format == "csv":
+        return fv.to_csv().rstrip("\n")
+    return "\n".join("f{" + ",".join(map(str, sorted(S))) + f"}} = {fv[S]}"
+                     for S in fv.subsets())
 
 
 def cmd_lattice(args):
     from .lattice import build
-    w = GeneratorWord.parse(args.word)
-    _emit(build(w).dumps(), args.out)
+    return build(GeneratorWord.parse(args.word)).dumps()
 
 
 def cmd_basis(args):
     from . import flaglin
-    ws = flaglin.ic_basis(args.n)
-    if args.format == "json":
-        _emit(_dumps([w.render() for w in ws]), args.out)
-    else:
-        _emit("\n".join(w.render() for w in ws), args.out)
+    return _listing(flaglin.ic_basis(args.n), args.format)
 
 
 def cmd_express(args):
@@ -186,21 +185,14 @@ def cmd_express(args):
             raise CliError(f"--coeff {term} has degree {term.degree}, but "
                            f"the polytope has dimension {fv.n}")
         h = flaglin.linear_h(fv)
-        _emit(render_scalar(h.coefficient(term.xexp, term.yexp, term.word)),
-              args.out)
-        return
-    basis = flaglin.ic_basis(fv.n)
-    cs = flaglin.express_in_basis(fv)
+        return render_scalar(h.coefficient(term.xexp, term.yexp, term.word))
+    pairs = list(zip(flaglin.ic_basis(fv.n), flaglin.express_in_basis(fv)))
     if args.format == "json":
-        _emit(_dumps([{"word": w.render(), "coeff": scalar_to_json(c)}
-                          for w, c in zip(basis, cs)]), args.out)
-    elif args.format == "csv":
-        lines = ["word,coeff"] + [f"{w.render()},{render_scalar(c)}"
-                                  for w, c in zip(basis, cs)]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit("\n".join(f"{w.render()}: {render_scalar(c)}"
-                        for w, c in zip(basis, cs)), args.out)
+        return _dumps([{"word": w.render(), "coeff": scalar_to_json(c)}
+                       for w, c in pairs])
+    sep, header = (",", ["word,coeff"]) if args.format == "csv" else (": ", [])
+    return "\n".join(header + [f"{w.render()}{sep}{render_scalar(c)}"
+                               for w, c in pairs])
 
 
 def cmd_links(args):
@@ -208,36 +200,22 @@ def cmd_links(args):
     from .lattice import build
     w = GeneratorWord.parse(args.word)
     h = links.h_by_links(build(w), args.rule or links.CONJUGATION)
-    _emit(_hvector_out(h, args.format), args.out)
+    return _hvector_out(h, args.format)
 
 
 def cmd_pseudo(args):
-    w = GeneratorWord.parse(args.word)
-    if w.is_bipyramid_free():
-        from . import engine
-        p = engine.pseudo_h(w)
-        label = "engine"
-    else:
-        from . import flaglin
-        from .lattice import build
-        p = flaglin.linear_pseudo_h(build(w).flag_vector())
-        label = "linear extension"
+    p, label = _by_route(args.word, "pseudo_h", "linear_pseudo_h")
     if args.format == "json":
         from .symbols import scalar_to_json
-        _emit(_dumps([scalar_to_json(c) for c in p.coeffs]), args.out)
-    else:
-        _emit(f"{p.render()}   [{label}]", args.out)
+        return _dumps([scalar_to_json(c) for c in p.coeffs])
+    return f"{p.render()}   [{label}]"
 
 
 def cmd_terms(args):
     from . import terms
     if args.n < 0:
         raise CliError(f"degree must be non-negative, got {args.n}")
-    ts = terms.enumerate_terms(args.n)
-    if args.format == "json":
-        _emit(_dumps([t.render() for t in ts]), args.out)
-    else:
-        _emit("\n".join(t.render() for t in ts), args.out)
+    return _listing(terms.enumerate_terms(args.n), args.format)
 
 
 def cmd_order(args):
@@ -247,35 +225,31 @@ def cmd_order(args):
     fwd = terms.implies(t1, t2)
     bwd = terms.implies(t2, t1)
     if fwd and bwd:
-        msg = f"{t1} = {t2} (same strata)"
-    elif fwd:
-        msg = f"{t1} => {t2}"
-    elif bwd:
-        msg = f"{t2} => {t1}"
-    elif terms.broadly_similar(t1, t2):
-        msg = f"{t1} and {t2} are broadly similar but incomparable"
-    else:
-        msg = f"{t1} and {t2} are not broadly similar"
-    _emit(msg, args.out)
+        return f"{t1} = {t2} (same strata)"
+    if fwd:
+        return f"{t1} => {t2}"
+    if bwd:
+        return f"{t2} => {t1}"
+    if terms.broadly_similar(t1, t2):
+        return f"{t1} and {t2} are broadly similar but incomparable"
+    return f"{t1} and {t2} are not broadly similar"
 
 
 def cmd_verify(args):
+    """The result lines and, on a failure, the line naming the first one."""
     from . import checks
     results = checks.run_suite(args.suite, args.max_dim)
     note = checks.max_dim_note(args.suite, args.max_dim)
     if note:
         print(f"note: {note}", file=sys.stderr)
-    lines = [r.line() for r in results]
     failures = [r for r in results if not r.passed]
     summary = f"{len(results) - len(failures)}/{len(results)} checks passed"
-    _emit("\n".join(lines + [summary]), args.out)
-    if failures:
-        first = failures[0]
-        print(f"first failure: {first.name}"
-              + (f" [{first.detail}]" if first.detail else ""),
-              file=sys.stderr)
-        return 1
-    return 0
+    text = "\n".join([r.line() for r in results] + [summary])
+    if not failures:
+        return text
+    first = failures[0]
+    return text, (f"first failure: {first.name}"
+                  + (f" [{first.detail}]" if first.detail else ""))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -316,81 +290,57 @@ def make_parser() -> argparse.ArgumentParser:
         description="exact h-vector calculus for cone/cylinder/bipyramid polytopes")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, formats=()):
+    def command(name, fn, help, arguments, formats=()):
+        """Add subcommand ``name``: its (flag, options) ``arguments``, then
+        --format when it writes ``formats`` and always --out."""
+        p = sub.add_parser(name, help=help)
+        for flag, options in arguments:
+            # add_argument formats the metavar from the choices at once, so
+            # lazy choices are set on the action after it is added
+            choices = options.pop("choices", None)
+            p.add_argument(flag, **options).choices = choices
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to a file")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("hvec", help="extended h-vector of a word")
-    p.add_argument("word")
-    common(p, FORMATS)
-    p.set_defaults(fn=cmd_hvec)
-
-    p = sub.add_parser("aux", help="auxiliary vector of a bipyramid-free word")
-    p.add_argument("word")
-    common(p, FORMATS)
-    p.set_defaults(fn=cmd_aux)
-
-    p = sub.add_parser("flagvec", help="flag vector of a word or lattice file")
-    p.add_argument("word")
-    common(p, FORMATS)
-    p.set_defaults(fn=cmd_flagvec)
-
-    p = sub.add_parser("lattice", help="face lattice of a word, as JSON")
-    p.add_argument("word")
-    common(p)
-    p.set_defaults(fn=cmd_lattice)
-
-    p = sub.add_parser("basis", help="basis words of a dimension")
-    p.add_argument("n", type=int)
-    common(p, LISTS)
-    p.set_defaults(fn=cmd_basis)
-
-    p = sub.add_parser("express",
-                       help="basis coefficients of a word or lattice file")
-    p.add_argument("word")
-    p.add_argument("--coeff", default=None,
-                   help="print one h coefficient, e.g. 'xA{1}'")
-    common(p, FORMATS)
-    p.set_defaults(fn=cmd_express)
-
-    p = sub.add_parser("links", help="h-vector via the link recursion")
-    p.add_argument("word")
-    # add_argument formats the metavar from the choices at once, so lazy
-    # choices are set on the action after it is added
-    p.add_argument("--rule").choices = _LayerChoices(_link_rules)
-    common(p, FORMATS)
-    p.set_defaults(fn=cmd_links)
-
-    p = sub.add_parser("pseudo", help="pseudo h-vector of a word")
-    p.add_argument("word")
-    common(p, LISTS)
-    p.set_defaults(fn=cmd_pseudo)
-
-    p = sub.add_parser("terms", help="index terms of a degree")
-    p.add_argument("n", type=int)
-    common(p, LISTS)
-    p.set_defaults(fn=cmd_terms)
-
-    p = sub.add_parser("order", help="compare two index terms")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    common(p)
-    p.set_defaults(fn=cmd_order)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite").choices = _LayerChoices(_suite_names)
-    p.add_argument("--max-dim", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    word, n = [("word", {})], [("n", {"type": int})]
+    command("hvec", cmd_hvec, "extended h-vector of a word", word, FORMATS)
+    command("aux", cmd_aux, "auxiliary vector of a bipyramid-free word",
+            word, FORMATS)
+    command("flagvec", cmd_flagvec, "flag vector of a word or lattice file",
+            word, FORMATS)
+    command("lattice", cmd_lattice, "face lattice of a word, as JSON", word)
+    command("basis", cmd_basis, "basis words of a dimension", n, LISTS)
+    coeff = {"help": "print one h coefficient, e.g. 'xA{1}'"}
+    command("express", cmd_express,
+            "basis coefficients of a word or lattice file",
+            word + [("--coeff", coeff)], FORMATS)
+    command("links", cmd_links, "h-vector via the link recursion",
+            word + [("--rule", {"choices": _LayerChoices(_link_rules)})],
+            FORMATS)
+    command("pseudo", cmd_pseudo, "pseudo h-vector of a word", word, LISTS)
+    command("terms", cmd_terms, "index terms of a degree", n, LISTS)
+    command("order", cmd_order, "compare two index terms",
+            [("term1", {}), ("term2", {})])
+    command("verify", cmd_verify, "run a verification suite",
+            [("suite", {"choices": _LayerChoices(_suite_names)}),
+             ("--max-dim", {"type": int})])
 
     return ap
 
 
 def _run(args) -> int:
-    """Run a subcommand; any error but a closed pipe: one line, exit 2."""
+    """Run a subcommand and write its text; any error but a closed pipe:
+    one line, exit 2.  A command that returns its text with a line for
+    stderr fails: the line follows the text, and the exit status is 1."""
     try:
-        return args.fn(args) or 0
+        text = args.fn(args)
+        text, failure = text if isinstance(text, tuple) else (text, None)
+        _emit(text, args.out)
+        if failure:
+            print(failure, file=sys.stderr)
+        return 1 if failure else 0
     except BrokenPipeError:
         raise
     except WordParseError as e:
