@@ -94,11 +94,10 @@ def _hvector_out(h, fmt):
     if fmt == "json":
         return _dumps(h.to_json())
     if fmt == "csv":
-        from .symbols import render_scalar, render_word
+        from .symbols import render_word
         lines = ["word,poly"]
         for w, cs in h.sorted_terms():
-            lines.append(f"{render_word(w, h.flavor)},"
-                         + " ".join(render_scalar(c) for c in cs))
+            lines.append(f"{render_word(w)}," + " ".join(map(str, cs)))
         return "\n".join(lines)
     return h.render()
 
@@ -174,7 +173,7 @@ def cmd_basis(args):
 
 def cmd_express(args):
     from . import flaglin
-    from .symbols import AUX, render_scalar, scalar_to_json
+    from .symbols import AUX, scalar_to_json
     fv = _load_flag_vector(args.word)
     if args.coeff is not None:
         term = parse_term(args.coeff)
@@ -185,14 +184,13 @@ def cmd_express(args):
             raise CliError(f"--coeff {term} has degree {term.degree}, but "
                            f"the polytope has dimension {fv.n}")
         h = flaglin.linear_h(fv)
-        return render_scalar(h.coefficient(term.xexp, term.yexp, term.word))
+        return str(h.coefficient(term.xexp, term.yexp, term.word))
     pairs = list(zip(flaglin.ic_basis(fv.n), flaglin.express_in_basis(fv)))
     if args.format == "json":
         return _dumps([{"word": w.render(), "coeff": scalar_to_json(c)}
                        for w, c in pairs])
     sep, header = (",", ["word,coeff"]) if args.format == "csv" else (": ", [])
-    return "\n".join(header + [f"{w.render()}{sep}{render_scalar(c)}"
-                               for w, c in pairs])
+    return "\n".join(header + [f"{w.render()}{sep}{c!s}" for w, c in pairs])
 
 
 def cmd_links(args):

@@ -37,7 +37,7 @@ from math import comb
 from operator import add
 
 from .symbols import (
-    AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads,
+    _FLAVOR_PADS, AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads,
 )
 from .words import GeneratorWord
 
@@ -101,16 +101,17 @@ def apply_cylinder(h: HVector) -> HVector:
     return HVector(h.degree + 1, AUX, _cylinder_terms(h.terms))
 
 
-def _cone(h: HVector, pad, flavor) -> HVector:
-    """The cone rule on a vector of either flavor, padding with ``pad``."""
-    return HVector(h.degree + 1, flavor, _cone_terms(h.terms, pad))
+def _cone(h: HVector) -> HVector:
+    """The cone rule on a vector of either flavor, with that flavor's pad."""
+    pad = _FLAVOR_PADS[h.flavor][0]
+    return HVector(h.degree + 1, h.flavor, _cone_terms(h.terms, pad))
 
 
 def apply_cone(h: HVector) -> HVector:
     """Cone operator on an auxiliary vector, term by term."""
     if h.flavor != AUX:
         raise ValueError("cone operator acts on auxiliary vectors")
-    return _cone(h, PAD_AUX, AUX)
+    return _cone(h)
 
 
 def _aux_terms(w: GeneratorWord) -> dict:

@@ -19,24 +19,25 @@ term per class, times the class size, and a link is built only when its
 term is not yet cached.
 
 The cone acting on final vectors admits two readings, kept behind a
-switch.  The conjugation reading is the auxiliary cone operator carried
-through the change of variables: lift the final vector to auxiliary
-flavor, apply the cone, push forward again.  The change of variables
-(``engine.to_extended``) is linear and injective, commutes with
+switch.  They differ only in the flavor the face sum runs in: the cone is
+the engine's one three-part rule (``engine._cone``), padding with that
+flavor's pad.  The conjugation reading is the auxiliary cone operator
+carried through the change of variables: lift the final vector to
+auxiliary flavor, apply the cone, push forward again.  The change of
+variables (``engine.to_extended``) is linear and injective, commutes with
 multiplication by the second variable and sends the auxiliary unit to the
 final unit, so each step of the recursion is its image under that map.
-The recursion therefore runs on auxiliary vectors with the auxiliary cone,
-and the change of variables is applied once, to the value returned.  The
-direct reading runs the engine's three-part rule verbatim in the final
-alphabet, with the final pad.  Exactly one of them reproduces the engine;
-the test suite records which.
+The recursion therefore runs on auxiliary vectors, and the change of
+variables is applied once, to the value returned.  The direct reading runs
+in the final flavor, with the final pad.  Exactly one of them reproduces
+the engine; the test suite records which.
 """
 
 from __future__ import annotations
 
-from .engine import _cone, apply_cone, to_extended
+from .engine import _cone, to_extended
 from .lattice import FaceLattice
-from .symbols import AUX, FINAL, PAD, HVector
+from .symbols import AUX, FINAL, HVector
 
 CONJUGATION = "conjugation"
 DIRECT = "direct"
@@ -52,12 +53,9 @@ class LinkCalculator:
     """
 
     def __init__(self, rule: str = CONJUGATION):
-        if rule == CONJUGATION:
-            self.flavor, self._cone = AUX, apply_cone
-        elif rule == DIRECT:
-            self.flavor, self._cone = FINAL, lambda h: _cone(h, PAD, FINAL)
-        else:
+        if rule not in RULES:
             raise ValueError(f"unknown cone rule {rule!r}")
+        self.flavor = AUX if rule == CONJUGATION else FINAL
         self._g = {}
 
     def final(self, h: HVector) -> HVector:
@@ -73,6 +71,10 @@ class LinkCalculator:
         return total
 
     def g(self, i: int, B: FaceLattice) -> HVector:
+        if type(i) is not int:  # a bool is not a level
+            raise TypeError(f"level must be an int, got {i!r}")
+        if i < 0:
+            raise ValueError(f"level must be an int >= 0, got {i!r}")
         key = (i, B.flag_vector())
         got = self._g.get(key)
         if got is not None:
@@ -82,7 +84,7 @@ class LinkCalculator:
                 val = HVector.unit(self.flavor)
             else:
                 hB = self.h(B)
-                val = self._cone(hB) - hB.times_second()
+                val = _cone(hB) - hB.times_second()
         else:
             val = self.g(i - 1, B).times_second() - self.g(i - 1, B.pyramid())
         self._g[key] = val

@@ -21,7 +21,8 @@ Its normal forms are sets: no final word comes out twice.  Confluence is
 pinned by a test; ``rewrite_pads`` applies the rules with a rightmost-first
 strategy.
 
-All coefficients are exact: Python ints or ``fractions.Fraction``.
+All coefficients are exact, normalized on construction to a Python int or
+a non-integral ``fractions.Fraction``, so that ``str`` prints them.
 """
 
 from __future__ import annotations
@@ -40,17 +41,20 @@ AUX = "aux"
 FINAL = "final"
 
 _PADS = (PAD, PAD_AUX)
+# each flavor's own pad, and the pad that is wrong for it
+_FLAVOR_PADS = {FINAL: (PAD, PAD_AUX), AUX: (PAD_AUX, PAD)}
 
 
 def _exact(c):
-    """Collapse integral Fractions to int; reject floats."""
+    """An exact int or a non-integral Fraction, so that ``str`` prints it;
+    floats are refused."""
     if type(c) is int:
         return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, bool) or not isinstance(c, int):
         raise TypeError(f"exact coefficient required, got {type(c).__name__}")
-    return c
+    return int(c)
 
 
 def _coeff_tuple(coeffs) -> tuple:
@@ -65,9 +69,11 @@ def _coeff_tuple(coeffs) -> tuple:
     return cs
 
 
-def _check_flavor(flavor):
+def _check_flavor(flavor) -> tuple:
+    """The flavor's own pad and its wrong pad; a bad flavor is refused."""
     if flavor not in (AUX, FINAL):
         raise ValueError(f"bad flavor {flavor!r}")
+    return _FLAVOR_PADS[flavor]
 
 
 def _check_exponents(xexp, yexp):
@@ -78,22 +84,16 @@ def _check_exponents(xexp, yexp):
         raise ValueError("negative exponent")
 
 
-def sym_degree(s) -> int:
-    if s in _PADS:
-        return 1
-    if isinstance(s, int) and not isinstance(s, bool) and s >= 1:
-        return 2 * s + 1
-    raise ValueError(f"bad symbol {s!r}")
-
-
 def word_degree(word) -> int:
-    # one pass, calling sym_degree only for what is not a plain pad or int
+    """A pad has degree 1 and a local {k} 2k+1; any other symbol is refused."""
     d = len(word)
     for s in word:
-        if type(s) is int and s >= 1:
+        if type(s) is int and s >= 1:  # first: every HVector term comes here
             d += 2 * s
         elif s not in _PADS:
-            d += sym_degree(s) - 1
+            if isinstance(s, bool) or not isinstance(s, int) or s < 1:
+                raise ValueError(f"bad symbol {s!r}")
+            d += 2 * s
     return d
 
 
@@ -112,17 +112,8 @@ def word_sort_key(word):
     return (word_degree(word), word_locals(word), pad_positions(word))
 
 
-def word_ok_for_flavor(word, flavor) -> bool:
-    bad = PAD_AUX if flavor == FINAL else PAD
-    return bad not in word
-
-
-def render_word(word, flavor=FINAL) -> str:
-    pad = PAD if flavor == FINAL else "Ā"
-    out = []
-    for s in word:
-        out.append(pad if s in _PADS else "{%d}" % s)
-    return "".join(out)
+def render_word(word) -> str:
+    return "".join(s if s in _PADS else "{%d}" % s for s in word)
 
 
 def word_to_json(word):
@@ -175,17 +166,8 @@ class BiGradedPoly(Frozen):
 def render_coeffs(cs, aux=False) -> str:
     """A polynomial's coefficients as text: ``(121)``, or ``[1,-1]`` for aux."""
     lo, hi = ("[", "]") if aux else ("(", ")")
-    if all(isinstance(c, int) and 0 <= c <= 9 for c in cs):
-        body = "".join(str(c) for c in cs)
-    else:
-        body = ",".join(render_scalar(c) for c in cs)
-    return lo + body + hi
-
-
-def render_scalar(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
+    sep = "" if all(isinstance(c, int) and 0 <= c <= 9 for c in cs) else ","
+    return lo + sep.join(map(str, cs)) + hi
 
 
 def scalar_to_json(c):
@@ -241,8 +223,7 @@ class HVector(Frozen):
     __slots__ = ("degree", "flavor", "terms")
 
     def __init__(self, degree: int, flavor: str, terms=None):
-        _check_flavor(flavor)
-        bad_pad = PAD_AUX if flavor == FINAL else PAD
+        bad_pad = _check_flavor(flavor)[1]
         clean = {}
         for word, cs in (terms or {}).items():
             word = tuple(word)
@@ -321,7 +302,7 @@ class HVector(Frozen):
         aux = self.flavor == AUX
         parts = []
         for word, cs in self.sorted_terms():
-            parts.append(render_coeffs(cs, aux) + render_word(word, self.flavor))
+            parts.append(render_coeffs(cs, aux) + render_word(word))
         return " + ".join(parts)
 
     def to_json(self) -> dict:

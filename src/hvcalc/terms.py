@@ -4,8 +4,8 @@ An index term is a monomial in the two commuting variables times a word in
 pads and local symbols, the whole thing homogeneous.  Broadly similar terms
 (same degree, same second-variable exponent, same local subsequence) are
 compared through their stratification dimension vectors: scanning the word
-from the right, each local symbol eats its own degree plus the pads packed
-against it, and the running values are the strata dimensions.  A term
+from the left, each local symbol adds its own degree plus the pads directly
+to its left, and the running values are the strata dimensions.  A term
 implies another exactly when the strata dominate componentwise.
 
 The same order is generated by two moves on aux terms: trade a first
@@ -21,8 +21,8 @@ from functools import lru_cache
 
 from ._frozen import Frozen
 from .symbols import (
-    AUX, FINAL, PAD, PAD_AUX, _check_exponents, _check_flavor, render_word,
-    sym_degree, word_degree, word_locals, word_ok_for_flavor, word_sort_key,
+    AUX, FINAL, PAD_AUX, _PADS, _check_exponents, _check_flavor, render_word,
+    word_degree, word_locals, word_sort_key,
 )
 
 
@@ -33,13 +33,13 @@ class IndexTerm(Frozen):
 
     def __init__(self, xexp: int, yexp: int, word: tuple = (),
                  flavor: str = FINAL):
-        _check_flavor(flavor)
+        bad_pad = _check_flavor(flavor)[1]
         _check_exponents(xexp, yexp)
         word = tuple(word)
         word_degree(word)  # refuses any symbol but a pad or an int >= 1
-        if not word_ok_for_flavor(word, flavor):
-            raise ValueError(f"word {word!r} clashes with {flavor}")
-        if word and word[-1] in (PAD, PAD_AUX):
+        if bad_pad in word:
+            raise ValueError(f"word {word!r} has wrong flavor for {flavor}")
+        if word and word[-1] in _PADS:
             raise ValueError("index words do not end in a pad")
         init = object.__setattr__
         init(self, "xexp", xexp)
@@ -63,7 +63,7 @@ class IndexTerm(Frozen):
                 out.append(sym)
             elif e > 1:
                 out.append(f"{sym}^{e}")
-        out.append(render_word(self.word, self.flavor))
+        out.append(render_word(self.word))
         return "".join(out) or "1"
 
     def __str__(self):
@@ -71,21 +71,17 @@ class IndexTerm(Frozen):
 
 
 def strata_vector(t: IndexTerm) -> tuple:
-    """Ascending stratum dimensions, ending at the term degree."""
-    n = t.degree
-    out = [n]
-    value = n
-    i = len(t.word) - 1
-    while i >= 0:
-        k = t.word[i]
-        assert k not in (PAD, PAD_AUX)  # words cannot end in a pad
-        pads = 0
-        while i - 1 - pads >= 0 and t.word[i - 1 - pads] in (PAD, PAD_AUX):
-            pads += 1
-        value -= sym_degree(k) + pads
-        out.append(value)
-        i -= 1 + pads
-    return tuple(reversed(out))
+    """Ascending stratum dimensions, ending at the term degree: each local
+    {k} adds 2k+1 and the pads directly to its left."""
+    value = t.xexp + t.yexp
+    out = [value]
+    for s in t.word:
+        if s in _PADS:
+            value += 1
+        else:
+            value += 2 * s + 1
+            out.append(value)
+    return tuple(out)
 
 
 def broadly_similar(a: IndexTerm, b: IndexTerm) -> bool:
@@ -120,7 +116,7 @@ def downset(t: IndexTerm) -> list:
         for i, s in enumerate(w):
             if s != PAD_AUX or i + 1 >= len(w):
                 continue
-            if w[i + 1] in (PAD, PAD_AUX):
+            if w[i + 1] in _PADS:
                 continue
             slid = w[:i] + (w[i + 1], PAD_AUX) + w[i + 2:]
             if slid[-1] == PAD_AUX:
@@ -136,7 +132,7 @@ def _term_sort_key(t: IndexTerm):
 @lru_cache(maxsize=None)
 def words_of_degree(d: int, flavor: str = FINAL) -> tuple:
     """All words of exact degree d not ending in a pad."""
-    pad = PAD if flavor == FINAL else PAD_AUX
+    pad = _check_flavor(flavor)[0]
     if d == 0:
         return ((),)
     out = []

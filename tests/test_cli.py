@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import hvcalc
 from hvcalc.cli import CliError, main, parse_term
-from hvcalc.symbols import FINAL, PAD, PAD_AUX
+from hvcalc.symbols import AUX, FINAL, PAD, PAD_AUX
 from hvcalc.terms import IndexTerm, enumerate_terms
 from hvcalc.words import GeneratorWord, WordParseError
 
@@ -96,6 +97,13 @@ class TestParseTerm:
     def test_every_final_term_round_trips(self, n):
         for t in enumerate_terms(n, FINAL):
             assert parse_term(t.render()) == t, t.render()
+        # and the aux terms through degree 6: one written without X, Y or
+        # a pad, such as {1}, reads as the final term alike
+        for t in enumerate_terms(n, AUX) if n <= 6 else ():
+            text = t.render()
+            if not any(c in text for c in "XYĀ"):
+                t = IndexTerm(t.xexp, t.yexp, t.word, FINAL)
+            assert parse_term(text) == t, text
 
 
 def run(capsys, *argv):
@@ -394,6 +402,28 @@ class TestCommands:
     def test_order_incomparable(self, capsys):
         rc, out, _ = run(capsys, "order", "{1}{2}", "{2}{1}")
         assert rc == 0 and "not broadly similar" in out
+
+    def test_order_second_implies_first(self, capsys):
+        assert run(capsys, "order", "xA{1}", "x^2{1}") == (
+            0, "x^2{1} => xA{1}\n", "")
+
+    def test_order_broadly_similar_but_incomparable(self, capsys):
+        assert run(capsys, "order", "x{1}A{1}", "AA{1}{1}") == (
+            0, "x{1}A{1} and AA{1}{1} are broadly similar but incomparable\n",
+            "")
+
+    def test_fraction_coefficients_print_as_p_over_q(self):
+        from hvcalc.cli import _hvector_out
+        from hvcalc.flaglin import linear_h
+        from hvcalc.lattice import build
+        fv = build(GeneratorWord.parse("BIC")).flag_vector()
+        h = linear_h(fv.scale(Fraction(1, 3)))
+        assert h.render() == "(1/3,5/3,5/3,1/3) + (2){1}"
+        assert _hvector_out(h, "json") == (
+            '{"degree": 3, "flavor": "final", "terms": '
+            '[{"word": [], "poly": ["1/3", "5/3", "5/3", "1/3"]}, '
+            '{"word": [{"local": 1}], "poly": [2]}]}')
+        assert _hvector_out(h, "csv") == "word,poly\n,1/3 5/3 5/3 1/3\n{1},2"
 
     def test_verify_tables(self, capsys):
         rc, out, _ = run(capsys, "verify", "tables")

@@ -25,6 +25,12 @@ def aux_vec(degree, terms):
     return HVector(degree, AUX, terms)
 
 
+@pytest.mark.parametrize("op", [apply_cylinder, apply_cone, to_extended])
+def test_final_vector_refused(op):
+    with pytest.raises(ValueError):
+        op(HVector(1, FINAL, {(): [1, 1]}))
+
+
 class TestConeRows:
     """The six displayed cone rows, asserted verbatim."""
 

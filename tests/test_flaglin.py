@@ -270,6 +270,10 @@ class TestRanks:
     def test_dim1(self):
         assert span_rank([word_flag_vector(W("C"))]) == 1
 
+    def test_unequal_dimensions_refused(self):
+        with pytest.raises(ValueError, match="unequal dimension"):
+            span_rank([word_flag_vector(W("C")), word_flag_vector(W("CC"))])
+
     def test_duplicates_and_multiples(self):
         for n in range(1, 6):
             vecs = [word_flag_vector(w) for w in all_words(n, "IC")]

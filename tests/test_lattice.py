@@ -34,6 +34,11 @@ class TestConstructors:
         tri = point().pyramid().pyramid()
         assert tri.face_counts() == [3, 3]
 
+    def test_full_face_missing(self):
+        lat = FaceLattice(1, {frozenset(): -1, frozenset({0}): 0})
+        with pytest.raises(ValueError, match="no full face"):
+            lat.full_face()
+
     def test_square_pyramid(self):
         sp = build(W("CIC"))
         assert sp.face_counts() == [5, 8, 5]

@@ -84,7 +84,7 @@ def cone_rule_final(h, rule=CONJUGATION):
     if rule == CONJUGATION:
         return engine.to_extended(engine.apply_cone(lift_to_aux(h)))
     if rule == DIRECT:
-        return engine._cone(h, PAD, FINAL)
+        return engine._cone(h)
     raise ValueError(f"unknown cone rule {rule!r}")
 
 
@@ -204,6 +204,18 @@ class TestLevelFunctionals:
             for ops in ["", "C", "IC"]:
                 lat = build(W(ops))
                 assert g_eval(i, lat).degree == lat.n + i + 1
+
+    @pytest.mark.parametrize("rule", [CONJUGATION, DIRECT])
+    @pytest.mark.parametrize("level, error", [
+        (-1, ValueError), (1.5, TypeError), (True, TypeError),
+        ("1", TypeError), (None, TypeError)])
+    def test_bad_level_refused(self, rule, level, error):
+        # unchecked, a level below 0 or a float recurses without end, and
+        # True reads as the cached g_1
+        with pytest.raises(error, match="level must be an int"):
+            g_eval(level, point(), rule)
+        with pytest.raises(error, match="level must be an int"):
+            LinkCalculator(rule).g(level, empty_polytope())
 
 
 def g_linear(i, fv, rule=CONJUGATION):

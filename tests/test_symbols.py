@@ -91,8 +91,8 @@ class TestWords:
             word_degree((PAD, 1, bad))
 
     def test_render(self):
-        assert render_word((PAD, 1), FINAL) == "A{1}"
-        assert render_word((PAD_AUX, 2), AUX) == "Ā{2}"
+        assert render_word((PAD, 1)) == "A{1}"
+        assert render_word((PAD_AUX, 2)) == "Ā{2}"
 
     def test_json_round_trip(self):
         assert word_to_json((PAD, 1, PAD_AUX, 3)) == [
@@ -271,6 +271,16 @@ class TestHVector:
                   half.scale(2),
                   HVector(1, FINAL, {(): (4, 2)}).scale(Fraction(1, 2))):
             assert [type(c) for c in h.terms[()]] == [int, int], h
+
+    def test_int_subclass_coefficient_stored_as_int(self):
+        class Loud(int):
+            def __str__(self):
+                return "loud"
+
+        h = HVector(0, FINAL, {(): [Loud(2)]})
+        assert type(h.terms[()][0]) is int
+        assert h.render() == "(2)"
+        assert h == HVector(0, FINAL, {(): [2]})
 
     def test_terms_are_tuples(self):
         h = HVector(4, AUX, {(): [1, 2, 2, 2, 1], (1,): [1, 1]})

@@ -33,6 +33,13 @@ class TestDegrees:
         with pytest.raises(ValueError):
             IndexTerm(0, 0, (PAD_AUX, 1), FINAL)
 
+    def test_wrong_flavor_message_matches_hvector(self):
+        for word, flavor in (((PAD_AUX, 1), FINAL), ((PAD, 1), AUX)):
+            with pytest.raises(ValueError, match="has wrong flavor for"):
+                IndexTerm(0, 0, word, flavor)
+            with pytest.raises(ValueError, match="has wrong flavor for"):
+                HVector(3, flavor, {word: (1,)})
+
     def test_constructor_rejects_bool_local(self):
         with pytest.raises(ValueError, match="bad symbol True"):
             IndexTerm(0, 0, (True,))
