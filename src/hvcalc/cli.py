@@ -27,49 +27,42 @@ class CliError(Exception):
     """A usage error: ``main`` prints it on one line and exits 2."""
 
 
-_TERM_TOKEN = re.compile(
-    r"(x|y|X|Y)(?:\^?(\d+))?|(Abar|Ā|Ā|A)|\{(\d+)\}|(.)", re.DOTALL)
-
-
 def parse_term(text: str):
     """Parse terms like ``xA{1}``, ``X^2Y^3{5}``, ``Abar{1}{1}`` and ``1``
     into an ``IndexTerm``."""
-    from .symbols import AUX, FINAL, PAD, PAD_AUX
+    from .symbols import _FLAVORS, FINAL, PAD, PAD_AUX
     from .terms import IndexTerm
     if not text.strip():
         raise CliError("empty term: write the constant term as 1")
-    xexp = yexp = 0
+    # each pad and variable: its flavor, and the exponent it raises or None
+    alphabet = {}
+    for flavor, (pad, _, x, y) in _FLAVORS.items():
+        alphabet.update({pad: (flavor, None), x: (flavor, 0), y: (flavor, 1)})
+    variables = "".join(s for s, (_, i) in alphabet.items() if i is not None)
+    token = rf"([{variables}])(?:\^?(\d+))?|(Abar|Ā|Ā|A)|\{{(\d+)\}}|(.)"
+    exps = [0, 0]
     word = []
-    aux = False
-    final = False
+    flavors = set()
     text = text.replace(" ", "")
     try:  # int() refuses a number past its digit limit with ValueError
-        for m in _TERM_TOKEN.finditer("" if text == "1" else text):
+        for m in re.finditer(token, "" if text == "1" else text, re.DOTALL):
             var, exp, pad, local, junk = m.groups()
             if junk is not None:
                 raise CliError(f"bad term syntax near {junk!r}")
-            if var is not None:
-                e = int(exp) if exp else 1
-                if var in "xy":
-                    final = True
-                else:
-                    aux = True
-                if var in "xX":
-                    xexp += e
-                else:
-                    yexp += e
-            elif pad is not None:
-                if pad == "A":
-                    final = True
-                    word.append(PAD)
-                else:
-                    aux = True
-                    word.append(PAD_AUX)
-            else:
+            if local is not None:
                 word.append(int(local))
-        if aux and final:
+                continue
+            sym = var or (PAD if pad == "A" else PAD_AUX)
+            flavor, i = alphabet[sym]
+            flavors.add(flavor)
+            if i is None:
+                word.append(sym)
+            else:
+                exps[i] += int(exp) if exp else 1
+        if len(flavors) > 1:
             raise CliError("term mixes aux and final symbols")
-        return IndexTerm(xexp, yexp, tuple(word), AUX if aux else FINAL)
+        flavor = flavors.pop() if flavors else FINAL
+        return IndexTerm(*exps, tuple(word), flavor)
     except ValueError as e:
         raise CliError(str(e))
 

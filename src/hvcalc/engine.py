@@ -24,7 +24,10 @@ auxiliary one.  The words a term is sent to depend only on its word and
 degree, so the kernels read them from per-word plans, cached once per
 process: the cone's record and correction words (``_cone_words``) and the
 change of variables' final words with their head lengths
-(``_expansion``).  The coefficients are summed afresh on every call.
+(``_expansion``).  Words share the folds of their suffixes, so the fold of
+each suffix of at most ten letters is kept too (``_suffix_terms``, at most
+2^11 - 1 read-only maps); only a longer word's outer letters, and the
+change of variables, sum their coefficients afresh on every call.
 
 Also here: palindromy and operator-identity checks, the classical h of a
 simple polytope from its face vector, and the naive pseudo h-vector.
@@ -35,9 +38,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import add
+from types import MappingProxyType
 
 from .symbols import (
-    _FLAVOR_PADS, AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads,
+    _FLAVORS, AUX, FINAL, PAD_AUX, BiGradedPoly, HVector, rewrite_pads,
 )
 from .words import GeneratorWord
 
@@ -103,7 +107,7 @@ def apply_cylinder(h: HVector) -> HVector:
 
 def _cone(h: HVector) -> HVector:
     """The cone rule on a vector of either flavor, with that flavor's pad."""
-    pad = _FLAVOR_PADS[h.flavor][0]
+    pad = _FLAVORS[h.flavor][0]
     return HVector(h.degree + 1, h.flavor, _cone_terms(h.terms, pad))
 
 
@@ -114,17 +118,32 @@ def apply_cone(h: HVector) -> HVector:
     return _cone(h)
 
 
-def _aux_terms(w: GeneratorWord) -> dict:
-    """The two operators folded over a bipyramid-free word from the seed."""
+def _fold(ops: str, terms):
+    """The two operators folded over ``ops``, innermost (rightmost) first."""
+    for op in reversed(ops):
+        terms = (_cone_terms(terms, PAD_AUX) if op == "C"
+                 else _cylinder_terms(terms))
+    return terms
+
+
+_SUFFIX = 10  # the letters of a word whose fold is kept for the process
+
+
+@lru_cache(maxsize=2 ** (_SUFFIX + 1) - 1)  # every I/C word of <= 10 letters
+def _suffix_terms(ops: str) -> MappingProxyType:
+    """The fold of a short word, read-only with tuple coefficients."""
+    terms = _fold(ops[0], _suffix_terms(ops[1:])) if ops else {(): (1,)}
+    return MappingProxyType({w: tuple(cs) for w, cs in terms.items()})
+
+
+def _aux_terms(w: GeneratorWord):
+    """The two operators folded over a bipyramid-free word from the seed:
+    its last ``_SUFFIX`` letters from the memo, the outer ones afresh."""
     if not w.is_bipyramid_free():
         raise ValueError(
             f"word {w} contains the bipyramid operator; "
             "use the linear extension over flag vectors instead")
-    terms = {(): [1]}
-    for op in reversed(w.ops):
-        terms = (_cone_terms(terms, PAD_AUX) if op == "C"
-                 else _cylinder_terms(terms))
-    return terms
+    return _fold(w.ops[:-_SUFFIX], _suffix_terms(w.ops[-_SUFFIX:]))
 
 
 def aux_hvector(w: GeneratorWord) -> HVector:

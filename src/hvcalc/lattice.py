@@ -466,7 +466,8 @@ class FlagVector(Frozen):
     """Exact chain counts of the dimension subsets of {0..n-1}, as one
     tuple in binary-counter order: entry S counts the chains whose
     dimension set is the set of bits of S.  A lattice of dimension n <= 0
-    has the one entry, for the empty set."""
+    has the one entry, for the empty set.  Counts are exact, by the rule
+    of h-vector coefficients."""
 
     __slots__ = ("n", "counts")
 
@@ -477,6 +478,9 @@ class FlagVector(Frozen):
         if len(counts) != 1 << max(n, 0):
             raise ValueError(f"a flag vector of dimension {n} has "
                              f"{1 << max(n, 0)} entries, got {len(counts)}")
+        if not _INT.issuperset(map(type, counts)):
+            from .symbols import _exact
+            counts = tuple(map(_exact, counts))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)
 

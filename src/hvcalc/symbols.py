@@ -41,8 +41,9 @@ AUX = "aux"
 FINAL = "final"
 
 _PADS = (PAD, PAD_AUX)
-# each flavor's own pad, and the pad that is wrong for it
-_FLAVOR_PADS = {FINAL: (PAD, PAD_AUX), AUX: (PAD_AUX, PAD)}
+# each flavor's own pad, the pad that is wrong for it, and its first and
+# second variables
+_FLAVORS = {FINAL: (PAD, PAD_AUX, "x", "y"), AUX: (PAD_AUX, PAD, "X", "Y")}
 
 
 def _exact(c):
@@ -70,10 +71,10 @@ def _coeff_tuple(coeffs) -> tuple:
 
 
 def _check_flavor(flavor) -> tuple:
-    """The flavor's own pad and its wrong pad; a bad flavor is refused."""
+    """The flavor's entry of ``_FLAVORS``; a bad flavor is refused."""
     if flavor not in (AUX, FINAL):
         raise ValueError(f"bad flavor {flavor!r}")
-    return _FLAVOR_PADS[flavor]
+    return _FLAVORS[flavor]
 
 
 def _check_exponents(xexp, yexp):
@@ -204,6 +205,21 @@ def rewrite_pads(word) -> tuple:
     return frozen + rewrite_pads(word[:i] + (nxt, PAD_AUX) + word[i + 2:])
 
 
+# word -> (the tuple object checked, its degree, its pads); an entry serves
+# only that very object, never (True,) for (1,) nor a tuple subclass
+_WORDS: dict = {}
+_WORDS_MAX = 4096  # cleared when full
+
+
+def _register_word(word: tuple) -> tuple:
+    """Check a word's symbols and record it; returns its entry."""
+    entry = word, word_degree(word), tuple(p for p in _PADS if p in word)
+    if len(_WORDS) >= _WORDS_MAX:
+        _WORDS.clear()
+    _WORDS[word] = entry
+    return entry
+
+
 class HVector(Frozen):
     """Formal sum of terms word -> coefficient tuple, of fixed degree.
 
@@ -217,7 +233,9 @@ class HVector(Frozen):
     term, no term maps to the zero polynomial, no word ends in a pad, and
     every word matches the vector's flavor.  Terms violating the trailing
     pad rule are annihilated on construction (the terminator at work);
-    zero polynomials are dropped.  ``terms`` is a read-only mapping.
+    zero polynomials are dropped.  ``terms`` is a read-only mapping.  A
+    word's symbols are checked once per word object (``_WORDS``); the
+    coefficients, flavor and degree are checked on every term.
     """
 
     __slots__ = ("degree", "flavor", "terms")
@@ -226,15 +244,18 @@ class HVector(Frozen):
         bad_pad = _check_flavor(flavor)[1]
         clean = {}
         for word, cs in (terms or {}).items():
-            word = tuple(word)
+            entry = _WORDS.get(word)
+            if entry is None or entry[0] is not word:
+                word, entry = tuple(word), None
             cs = _coeff_tuple(cs)
             if word and word[-1] in _PADS:
                 continue  # trailing pad meets the terminator
             if not any(cs):
                 continue
-            if bad_pad in word:
+            if bad_pad in (word if entry is None else entry[2]):
                 raise ValueError(f"word {word!r} has wrong flavor for {flavor}")
-            if len(cs) - 1 + word_degree(word) != degree:
+            entry = entry or _register_word(word)
+            if len(cs) - 1 + entry[1] != degree:
                 raise ValueError(
                     f"term {word!r} breaks degree {degree} homogeneity")
             clean[word] = cs

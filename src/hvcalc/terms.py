@@ -21,8 +21,8 @@ from functools import lru_cache
 
 from ._frozen import Frozen
 from .symbols import (
-    AUX, FINAL, PAD_AUX, _PADS, _check_exponents, _check_flavor, render_word,
-    word_degree, word_locals, word_sort_key,
+    AUX, FINAL, PAD_AUX, _FLAVORS, _PADS, _check_exponents, _check_flavor,
+    render_word, word_degree, word_locals, word_sort_key,
 )
 
 
@@ -56,7 +56,7 @@ class IndexTerm(Frozen):
         return len(word_locals(self.word))
 
     def render(self) -> str:
-        xs, ys = ("x", "y") if self.flavor == FINAL else ("X", "Y")
+        xs, ys = _FLAVORS[self.flavor][2:]
         out = []
         for sym, e in ((xs, self.xexp), (ys, self.yexp)):
             if e == 1:

@@ -8,7 +8,8 @@ import pytest
 
 from hvcalc.checks import _random_aux_vector
 from hvcalc.engine import (
-    _cone_terms, _cone_words, _cylinder_terms, _expansion, apply_cone,
+    _SUFFIX, _cone_terms, _cone_words, _cylinder_terms, _expansion,
+    _suffix_terms, apply_cone,
     apply_cylinder, aux_hvector, check_ic_equation, classical_h_simple,
     extended_hvector, pseudo_h, to_extended,
 )
@@ -357,6 +358,60 @@ class TestPlans:
             del built[:]
             to_extended(h)
             assert built == [FINAL], w
+
+
+class TestSuffixMemo:
+    """The aux fold reads a word's last ``_SUFFIX`` letters from a
+    process-wide memo and applies the outer letters afresh."""
+
+    @pytest.fixture(scope="class")
+    def folds(self):
+        """Every IC word of dim <= 10 and a seeded sample of dims 11-13,
+        each with its aux vector through the public operators from the
+        unit vector; each suffix is folded once."""
+        rng = random.Random(20261019)
+        words = [*words_up_to(10, "IC"),
+                 *(W("".join(rng.choice("IC") for _ in range(d)))
+                   for d in (11, 12, 13) for _ in range(40))]
+        done = {"": HVector.unit(AUX)}
+
+        def fold(ops):
+            if ops not in done:
+                h = fold(ops[1:])
+                done[ops] = (apply_cone(h) if ops[0] == "C"
+                             else apply_cylinder(h))
+            return done[ops]
+        return [(w, fold(w.ops)) for w in words]
+
+    def test_aux_hvector_is_the_public_fold(self, folds):
+        assert _SUFFIX == 10 and max(w.dim for w, _ in folds) > _SUFFIX
+        for w, want in folds:
+            assert typed_terms(aux_hvector(w)) == typed_terms(want), w
+
+    def test_extended_hvector_is_to_extended_of_the_fold(self, folds):
+        for w, _ in folds:
+            assert (typed_terms(extended_hvector(w))
+                    == typed_terms(to_extended(aux_hvector(w)))), w
+
+    def test_memo_bounded(self, folds):
+        info = _suffix_terms.cache_info()
+        assert info.maxsize == 2 ** (_SUFFIX + 1) - 1
+        assert info.currsize <= info.maxsize
+        _suffix_terms.cache_clear()
+        aux_hvector(W("CI" * 6 + "C"))
+        # the suffixes of 0..10 letters; the three outer letters not kept
+        assert _suffix_terms.cache_info().currsize == _SUFFIX + 1
+
+    def test_memo_values_read_only(self):
+        terms = _suffix_terms("CIC")
+        assert all(type(cs) is tuple for cs in terms.values())
+        with pytest.raises(TypeError):
+            terms[()] = (1,)
+        with pytest.raises(TypeError):
+            terms[()][0] = 2
+        with pytest.raises(TypeError):
+            del terms[()]
+        assert aux_hvector(W("CIC")) == HVector(3, AUX, terms)
 
 
 class TestTermFormat:

@@ -74,6 +74,16 @@ def test_commands_load_their_layers(argv, needs):
     assert rc == 0 and needs <= loaded
 
 
+@pytest.mark.parametrize("argv", [["flagvec", "CIC."], ["lattice", "CIC."]])
+def test_integer_flag_counts_load_no_number_modules(argv):
+    # flag vectors of integer counts check them without fractions
+    result, loaded = probe(
+        f"import sys\nfrom hvcalc.cli import main\nrc = main({argv!r})\n"
+        "result = [rc, sorted({'fractions', 'numbers'} & set(sys.modules))]")
+    assert result == [0, []]
+    assert "hvcalc.symbols" not in loaded
+
+
 def test_all_and_dir_are_the_public_names():
     result, loaded = probe(
         "import hvcalc\n"

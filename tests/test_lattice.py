@@ -158,6 +158,31 @@ class TestFlagVectorTuple:
         with pytest.raises(TypeError):
             FlagVector(1, {frozenset(): 1, frozenset({0}): 2})
 
+    @pytest.mark.parametrize("counts", [
+        (1.0, 2.0, 2.0, 4.0), ("1", "2", "2", "4"), (True, 2, 2, 4),
+        (1, 2, 2, None),
+    ])
+    def test_inexact_counts_refused(self, counts):
+        with pytest.raises(TypeError, match="exact"):
+            FlagVector(2, counts)
+
+    def test_counts_exact_on_every_route(self):
+        fv = FlagVector(2, (Fraction(2, 2), 2, Fraction(4, 2), 4))
+        assert fv == FlagVector(2, (1, 2, 2, 4))
+        assert [type(c) for c in fv.counts] == [int] * 4
+        third = fv.scale(Fraction(1, 3))
+        assert third.counts == (Fraction(1, 3), Fraction(2, 3),
+                                Fraction(2, 3), Fraction(4, 3))
+        assert [type(c) for c in third.scale(3).counts] == [int] * 4
+        assert [type(c) for c in (third + third + third).counts] == [int] * 4
+        with pytest.raises(TypeError, match="exact"):
+            fv.scale(0.5)
+
+    def test_linear_h_of_fraction_counts(self):
+        from hvcalc.flaglin import linear_h
+        fv = build(W("IC")).flag_vector()
+        assert linear_h(fv.scale(Fraction(1, 3))).render() == "(1/3,2/3,1/3)"
+
     def test_dimensions_outside_the_range_count_zero(self):
         fv = build(W("CIC")).flag_vector()
         assert fv[{0, 5}] == fv[{-1}] == fv[{3}] == 0

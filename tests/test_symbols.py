@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from hvcalc import symbols
 from hvcalc.engine import extended_hvector
 from hvcalc.symbols import (
     AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, render_word, rewrite_pads,
@@ -329,3 +330,82 @@ class TestHVector:
     def test_module_axioms(self, a, b):
         h = HVector(3, AUX, {(): (1, 2, 2, 1), (1,): (3,)})
         assert h.scale(a) + h.scale(b) == h.scale(a + b)
+
+
+class TestWordRegistry:
+    """A term skips its word's symbol check only when the word is the very
+    tuple checked before; the coefficient, flavor and degree checks run on
+    every term."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The words whose symbols get checked, in order."""
+        seen = []
+
+        def counting(word):
+            seen.append(word)
+            return word_degree(word)
+        monkeypatch.setattr(symbols, "word_degree", counting)
+        return seen
+
+    def test_bool_word_refused_after_its_equal(self):
+        HVector(3, AUX, {(1,): [1]})
+        assert symbols._WORDS[(1,)][0] == (True,)  # equal, and same hash
+        with pytest.raises(ValueError, match="bad symbol True"):
+            HVector(3, AUX, {(True,): [1]})
+
+    def test_equal_but_distinct_tuple_checked(self, checks):
+        first, second = tuple([PAD_AUX, 1]), tuple([PAD_AUX, 1])
+        for word in (first, first, second, second, first):
+            HVector(4, AUX, {word: [1]})
+        assert [w is second for w in checks] == [False, True, False]
+        assert symbols._WORDS[first][0] is first
+
+    def test_tuple_subclass_never_trusted(self, checks):
+        class Liar(tuple):
+            """Equal to (1,) and hashed as it, but holding True."""
+            def __eq__(self, other):
+                return other == (1,)
+
+            def __hash__(self):
+                return hash((1,))
+
+        HVector(3, AUX, {tuple([1]): [1]})
+        with pytest.raises(ValueError, match="bad symbol True"):
+            HVector(3, AUX, {Liar((True,)): [1]})
+
+        class Word(tuple):
+            pass
+
+        h = HVector(3, AUX, {Word((1,)): [1]})
+        assert [type(w) for w in h.terms] == [tuple]
+        # each came to the symbol check as a plain tuple of its own symbols
+        assert [type(w) for w in checks] == [tuple] * 3
+        assert [type(w[0]) for w in checks] == [int, bool, int]
+
+    def test_registered_word_in_the_wrong_flavor(self):
+        word = (PAD_AUX, 1)
+        HVector(4, AUX, {word: [1]})
+        assert symbols._WORDS[word][0] is word
+        with pytest.raises(ValueError, match="wrong flavor for final"):
+            HVector(4, FINAL, {word: [1]})
+
+    def test_registered_word_at_the_wrong_degree(self):
+        word = (1,)
+        HVector(3, FINAL, {word: [1]})
+        assert symbols._WORDS[word][0] is word
+        with pytest.raises(ValueError, match="breaks degree 4 homogeneity"):
+            HVector(4, FINAL, {word: [1]})
+
+    def test_coefficients_checked_on_a_registered_word(self):
+        word = (1,)
+        HVector(4, FINAL, {word: [1, 1]})
+        with pytest.raises(TypeError, match="exact"):
+            HVector(4, FINAL, {word: [1, 1.0]})
+        assert HVector(4, FINAL, {word: [0, 0]}).terms == {}
+
+    def test_registry_bounded(self):
+        for k in range(1, symbols._WORDS_MAX + 100):
+            HVector(2 * k + 1, FINAL, {(k,): [1]})
+            assert len(symbols._WORDS) <= symbols._WORDS_MAX
+        assert (k,) in symbols._WORDS
