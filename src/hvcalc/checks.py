@@ -320,17 +320,14 @@ def check_strata(max_downset_degree=9):
 
 # -- suite registry -------------------------------------------------------------
 
-# Each suite's checks and either the text of its fixed run or its bounds.  A
-# bound (label, default, cap) runs at min(max_dim or default, cap), or at its
-# cap whatever max_dim asks if its default is None.  Each check is called with
-# the values of the bounds in order; the note names a bound by its label,
-# formatted with its value.
+# Each suite's checks and its bounds; a suite without bounds runs the fixed
+# sizes its check names state.  A bound (label, default, cap) runs at
+# min(max_dim or default, cap), or at its cap whatever max_dim asks if its
+# default is None.  Each check is called with the values of the bounds in
+# order; the note names a bound by its label, formatted with its value.
 SUITES = {
-    "tables": ((check_tables, check_aux_checkpoint),
-               "the golden table words, dim <= 5"),
-    "ic-equation": ((check_ic_equation_suite,),
-                    "random aux vectors of degree <= 6, engine words of "
-                    "dim <= 5 and flag-level words of dim <= 6"),
+    "tables": ((check_tables, check_aux_checkpoint), ()),
+    "ic-equation": ((check_ic_equation_suite,), ()),
     "palindromy": ((check_palindromy,), (("dim <= {}", 8, 16),)),
     "fibonacci": ((check_fibonacci_terms,),
                   (("n <= {} (terms and words)", 12, 16),
@@ -341,11 +338,9 @@ SUITES = {
     "oracle": ((check_oracles,), (("dim <= {}", 6, 6),
                                   ("base dim <= {} (cone transform)", 5, 5))),
     "link-agreement": ((check_triple_agreement, check_bayer,
-                        check_pseudo_octahedron),
-                       "dim <= 4 plus the dim-5 basis"),
+                        check_pseudo_octahedron), ()),
     "unimodality": ((check_unimodality,), (("dim <= {}", 8, 16),)),
-    "strata": ((check_strata,),
-               "the five strata examples and downsets of degree <= 9"),
+    "strata": ((check_strata,), ()),
 }
 
 
@@ -359,10 +354,9 @@ def _plan(name: str, max_dim):
     plan = []
     for suite in (SUITES if name == "all" else (name,)):
         row = SUITES[suite]
-        bounds = () if isinstance(row[1], str) else row[1]
         plan.append((suite, row, [
             cap if default is None else min(max_dim or default, cap)
-            for _, default, cap in bounds]))
+            for _, default, cap in row[1]]))
     return plan
 
 
@@ -379,12 +373,12 @@ def max_dim_note(name: str, max_dim) -> str | None:
     if max_dim is None:
         return None
     parts = []
-    for suite, (_, how), values in _plan(name, max_dim):
-        if isinstance(how, str):
-            parts.append(f"{suite} ignores it and runs {how}")
+    for suite, (_, bounds), values in _plan(name, max_dim):
+        if not bounds:
+            parts.append(f"{suite} ignores it")
         elif any(v != max_dim for v in values):
             parts.append(f"{suite} ran " + " and ".join(
-                label.format(v) for (label, _, _), v in zip(how, values)))
+                label.format(v) for (label, _, _), v in zip(bounds, values)))
     if not parts:
         return None
     return f"--max-dim {max_dim}: " + "; ".join(parts)

@@ -211,12 +211,19 @@ _WORDS: dict = {}
 _WORDS_MAX = 4096  # cleared when full
 
 
-def _register_word(word: tuple) -> tuple:
-    """Check a word's symbols and record it; returns its entry."""
-    entry = word, word_degree(word), tuple(p for p in _PADS if p in word)
-    if len(_WORDS) >= _WORDS_MAX:
-        _WORDS.clear()
-    _WORDS[word] = entry
+def _checked_word(word) -> tuple:
+    """A word's entry: (the tuple checked, its degree, its pads).  Any word
+    but the very tuple registered is converted, checked and registered."""
+    try:
+        entry = _WORDS[word] if type(word) is tuple else None
+    except (KeyError, TypeError):  # a new word, or an unhashable symbol
+        entry = None
+    if entry is None or entry[0] is not word:
+        word = tuple(word)
+        entry = word, word_degree(word), tuple(p for p in _PADS if p in word)
+        if len(_WORDS) >= _WORDS_MAX:
+            _WORDS.clear()
+        _WORDS[word] = entry
     return entry
 
 
@@ -229,33 +236,30 @@ class HVector(Frozen):
     collapse to int when integral) and refuses an empty one, floats,
     strings and non-sequences such as a ``BiGradedPoly``.
 
-    Invariants: deg(poly) + deg(word) equals the vector degree for every
-    term, no term maps to the zero polynomial, no word ends in a pad, and
-    every word matches the vector's flavor.  Terms violating the trailing
-    pad rule are annihilated on construction (the terminator at work);
-    zero polynomials are dropped.  ``terms`` is a read-only mapping.  A
-    word's symbols are checked once per word object (``_WORDS``); the
-    coefficients, flavor and degree are checked on every term.
+    Invariants: the degree is an int, deg(poly) + deg(word) equals it for
+    every term, no term maps to the zero polynomial, no word ends in a pad,
+    and every word matches the vector's flavor.  A term's coefficients, its
+    word's symbols (``_checked_word``, once per word object) and its flavor
+    are checked before it can be dropped: a word ending in a pad meets the
+    terminator, and a zero polynomial goes.  Homogeneity is checked on the
+    terms kept; ``terms`` is a read-only mapping.
     """
 
     __slots__ = ("degree", "flavor", "terms")
 
     def __init__(self, degree: int, flavor: str, terms=None):
         bad_pad = _check_flavor(flavor)[1]
+        if type(degree) is not int:  # bools and floats are not degrees
+            raise TypeError(f"degree must be an int, got {degree!r}")
         clean = {}
         for word, cs in (terms or {}).items():
-            entry = _WORDS.get(word)
-            if entry is None or entry[0] is not word:
-                word, entry = tuple(word), None
             cs = _coeff_tuple(cs)
-            if word and word[-1] in _PADS:
-                continue  # trailing pad meets the terminator
-            if not any(cs):
-                continue
-            if bad_pad in (word if entry is None else entry[2]):
+            word, wdeg, pads = _checked_word(word)
+            if bad_pad in pads:
                 raise ValueError(f"word {word!r} has wrong flavor for {flavor}")
-            entry = entry or _register_word(word)
-            if len(cs) - 1 + entry[1] != degree:
+            if word and word[-1] in _PADS or not any(cs):
+                continue  # a trailing pad meets the terminator, or zero
+            if len(cs) - 1 + wdeg != degree:
                 raise ValueError(
                     f"term {word!r} breaks degree {degree} homogeneity")
             clean[word] = cs

@@ -22,7 +22,7 @@ from functools import lru_cache
 from ._frozen import Frozen
 from .symbols import (
     AUX, FINAL, PAD_AUX, _FLAVORS, _PADS, _check_exponents, _check_flavor,
-    render_word, word_degree, word_locals, word_sort_key,
+    _checked_word, render_word, word_degree, word_locals, word_sort_key,
 )
 
 
@@ -35,9 +35,8 @@ class IndexTerm(Frozen):
                  flavor: str = FINAL):
         bad_pad = _check_flavor(flavor)[1]
         _check_exponents(xexp, yexp)
-        word = tuple(word)
-        word_degree(word)  # refuses any symbol but a pad or an int >= 1
-        if bad_pad in word:
+        word, _, pads = _checked_word(word)
+        if bad_pad in pads:
             raise ValueError(f"word {word!r} has wrong flavor for {flavor}")
         if word and word[-1] in _PADS:
             raise ValueError("index words do not end in a pad")
@@ -49,7 +48,7 @@ class IndexTerm(Frozen):
 
     @property
     def degree(self) -> int:
-        return self.xexp + self.yexp + word_degree(self.word)
+        return self.xexp + self.yexp + _checked_word(self.word)[1]
 
     @property
     def order(self) -> int:

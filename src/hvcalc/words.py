@@ -32,6 +32,8 @@ class GeneratorWord(Frozen):
     __slots__ = ("ops",)
 
     def __init__(self, ops: str = ""):
+        if type(ops) is not str:  # stored as given, so a plain str only
+            raise TypeError(f"letters must be a str, got {type(ops).__name__}")
         for ch in ops:
             if ch not in OPS:
                 raise ValueError(f"bad constructor letter {ch!r}")

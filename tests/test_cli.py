@@ -316,7 +316,7 @@ class TestCommands:
     @pytest.mark.parametrize("argv,note", [
         (("palindromy", "--max-dim", "12"), "palindromy ran dim <= 8"),
         (("link-agreement", "--max-dim", "1"),
-         "link-agreement ignores it and runs dim <= 4 plus the dim-5 basis"),
+         "link-agreement ignores it"),
         (("gds-rank", "--max-dim", "7"), "gds-rank ran dim <= 7 ({I,C} words) "
          "and dim <= 6 (words with B)"),
         (("tables", "--max-dim", "4"), "tables ignores it"),
@@ -582,7 +582,7 @@ class TestCommands:
         from hvcalc import checks as checks_mod
         monkeypatch.setitem(checks_mod.SUITES, "doomed", ((lambda: [
             checks_mod.CheckResult("always wrong", False, "by design")],),
-            "one check that fails"))
+            ()))
         rc = main(["verify", "doomed"])
         captured = capsys.readouterr()
         assert rc == 1
@@ -597,6 +597,23 @@ class TestSuiteTable:
             checks.run_suite("palindromy", max_dim)
         with pytest.raises(ValueError, match="max_dim must be an int >= 1"):
             checks.max_dim_note("palindromy", max_dim)
+
+    def test_every_row_has_bound_triples(self):
+        from hvcalc import checks
+        for suite, (suite_checks, bounds) in checks.SUITES.items():
+            assert suite_checks and all(map(callable, suite_checks)), suite
+            assert type(bounds) is tuple, suite
+            for label, default, cap in bounds:
+                assert isinstance(label, str) and type(cap) is int, suite
+                assert default is None or type(default) is int, suite
+
+    @pytest.mark.parametrize("suite", [
+        "tables", "ic-equation", "link-agreement", "strata"])
+    def test_suites_without_bounds_ignore_max_dim(self, suite):
+        from hvcalc import checks
+        assert checks.SUITES[suite][1] == ()
+        assert (checks.max_dim_note(suite, 3)
+                == f"--max-dim 3: {suite} ignores it")
 
     def test_fibonacci_is_capped(self, monkeypatch):
         from hvcalc import checks

@@ -1,5 +1,6 @@
-"""Fuzz tests of the parsers and the word commands: every input gives a
-result or one of the refusals the caller is told to expect."""
+"""Fuzz tests of the parsers, the word commands and the arguments of
+``basis``, ``terms`` and ``verify``: every input gives a result or one of
+the refusals the caller is told to expect."""
 
 import itertools
 
@@ -36,6 +37,53 @@ class TestWordCommands:
             assert len(err.splitlines()) == 1 and out == ""
         else:
             assert err == "" and out
+
+
+def exits_0_or_2(argv):
+    """Exit 0 with a result and at most a note, or 2 with one line."""
+    rc, out, err = run_captured(argv)
+    assert rc in (0, 2) and "Traceback" not in err, argv
+    if rc == 2:
+        assert len(err.splitlines()) == 1 and out == "", argv
+    else:
+        assert out and (err == "" or (err.startswith("note: ")
+                                      and err.count("\n") == 1)), argv
+
+
+# number texts: small integers only (``basis 25`` prints 121 393 words and
+# larger ones exhaust memory), and junk that no int() reads
+def numbers(lo, hi):
+    return st.integers(lo, hi).map(str) | st.sampled_from(
+        ["", "x", "1.5", "-", "--", "1e2", "0x3", "3x", "-x"])
+
+
+FORMATS = st.sampled_from([[], ["--format", "text"], ["--format", "json"],
+                           ["--format", "csv"], ["--format"], ["--format=x"]])
+# now and then an extra argument, or None for a missing one
+EXTRA = st.sampled_from([[]] * 6 + [["3"], ["--max-dim"], ["-x"], None])
+
+
+class TestCountCommands:
+    @pytest.mark.parametrize("cmd", ["basis", "terms"])
+    @given(n=numbers(-3, 10), fmt=FORMATS, extra=EXTRA)
+    @settings(max_examples=60, deadline=None)
+    def test_exits_0_or_2(self, cmd, n, fmt, extra):
+        exits_0_or_2([cmd, *fmt] if extra is None else [cmd, n, *fmt, *extra])
+
+
+class TestVerifyArguments:
+    # the suites that run in milliseconds at --max-dim <= 4, and names that
+    # argparse refuses; "all" and the slower suites are left out
+    @given(suite=st.sampled_from(["tables", "strata", "palindromy",
+                                  "unimodality", "fibonacci"] * 2
+                                 + ["nosuch", "", "Tables", "-1"]),
+           max_dim=(st.integers(1, 4).map(str) | numbers(-3, 4)).map(
+               lambda m: ["--max-dim", m]),
+           extra=EXTRA)
+    @settings(max_examples=80, deadline=None)
+    def test_exits_0_or_2(self, suite, max_dim, extra):
+        exits_0_or_2(["verify", *max_dim] if extra is None
+                     else ["verify", suite, *max_dim, *extra])
 
 
 class TestParseWord:

@@ -241,6 +241,32 @@ class TestHVector:
         with pytest.raises(ValueError):
             HVector(4, AUX, {(PAD, 1): (1,)})
 
+    @pytest.mark.parametrize("degree,flavor,terms", [
+        (1, AUX, {("x",): [0]}),            # a zero polynomial
+        (5, FINAL, {("x", PAD): [1]}),      # a trailing pad
+        (0, FINAL, {(0.5, PAD_AUX): [1]}),  # both, and the aux pad
+    ], ids=["zero-poly", "trailing-pad", "trailing-wrong-pad"])
+    def test_word_checked_before_a_drop(self, degree, flavor, terms):
+        with pytest.raises(ValueError, match="bad symbol"):
+            HVector(degree, flavor, terms)
+
+    def test_wrong_flavor_checked_before_a_drop(self):
+        for poly in ([1], [0, 0]):
+            with pytest.raises(ValueError, match="wrong flavor for final"):
+                HVector(len(poly), FINAL, {(PAD_AUX,): poly})
+        assert not HVector(1, AUX, {(PAD_AUX,): [1]}).terms
+
+    @pytest.mark.parametrize("degree", [1.0, True, "1", None])
+    def test_non_int_degree_refused(self, degree):
+        with pytest.raises(TypeError, match="degree must be an int"):
+            HVector(degree, AUX, {(): (1, 1)})
+
+    def test_degree_minus_one_is_the_empty_polytope(self):
+        from hvcalc.lattice import empty_polytope
+        from hvcalc.links import h_by_links
+        h = h_by_links(empty_polytope())
+        assert h == HVector(-1, FINAL, {}) and h.render() == "0"
+
     def test_refusals_among_valid_terms(self):
         good = {(): (1, 2, 2, 2, 1), (1,): (1, 1)}
         for word, poly in [((2,), (1,)),            # degree 5

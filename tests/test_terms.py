@@ -40,6 +40,30 @@ class TestDegrees:
             with pytest.raises(ValueError, match="has wrong flavor for"):
                 HVector(3, flavor, {word: (1,)})
 
+        class Liar(tuple):
+            """Equal to (1,) and hashed as it, but holding True."""
+            def __eq__(self, other):
+                return other == (1,)
+
+            def __hash__(self):
+                return hash((1,))
+
+        class Pairs(list):
+            """Terms as a list of pairs, so that a word can be a list."""
+            def items(self):
+                return iter(self)
+
+        IndexTerm(0, 0, (1,))  # registers (1,)
+        for word, flavor in [((True,), FINAL), ((PAD, 1.0), FINAL),
+                             ((PAD_AUX, 1), FINAL), ([PAD, 1], AUX),
+                             (Liar((True,)), FINAL), ((1, [2]), FINAL)]:
+            with pytest.raises(Exception) as by_term:
+                IndexTerm(0, 0, word, flavor)
+            with pytest.raises(Exception) as by_vector:
+                HVector(3, flavor, Pairs([(word, (1,))]))
+            assert by_term.type is by_vector.type is ValueError, word
+            assert str(by_term.value) == str(by_vector.value), word
+
     def test_constructor_rejects_bool_local(self):
         with pytest.raises(ValueError, match="bad symbol True"):
             IndexTerm(0, 0, (True,))

@@ -64,6 +64,14 @@ class TestGeneratorWord:
         with pytest.raises(ValueError, match="bad constructor letter 'X'"):
             GeneratorWord("CXC")
 
+    @pytest.mark.parametrize("ops", [["C", "I"], ("C", "I"), None],
+                             ids=["list", "tuple", "none"])
+    def test_letters_must_be_a_str(self, ops):
+        # a list would be stored as given: editable, and neither printable
+        # nor hashable as a word
+        with pytest.raises(TypeError, match="letters must be a str"):
+            GeneratorWord(ops)
+
 
 class TestIndexTerm:
     def test_equality_and_hash(self):
