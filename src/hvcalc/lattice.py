@@ -6,11 +6,17 @@ with its dimension, from the empty face (dim -1) up to the whole polytope
 assign dimensions explicitly, so grading never has to be recovered from the
 order.  Flag vectors are obtained by counting chains of proper nonempty
 faces; this is the combinatorial oracle against which the symbolic engine
-is checked.  One top-down pass (``_chain_pass``) counts the chains, checks
-that no face skips a dimension, and groups the nonempty faces into link
-classes, of equal dimension and equal link flag vector, which the link
-route sums over, each with its link's flag vector in its packed counts.
-A lattice caches the pass, so its faces are a read-only mapping.
+is checked.  One top-down pass (``_chain_pass``) counts the chains and
+groups the nonempty faces into link classes, of equal dimension and equal
+link flag vector, which the link route sums over, each with its link's
+flag vector in its packed counts.  A lattice caches the pass, so its faces
+are a read-only mapping.
+
+A lattice made by the constructors (``empty_polytope``, ``point`` and the
+operations on lattices so made) is graded by construction and carries a
+private flag that says so.  Only a lattice without it, from
+``FaceLattice(n, faces)`` or ``from_json``, has the pass check that no face
+skips a dimension, which keeps one up-set of O(F) bits per face of a level.
 
 The empty polytope (dim -1, lone face = the empty set) is a legal lattice:
 it shows up as the link of the whole polytope along itself, and its pyramid
@@ -42,9 +48,10 @@ from .words import GeneratorWord
 
 class FaceLattice:
     """Faces as vertex subsets with explicit dimensions, fixed once built:
-    no field can be assigned or deleted, so the cached pass cannot go stale."""
+    no field can be assigned or deleted, so the cached pass cannot go stale.
+    Only the constructors set ``_graded``, through ``_built``."""
 
-    __slots__ = ("n", "faces", "_pass")
+    __slots__ = ("n", "faces", "_pass", "_graded")
 
     __setattr__ = Frozen.__setattr__
     __delattr__ = Frozen.__delattr__
@@ -53,6 +60,7 @@ class FaceLattice:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "faces", MappingProxyType(dict(faces)))
         object.__setattr__(self, "_pass", None)
+        object.__setattr__(self, "_graded", False)
         if frozenset() not in self.faces or self.faces[frozenset()] != -1:
             raise ValueError("the empty face of dimension -1 is mandatory")
 
@@ -90,7 +98,7 @@ class FaceLattice:
         faces = dict(self.faces)
         for f, d in self.faces.items():
             faces[f | {apex}] = d + 1
-        return FaceLattice(self.n + 1, faces)
+        return _built(self.n + 1, faces, self._graded)
 
     def prism(self) -> "FaceLattice":
         """Cylinder: two shifted copies of each face plus their product
@@ -99,10 +107,12 @@ class FaceLattice:
         for f, d in self.faces.items():
             if d == -1:
                 continue
-            faces[frozenset(2 * v for v in f)] = d
-            faces[frozenset(2 * v + 1 for v in f)] = d
-            faces[frozenset(x for v in f for x in (2 * v, 2 * v + 1))] = d + 1
-        return FaceLattice(self.n + 1, faces)
+            evens = [2 * v for v in f]
+            lo = frozenset(evens)
+            hi = frozenset([v + 1 for v in evens])
+            faces[lo] = faces[hi] = d
+            faces[lo | hi] = d + 1
+        return _built(self.n + 1, faces, self._graded)
 
     def bipyramid(self) -> "FaceLattice":
         """Two new apexes over every proper face; the base itself is not a
@@ -119,7 +129,7 @@ class FaceLattice:
             faces[f | {q}] = d + 1
             proper_verts |= f
         faces[frozenset(proper_verts | {p, q})] = self.n + 1
-        return FaceLattice(self.n + 1, faces)
+        return _built(self.n + 1, faces, self._graded)
 
     def join(self, other: "FaceLattice") -> "FaceLattice":
         """All unions of a face from each factor; dimensions add plus one."""
@@ -128,7 +138,8 @@ class FaceLattice:
         for f1, d1 in self.faces.items():
             for f2, d2 in other.faces.items():
                 faces[f1 | frozenset(shift + v for v in f2)] = d1 + d2 + 1
-        return FaceLattice(self.n + other.n + 1, faces)
+        return _built(self.n + other.n + 1, faces,
+                      self._graded and other._graded)
 
     # -- flag counting -----------------------------------------------------
 
@@ -174,7 +185,7 @@ class FaceLattice:
             if fa in faces:
                 raise ValueError("interval is not atomic; not a polytope lattice")
             faces[fa] = d - d0 - 1
-        return FaceLattice(self.n - d0 - 1, faces)
+        return _built(self.n - d0 - 1, faces, self._graded)
 
     # -- checks used by the oracle suites -----------------------------------
 
@@ -218,9 +229,12 @@ class FaceLattice:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        rows = sorted((d, sorted(f)) for f, d in self.faces.items())
+        by_dim = {}
+        for f, d in self.faces.items():
+            by_dim.setdefault(d, []).append(sorted(f))
         return {"n": self.n,
-                "faces": [{"verts": verts, "dim": d} for d, verts in rows]}
+                "faces": [{"verts": verts, "dim": d} for d in sorted(by_dim)
+                          for verts in sorted(by_dim[d])]}
 
     @classmethod
     def from_json(cls, data, validate=True) -> "FaceLattice":
@@ -321,6 +335,14 @@ class FaceLattice:
 _INT = frozenset({int})  # the exact type of most vertex ids
 
 
+def _built(n: int, faces: dict, graded: bool) -> FaceLattice:
+    """``FaceLattice(n, faces)`` made by a constructor, flagged as graded by
+    construction when ``graded``: when its bases were."""
+    lat = FaceLattice(n, faces)
+    object.__setattr__(lat, "_graded", graded)
+    return lat
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -382,10 +404,13 @@ def _chain_pass(lat: FaceLattice):
     The faces are indexed top level first.  An index from each vertex to
     the bitset of faces containing it gives, by one AND over a face's
     vertices, its up-set: the faces above it.  Those one level up are its
-    covers.  The up-set of every face must be its covers and their up-sets;
+    covers.  On a lattice not built by the constructors (no ``_graded``
+    flag), the up-set of every face must be its covers and their up-sets;
     a family in which some face lies above another with no face of the
     dimension in between (``validate`` accepts some) fails that, and raises
-    ValueError.  Only the up-sets of the level above are kept.
+    ValueError.  That check keeps the up-sets of the level above, O(F) bits
+    for each of its faces; a lattice graded by construction cannot fail it,
+    and skips it and keeps none.
 
     Z[f] packs the chains starting at f into one int, one slot of ``width``
     bits per dimension set, with dimension d at bit n - 1 - d of the slot's
@@ -403,7 +428,7 @@ def _chain_pass(lat: FaceLattice):
     of it, the number of faces in it, Z), and the whole polytope's face, or
     None if no face has dimension n.
     """
-    n, full = lat.n, None
+    n, full, graded = lat.n, None, lat._graded
     levels = [[] for _ in range(n)]  # levels[k] holds dimension n - 1 - k
     for f, d in lat.faces.items():
         if 0 <= d < n:
@@ -421,24 +446,26 @@ def _chain_pass(lat: FaceLattice):
 
     width = prod(len(lv) + 1 for lv in levels).bit_length()
     classes = {}  # Z value -> bitset of the faces with that Z
-    ups = []  # the up-sets of the level above, each with its face
+    ups = []  # unflagged: the up-sets of the level above, each with its face
     for k in range(n):
         higher, shift, level_ups = list(classes.items()), width << k, []
         above = (1 << start[k]) - 1
         for f in range(start[k], start[k + 1]):
             up = reduce(and_, map(index.__getitem__, faces[f])) & above
-            reached, covers = 0, up >> start[k - 1]  # up is 0 when k is 0
-            while covers:
-                low = covers & -covers
-                reached |= ups[low.bit_length() - 1]
-                covers ^= low
-            if reached != up:
-                g = faces[(up & ~reached).bit_length() - 1]
-                raise ValueError(
-                    f"face {sorted(g)} of dimension {lat.faces[g]} lies "
-                    f"above face {sorted(faces[f])} of dimension {n - 1 - k} "
-                    f"with no face of dimension {n - k} between them")
-            level_ups.append(up | 1 << f)
+            if not graded:
+                reached, covers = 0, up >> start[k - 1]  # up is 0 when k is 0
+                while covers:
+                    low = covers & -covers
+                    reached |= ups[low.bit_length() - 1]
+                    covers ^= low
+                if reached != up:
+                    g = faces[(up & ~reached).bit_length() - 1]
+                    raise ValueError(
+                        f"face {sorted(g)} of dimension {lat.faces[g]} lies "
+                        f"above face {sorted(faces[f])} of dimension "
+                        f"{n - 1 - k} with no face of dimension {n - k} "
+                        "between them")
+                level_ups.append(up | 1 << f)
             z = 1
             for value, members in higher:
                 z += value * (up & members).bit_count()
@@ -532,11 +559,11 @@ def _subset(key: int, n: int) -> frozenset:
 
 
 def empty_polytope() -> FaceLattice:
-    return FaceLattice(-1, {frozenset(): -1})
+    return _built(-1, {frozenset(): -1}, True)
 
 
 def point() -> FaceLattice:
-    return FaceLattice(0, {frozenset(): -1, frozenset({0}): 0})
+    return _built(0, {frozenset(): -1, frozenset({0}): 0}, True)
 
 
 def build(w: GeneratorWord) -> FaceLattice:

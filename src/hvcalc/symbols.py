@@ -236,7 +236,8 @@ class HVector(Frozen):
     collapse to int when integral) and refuses an empty one, floats,
     strings and non-sequences such as a ``BiGradedPoly``.
 
-    Invariants: the degree is an int, deg(poly) + deg(word) equals it for
+    Invariants: the degree is an int >= -1 (-1 only for the empty
+    polytope, which has no ``mpih`` part), deg(poly) + deg(word) equals it for
     every term, no term maps to the zero polynomial, no word ends in a pad,
     and every word matches the vector's flavor.  A term's coefficients, its
     word's symbols (``_checked_word``, once per word object) and its flavor
@@ -251,6 +252,8 @@ class HVector(Frozen):
         bad_pad = _check_flavor(flavor)[1]
         if type(degree) is not int:  # bools and floats are not degrees
             raise TypeError(f"degree must be an int, got {degree!r}")
+        if degree < -1:  # -1 is the empty polytope's
+            raise ValueError(f"degree must be at least -1, got {degree}")
         clean = {}
         for word, cs in (terms or {}).items():
             cs = _coeff_tuple(cs)
@@ -305,6 +308,8 @@ class HVector(Frozen):
 
     def mpih(self) -> BiGradedPoly:
         """The empty-word polynomial; structurally zero when absent."""
+        if self.degree == -1:
+            raise ValueError("the empty polytope has no mpih part")
         return BiGradedPoly(self.terms.get((), (0,) * (self.degree + 1)))
 
     def coefficient(self, xexp: int, yexp: int, word):

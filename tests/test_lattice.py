@@ -852,3 +852,71 @@ class TestLinkClasses:
                 with pytest.raises(ValueError) as info:
                     call()
                 assert str(info.value) == message
+
+
+def unflagged(lat):
+    """The same faces through ``FaceLattice(n, faces)``: not graded by
+    construction, so its chain pass checks grading."""
+    return FaceLattice(lat.n, lat.faces)
+
+
+class TestGradedByConstruction:
+    """Lattices from the constructors skip the grading check of the chain
+    pass; every other lattice keeps it."""
+
+    def test_every_word_up_to_dim_6_matches_unflagged_copy(self):
+        for w in words_up_to(6, "ICB"):
+            lat = build(w)
+            copy = unflagged(lat)
+            assert lat._graded and not copy._graded, w
+            assert lat.flag_vector() == copy.flag_vector(), w
+            # each class's dimension, face, size and link flag vector
+            assert lat.link_classes() == copy.link_classes(), w
+
+    def test_flag_propagates(self):
+        flagged = build(W("IC"))
+        plain = unflagged(flagged)
+        assert empty_polytope()._graded and point()._graded
+        for base, graded in ((flagged, True), (plain, False)):
+            assert base.pyramid()._graded is graded
+            assert base.prism()._graded is graded
+            assert base.bipyramid()._graded is graded
+            assert base.link(frozenset({0}))._graded is graded
+        assert flagged.join(point())._graded
+        assert not flagged.join(plain)._graded
+        assert not plain.join(flagged)._graded
+        assert not plain.join(plain)._graded
+        assert not FaceLattice.from_json(flagged.to_json())._graded
+        assert not FaceLattice.from_json(point().to_json())._graded
+        assert not FaceLattice(0, point().faces)._graded
+
+    def test_flag_is_frozen(self):
+        for lat in (build(W("IC")), unflagged(build(W("IC")))):
+            graded = lat._graded
+            for value in (True, False):
+                with pytest.raises(AttributeError):
+                    lat._graded = value
+            with pytest.raises(AttributeError):
+                del lat._graded
+            assert lat._graded is graded
+
+    def test_to_json_order(self):
+        for w in words_up_to(5, "ICB"):
+            lat = build(w)
+            rows = sorted((d, sorted(f)) for f, d in lat.faces.items())
+            assert lat.to_json()["faces"] == [
+                {"verts": verts, "dim": d} for d, verts in rows], w
+
+    def test_chain_pass_keeps_no_up_sets(self):
+        import tracemalloc
+        lat = build(W("ICICICIC"))
+        assert len(lat) == 2074
+        peaks = []
+        for each in (lat, unflagged(lat)):
+            tracemalloc.start()
+            try:
+                lattice._chain_pass(each)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2, peaks

@@ -267,6 +267,19 @@ class TestHVector:
         h = h_by_links(empty_polytope())
         assert h == HVector(-1, FINAL, {}) and h.render() == "0"
 
+    def test_empty_polytope_has_no_mpih(self):
+        from hvcalc.lattice import empty_polytope
+        from hvcalc.links import h_by_links
+        for h in (h_by_links(empty_polytope()), HVector(-1, AUX, {})):
+            with pytest.raises(ValueError) as info:
+                h.mpih()
+            assert str(info.value) == "the empty polytope has no mpih part"
+
+    @pytest.mark.parametrize("degree", [-3, -2])
+    def test_degree_below_minus_one_refused(self, degree):
+        with pytest.raises(ValueError, match=f"at least -1, got {degree}$"):
+            HVector(degree, AUX, {})
+
     def test_refusals_among_valid_terms(self):
         good = {(): (1, 2, 2, 2, 1), (1,): (1, 1)}
         for word, poly in [((2,), (1,)),            # degree 5
