@@ -1,45 +1,42 @@
 """Concrete face lattices and brute-force flag counting.
 
-A lattice stores every face as a frozen set of integer vertex ids together
-with its dimension, from the empty face (dim -1) up to the whole polytope
-(dim n).  Constructors for the point, pyramid, prism, bipyramid and join
-assign dimensions explicitly, so grading never has to be recovered from the
-order.  Flag vectors are obtained by counting chains of proper nonempty
-faces; this is the combinatorial oracle against which the symbolic engine
-is checked.  One top-down pass (``_chain_pass``) counts the chains and
-groups the nonempty faces into link classes, of equal dimension and equal
-link flag vector, which the link route sums over, each with its link's
-flag vector in its packed counts.  A lattice caches the pass, so its faces
-are a read-only mapping.
+A lattice stores each face as a vertex bitmask with its dimension, from the
+empty face (mask 0, dim -1) up to the whole polytope (dim n), and the
+sorted vertex ids: bit i is vertex ``ids[i]``.  The constructors (point,
+pyramid, prism, bipyramid, join) work on masks and assign dimensions
+explicitly, so grading never has to be recovered from the order; what they
+build has the ids 0, ..., V - 1.  Frozen sets of vertex ids appear only at the
+API: ``FaceLattice(n, faces)`` takes them, ``faces`` shows them (made on
+first read, by no route), ``link`` takes any iterable of ids and
+``link_classes`` returns them.  A message names a face by its sorted ids.
 
-A lattice made by the constructors (``empty_polytope``, ``point`` and the
-operations on lattices so made) is graded by construction and carries a
-private flag that says so.  Only a lattice without it, from
-``FaceLattice(n, faces)`` or ``from_json``, has the pass check that no face
+Flag vectors count chains of proper nonempty faces; this is the oracle
+against which the symbolic engine is checked.  One top-down pass
+(``_chain_pass``) counts the chains and groups the nonempty faces into link
+classes, of equal dimension and link flag vector, which the link route sums
+over.  A lattice caches the pass, so its fields are fixed.  A lattice made
+by the constructors (``empty_polytope``, ``point`` and the operations on
+lattices so made) is graded by construction and flagged so; only one from
+``FaceLattice(n, faces)`` or ``from_json`` has the pass check that no face
 skips a dimension, which keeps one up-set of O(F) bits per face of a level.
+The empty polytope (dim -1, lone face the empty set) is the link of the
+whole polytope along itself, and its pyramid is the point.
 
-The empty polytope (dim -1, lone face = the empty set) is a legal lattice:
-it shows up as the link of the whole polytope along itself, and its pyramid
-is the point.
-
-The intersection closure and the pairwise parts of ``validate`` are checked
-on one family of vertex bitmasks (``FaceLattice._family``) against a
-generator set rather than against every pair of faces, in one loop of each
-face against the generators (``_facet_pass``).  Every face of a polytope is
-the intersection of the facets containing it (coatomicity), so the
-generators are the facets plus any member that is not such an
-intersection.  The loop finds those extra generators, and reruns with
-them added; a polytope lattice has none.  Each check costs
-O(F * |generators|) bitmask operations for F faces, O(F * facets) on a
-polytope lattice, and allocates nothing of size F * F.
+The intersection closure and the pairwise parts of ``validate`` check each
+face against a generator set, not against every other face
+(``_facet_pass``): the facets, plus any face that is not the intersection
+of the facets containing it, which a polytope lattice, being coatomic, does
+not have.  Each check costs O(F * |generators|) bitmask operations and
+allocates nothing of size F * F.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import accumulate
+from collections import Counter
+from functools import cache, reduce
+from itertools import accumulate, compress
 from math import prod
-from operator import add, and_
+from operator import add, or_
 from types import MappingProxyType
 
 from ._frozen import Frozen
@@ -47,98 +44,100 @@ from .words import GeneratorWord
 
 
 class FaceLattice:
-    """Faces as vertex subsets with explicit dimensions, fixed once built:
-    no field can be assigned or deleted, so the cached pass cannot go stale.
+    """Faces as vertex bitmasks, ``_dims`` mapping each to its dimension
+    and bit i being vertex ``_ids[i]``; ``_faces`` keeps ``faces`` once read.
+    No field can be assigned or deleted, so the cached pass cannot go stale.
     Only the constructors set ``_graded``, through ``_built``."""
 
-    __slots__ = ("n", "faces", "_pass", "_graded")
+    __slots__ = ("n", "_dims", "_ids", "_faces", "_pass", "_graded")
 
     __setattr__ = Frozen.__setattr__
     __delattr__ = Frozen.__delattr__
 
     def __init__(self, n: int, faces: dict):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "faces", MappingProxyType(dict(faces)))
-        object.__setattr__(self, "_pass", None)
-        object.__setattr__(self, "_graded", False)
-        if frozenset() not in self.faces or self.faces[frozenset()] != -1:
+        ids = sorted(set().union(*faces))
+        bit = {v: 1 << i for i, v in enumerate(ids)}
+        # the bits of distinct vertices are distinct, so a sum is a union
+        dims = {sum(map(bit.__getitem__, f)): d for f, d in faces.items()}
+        _built(n, dims, tuple(ids), False, self)
+        if self._dims.get(0) != -1:
             raise ValueError("the empty face of dimension -1 is mandatory")
 
     @property
+    def faces(self) -> MappingProxyType:
+        """The faces as frozen sets of vertex ids, with their dimensions,
+        made on first read and kept; no route reads them."""
+        if self._faces is None:
+            verts = _lister(self._ids)
+            object.__setattr__(self, "_faces", MappingProxyType(
+                {frozenset(verts(m)): d for m, d in self._dims.items()}))
+        return self._faces
+
+    @property
     def vertices(self) -> list:
-        return sorted(v for f, d in self.faces.items() if d == 0 for v in f)
+        verts = _lister(self._ids)
+        return sorted(v for m, d in self._dims.items() if d == 0 for v in verts(m))
 
     @property
     def full_face(self) -> frozenset:
-        for f, d in self.faces.items():
-            if d == self.n:
-                return f
-        raise ValueError("no full face present")
+        m = next((m for m, d in self._dims.items() if d == self.n), None)
+        if m is None:
+            raise ValueError("no full face present")
+        return frozenset(_lister(self._ids)(m))
 
     def face_counts(self) -> list:
         """[f_0, ..., f_{n-1}]: proper nonempty face counts by dimension."""
-        out = [0] * max(self.n, 0)
-        for d in self.faces.values():
-            if 0 <= d < self.n:
-                out[d] += 1
-        return out
+        count = Counter(self._dims.values())
+        return [count[d] for d in range(self.n)]
 
     def __len__(self):
-        return len(self.faces)
+        return len(self._dims)
 
     # -- constructions -----------------------------------------------------
 
-    def _fresh_vertex(self) -> int:
-        vs = [v for f in self.faces for v in f]
-        return max(vs, default=-1) + 1
-
     def pyramid(self) -> "FaceLattice":
-        """Cone: every face reappears, and again joined to a new apex."""
-        apex = self._fresh_vertex()
-        faces = dict(self.faces)
-        for f, d in self.faces.items():
-            faces[f | {apex}] = d + 1
-        return _built(self.n + 1, faces, self._graded)
+        """Cone: every face reappears, and again joined to a new apex, the
+        next bit."""
+        apex = 1 << len(self._ids)
+        dims = self._dims | {m | apex: d + 1 for m, d in self._dims.items()}
+        ids = (*self._ids, max(self._ids, default=-1) + 1)
+        return _built(self.n + 1, dims, ids, self._graded)
 
     def prism(self) -> "FaceLattice":
-        """Cylinder: two shifted copies of each face plus their product
-        with the interval."""
-        faces = {frozenset(): -1}
-        for f, d in self.faces.items():
-            if d == -1:
-                continue
-            evens = [2 * v for v in f]
-            lo = frozenset(evens)
-            hi = frozenset([v + 1 for v in evens])
-            faces[lo] = faces[hi] = d
-            faces[lo | hi] = d + 1
-        return _built(self.n + 1, faces, self._graded)
+        """Cylinder: two copies of each face, bit i going to bits 2i and
+        2i + 1, plus their product with the interval."""
+        dims = {0: -1}
+        for m, d in self._dims.items():
+            if d != -1:
+                lo = int("0".join(format(m, "b")), 2)
+                dims[lo] = dims[lo << 1] = d
+                dims[lo | lo << 1] = d + 1
+        ids = tuple(x for v in self._ids for x in (2 * v, 2 * v + 1))
+        return _built(self.n + 1, dims, ids, self._graded)
 
     def bipyramid(self) -> "FaceLattice":
-        """Two new apexes over every proper face; the base itself is not a
-        face of the result."""
-        p = self._fresh_vertex()
-        q = p + 1
-        faces = {}
-        proper_verts = set()
-        for f, d in self.faces.items():
-            if d == self.n:
-                continue
-            faces[f] = d
-            faces[f | {p}] = d + 1
-            faces[f | {q}] = d + 1
-            proper_verts |= f
-        faces[frozenset(proper_verts | {p, q})] = self.n + 1
-        return _built(self.n + 1, faces, self._graded)
+        """Two new apexes, the next two bits, over every proper face; the
+        new full face is their union, and the base is not a face."""
+        p, v = 1 << len(self._ids), max(self._ids, default=-1) + 1
+        dims, full = {}, p | p << 1
+        for m, d in self._dims.items():
+            if d != self.n:
+                dims[m] = d
+                dims[m | p] = dims[m | p << 1] = d + 1
+                full |= m
+        dims[full] = self.n + 1
+        return _built(self.n + 1, dims, (*self._ids, v, v + 1), self._graded)
 
     def join(self, other: "FaceLattice") -> "FaceLattice":
-        """All unions of a face from each factor; dimensions add plus one."""
-        shift = self._fresh_vertex()
-        faces = {}
-        for f1, d1 in self.faces.items():
-            for f2, d2 in other.faces.items():
-                faces[f1 | frozenset(shift + v for v in f2)] = d1 + d2 + 1
-        return _built(self.n + other.n + 1, faces,
+        """All unions of a face from each factor, the second's bits above
+        the first's and its ids after them; dimensions add plus one."""
+        shift = len(self._ids)
+        dims = {m1 | m2 << shift: d1 + d2 + 1 for m1, d1 in self._dims.items()
+                for m2, d2 in other._dims.items()}
+        # the first id of ``other`` goes past the last of ``self``
+        base = max(self._ids, default=-1) + 1 - min((0, *other._ids[:1]))
+        ids = (*self._ids, *(base + v for v in other._ids))
+        return _built(self.n + other.n + 1, dims, ids,
                       self._graded and other._graded)
 
     # -- flag counting -----------------------------------------------------
@@ -158,34 +157,36 @@ class FaceLattice:
         _, width, classes, full = self._pass
         if full is None:
             raise ValueError("no full face present")
-        out = []
+        verts, out = _lister(self._ids), []
         for d, f, count, z in classes:
             m = self.n - 1 - d  # the link's dimension
-            out.append((d, f, count, _unpack(z >> (width << m), m, width)))
-        return [*out, (self.n, full, 1, FlagVector(-1, (1,)))]
+            out.append((d, frozenset(verts(f)), count,
+                        _unpack(z >> (width << m), m, width)))
+        return [*out, (self.n, frozenset(verts(full)), 1, FlagVector(-1, (1,)))]
 
     # -- links ---------------------------------------------------------------
 
     def link(self, face) -> "FaceLattice":
         """The interval from a nonempty face to the whole polytope, as a
-        lattice in its own right.  Atoms of the interval become vertices."""
-        face = frozenset(face)
-        if face not in self.faces:
+        lattice in its own right.  Atoms of the interval become vertices,
+        in the order of their sorted vertex lists."""
+        bit, face = {v: 1 << i for i, v in enumerate(self._ids)}, set(face)
+        m = sum(map(bit.__getitem__, face)) if face.issubset(bit) else None
+        d0 = self._dims.get(m)
+        if d0 is None:
             raise ValueError("link requested along a non-face")
-        d0 = self.faces[face]
         if d0 < 0:
             raise ValueError("link along the empty face is the polytope itself")
-        above = [(g, d) for g, d in self.faces.items()
-                 if d > d0 and face <= g]
-        atoms = sorted((g for g, d in above if d == d0 + 1), key=sorted)
-        aidx = {a: i for i, a in enumerate(atoms)}
-        faces = {frozenset(): -1}
+        above = [(g, d) for g, d in self._dims.items() if d > d0 and g & m == m]
+        atoms = sorted((g for g, d in above if d == d0 + 1),
+                       key=_lister(self._ids))
+        dims = {0: -1}
         for g, d in above:
-            fa = frozenset(aidx[a] for a in atoms if a <= g)
-            if fa in faces:
+            fa = sum(1 << i for i, a in enumerate(atoms) if g & a == a)
+            if fa in dims:
                 raise ValueError("interval is not atomic; not a polytope lattice")
-            faces[fa] = d - d0 - 1
-        return _built(self.n - d0 - 1, faces, self._graded)
+            dims[fa] = d - d0 - 1
+        return _built(self.n - d0 - 1, dims, range(len(atoms)), self._graded)
 
     # -- checks used by the oracle suites -----------------------------------
 
@@ -195,46 +196,30 @@ class FaceLattice:
         return alt == 1 - (-1) ** self.n
 
     def closed_under_intersection(self) -> bool:
-        """Whether the proper faces, the empty set and the whole vertex set
-        are closed under pairwise intersection: one loop over the facets,
-        O(F * facets), rerun only off polytope lattices (``_facet_pass``)."""
-        return _facet_pass(*self._family()) is not None
-
-    def _family(self) -> tuple:
-        """``(dim_of, facets, full)`` for ``_facet_pass``: the proper faces
-        as vertex bitmasks in the order of ``faces``, then the empty set at
-        -1 and the whole vertex set ``full`` at n; the facets are the
-        members of dimension n - 1, for the point the empty set.  ``full``
-        spans the whole vertex list, so every member is a submask of it
-        even when one vertex id sits in two vertex faces."""
-        verts = self.vertices
-        bit = {v: 1 << i for i, v in enumerate(verts)}
-        # the bits of distinct vertices are distinct, so a sum is a union
-        dim_of = {sum(map(bit.__getitem__, f)): d
-                  for f, d in self.faces.items() if 0 <= d < self.n}
-        full = (1 << len(verts)) - 1
-        dim_of.setdefault(0, -1)
-        dim_of.setdefault(full, self.n)
-        facets = [m for m, d in dim_of.items() if d == self.n - 1]
-        return dim_of, facets, full
+        """Whether the proper faces, the empty set and the union of the
+        vertex faces are closed under pairwise intersection, by one loop
+        over the facets (``_facet_pass``)."""
+        n, full = self.n, _vertex_union(self)
+        # a proper face keeps its dimension, and the empty set -1
+        dim_of = {full: n, 0: -1} | {
+            m: d for m, d in self._dims.items() if 0 <= d < n}
+        facets = [m for m, d in dim_of.items() if d == n - 1]
+        return _facet_pass(dim_of, facets, full) is not None
 
     def vertex_edge_degrees(self) -> dict:
-        degs = {v: 0 for v in self.vertices}
-        for f, d in self.faces.items():
-            if d == 1:
-                for v in f:
-                    degs[v] += 1
-        return degs
+        verts = _lister(self._ids)
+        ends = [v for m, d in self._dims.items() if d == 1 for v in verts(m)]
+        return {v: ends.count(v) for v in self.vertices}
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        by_dim = {}
-        for f, d in self.faces.items():
-            by_dim.setdefault(d, []).append(sorted(f))
+        verts, by_dim = _lister(self._ids), {}
+        for m, d in self._dims.items():
+            by_dim.setdefault(d, []).append(verts(m))
         return {"n": self.n,
-                "faces": [{"verts": verts, "dim": d} for d in sorted(by_dim)
-                          for verts in sorted(by_dim[d])]}
+                "faces": [{"verts": vs, "dim": d} for d in sorted(by_dim)
+                          for vs in sorted(by_dim[d])]}
 
     @classmethod
     def from_json(cls, data, validate=True) -> "FaceLattice":
@@ -244,7 +229,7 @@ class FaceLattice:
             raise ValueError("lattice JSON needs an integer 'n'")
         if not isinstance(data.get("faces"), list):
             raise ValueError("lattice JSON needs a list 'faces'")
-        faces, entry = {}, {}
+        faces = {}  # each entry adds one, so the entries index its keys
         for i, item in enumerate(data["faces"]):
             if not (isinstance(item, dict) and _is_int(item.get("dim"))
                     and isinstance(item.get("verts"), list)
@@ -254,11 +239,10 @@ class FaceLattice:
                     f"lattice JSON faces[{i}] = {item!r:.80}: "
                     "need an integer 'dim' and a list of integer 'verts'")
             verts = frozenset(item["verts"])
-            if verts in entry:
+            if verts in faces:
                 raise ValueError(
-                    f"lattice JSON faces[{entry[verts]}] and faces[{i}] "
-                    f"both list the vertex set {sorted(verts)}")
-            entry[verts] = i
+                    f"lattice JSON faces[{list(faces).index(verts)}] and "
+                    f"faces[{i}] both list the vertex set {sorted(verts)}")
             faces[verts] = item["dim"]
         lat = cls(data["n"], faces)
         if validate:
@@ -269,63 +253,55 @@ class FaceLattice:
         """Structural invariants: grading, vertex atoms, closure.
 
         The per-face checks come first, then that every face lies below a
-        single face of dimension n.  Three exact checks against the
-        generator set follow, made together by ``_facet_pass`` on the
-        ``_family`` masks: one loop of the F faces against the facets,
-        O(F * facets), rerun with the extra generators off polytopes only:
+        single face of dimension n, which is then the union of the vertex
+        faces.  Three exact checks of the faces against the generator set
+        follow, made together by ``_facet_pass``: one loop of the F faces
+        against the facets, O(F * facets), rerun off polytopes only:
 
         - closure: ``x & m`` is a face for every face x and generator m;
-        - containment raises dimension: with closure known, it holds iff
-          ``dim(g & m) < dim g`` for every face g and every generator m
-          not containing g;
-        - every face of dimension d >= 0 covers a face of dimension d - 1:
-          one of those ``g & m`` has dimension d - 1.
+        - containment raises dimension: with closure known, iff
+          ``dim(g & m) < dim g`` for every face g and generator m not
+          containing g;
+        - each face of dimension d >= 0 covers one of dimension d - 1: one
+          of those ``g & m`` has dimension d - 1.
 
         A closure failure anywhere is reported first, then containment,
         then the first uncovered face by dimension; so an input that breaks
         both closure and containment is reported as not closed under
         intersection.
         """
-        if self.n not in self.faces.values():
+        n, dims, verts = self.n, self._dims, _lister(self._ids)
+        if n not in dims.values():
             raise ValueError("full face missing")
-        for f, d in self.faces.items():
-            if not (-1 <= d <= self.n):
+        for m, d in dims.items():
+            if not (-1 <= d <= n):
                 raise ValueError(f"face dimension {d} out of range")
-            if d == -1 and f:
+            if d == -1 and m:
                 raise ValueError("only the empty set may have dimension -1")
-        verts = self.vertices
-        vs = set(verts)
-        for f, d in self.faces.items():
-            if d == 0 and len(f) != 1:
+        known = reduce(or_, (m for m, d in dims.items() if d == 0), 0)
+        for m, d in dims.items():
+            if d == 0 and m & (m - 1):
                 raise ValueError("a vertex face must be a singleton")
-            if not f <= vs and d >= 0:
-                raise ValueError(f"face {sorted(f)} uses unknown vertices")
-        full = self.full_face
-        for f in self.faces:
-            if not f <= full:
-                raise ValueError(f"face {sorted(f)} is not below the full face")
-        if sum(d == self.n for d in self.faces.values()) > 1:
+            if m & ~known and d >= 0:
+                raise ValueError(f"face {verts(m)} uses unknown vertices")
+        full = next(m for m, d in dims.items() if d == n)
+        for m in dims:
+            if m & ~full:
+                raise ValueError(f"face {verts(m)} is not below the full face")
+        if sum(d == n for d in dims.values()) > 1:
             raise ValueError("containment must raise dimension")
 
-        # vertices are distinct singletons and make up the full face, so
-        # the family holds every face, those of one dimension in order
-        family = self._family()
-        verdict = _facet_pass(*family)
+        verdict = _facet_pass(
+            dims, [m for m, d in dims.items() if d == n - 1], full)
         if verdict is None:
             raise ValueError("face set is not closed under intersection")
         contained, uncovered = verdict
         if not contained:
             raise ValueError("containment must raise dimension")
-        # each face covers some face one dimension lower; a face may still
-        # lie directly above one two or more dimensions lower
-        if uncovered:
-            # the first by dimension, then in the order of the faces; its
-            # bits, lowest first, are its vertices in increasing order
-            dim_of = family[0]
-            g = min(uncovered, key=dim_of.__getitem__)
-            d = dim_of[g]
-            face = [v for i, v in enumerate(verts) if g >> i & 1]
-            raise ValueError(f"face {face} covers nothing of dimension {d - 1}")
+        if uncovered:  # the first by dimension, then in the face order
+            g = min(uncovered, key=dims.__getitem__)
+            raise ValueError(
+                f"face {verts(g)} covers nothing of dimension {dims[g] - 1}")
 
     def dumps(self) -> str:
         import json
@@ -333,18 +309,48 @@ class FaceLattice:
 
 
 _INT = frozenset({int})  # the exact type of most vertex ids
+_SELECT = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 selectors
 
 
-def _built(n: int, faces: dict, graded: bool) -> FaceLattice:
-    """``FaceLattice(n, faces)`` made by a constructor, flagged as graded by
-    construction when ``graded``: when its bases were."""
-    lat = FaceLattice(n, faces)
-    object.__setattr__(lat, "_graded", graded)
+def _built(n: int, dims: dict, ids: tuple, graded: bool,
+           lat: FaceLattice = None) -> FaceLattice:
+    """The lattice of these masks and ids (set on ``lat`` if given), graded
+    by construction when a constructor made it from bases that were."""
+    lat = object.__new__(FaceLattice) if lat is None else lat
+    # in the order of __slots__: no faces read yet, no pass yet
+    for name, value in zip(lat.__slots__, (n, dims, ids, None, None, graded)):
+        object.__setattr__(lat, name, value)
     return lat
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _lister(values):
+    """A function from a mask to a new list of the values at its set bits,
+    lowest first, joined from the memos of the mask's two halves."""
+    h = len(values) // 2
+    lo, hi, low = _memo(values[:h]), _memo(values[h:]), (1 << h) - 1
+    return lambda m: [*lo(m & low), *hi(m >> h)]
+
+
+def _memo(values):
+    """``_lister`` of these values, keeping each result as a tuple."""
+    if len(values) > 16:
+        return cache(lambda m, of=_lister(values): tuple(of(m)))
+    return cache(lambda m: tuple(
+        compress(values, bin(m)[:1:-1].encode().translate(_SELECT))))
+
+
+def _vertex_union(lat: FaceLattice) -> int:
+    """The union of the vertex faces.  A proper face using another vertex
+    raises ValueError, with the message of ``validate``."""
+    known = reduce(or_, (m for m, d in lat._dims.items() if d == 0), 0)
+    for m, d in lat._dims.items():
+        if 0 <= d < lat.n and m & ~known:
+            raise ValueError(f"face {_lister(lat._ids)(m)} uses unknown vertices")
+    return known
 
 
 def _facet_pass(dim_of: dict, generators: list, full: int):
@@ -353,16 +359,14 @@ def _facet_pass(dim_of: dict, generators: list, full: int):
 
     ``dim_of`` maps every member, a submask of ``full``, to its dimension;
     ``generators`` may be any list of members, at first the facets.  Each
-    member x is taken once against them: those containing x are met as
-    they come (the empty meet being ``full``), and of the others only the
-    highest dimension of x & m is kept.  If every member is the meet of
-    the generators containing it, the family is closed iff x & m is a
-    member for every member x and generator m.  If not, the loop runs once
-    more with those other members added to the generators, and that
-    rerun stops: an added member contains itself, so its meet is itself,
-    and more generators cannot change a meet that is already the member,
-    as every member is a submask of ``full``.  On a polytope lattice,
-    which is coatomic, the loop runs once.
+    member x is met with those containing it (the empty meet being
+    ``full``), and of the others only the highest dimension of x & m is
+    kept.  If every member is the meet of the generators containing it, the
+    family is closed iff x & m is a member for every member x and generator
+    m.  If not, the loop reruns once with those other members added to the
+    generators, and stops: an added member is its own meet, and more
+    generators cannot change a meet that is already the member.  On a
+    polytope lattice, which is coatomic, the loop runs once.
 
     Returns None if the family is not closed.  Otherwise, with top(x) the
     highest dimension of x & m over the generators m not containing x (-2
@@ -401,16 +405,16 @@ def _chain_pass(lat: FaceLattice):
     """Count the chains of every dimension set, and class the proper faces
     by their links, in one pass over the faces from the top down.
 
-    The faces are indexed top level first.  An index from each vertex to
-    the bitset of faces containing it gives, by one AND over a face's
-    vertices, its up-set: the faces above it.  Those one level up are its
-    covers.  On a lattice not built by the constructors (no ``_graded``
-    flag), the up-set of every face must be its covers and their up-sets;
-    a family in which some face lies above another with no face of the
-    dimension in between (``validate`` accepts some) fails that, and raises
-    ValueError.  That check keeps the up-sets of the level above, O(F) bits
-    for each of its faces; a lattice graded by construction cannot fail it,
-    and skips it and keeps none.
+    The faces are indexed top level first.  Each face's vertices are listed
+    once: the AND of their index entries (the faces so far on the vertex)
+    is its up-set, the faces above it, and the face then joins them.  Those
+    one level up are its covers.  Off the constructors (no ``_graded``
+    flag), a proper face using a vertex of no vertex face raises ValueError
+    as in ``validate``, and so does a face whose up-set is not its covers
+    and their up-sets: one lying above another with no face of the
+    dimension in between, which ``validate`` accepts.  That check keeps the
+    up-sets of the level above, O(F) bits each; a lattice graded by
+    construction cannot fail it, and skips it and keeps none.
 
     Z[f] packs the chains starting at f into one int, one slot of ``width``
     bits per dimension set, with dimension d at bit n - 1 - d of the slot's
@@ -419,39 +423,39 @@ def _chain_pass(lat: FaceLattice):
     exceeds the bit length of prod(f_d + 1), which bounds every count, so
     no slot carries.  Faces with equal Z share one bitset, so the sum costs
     one AND and one bit count per distinct value above f.  Equal Z means
-    one dimension and equal chain counts of the interval up to the whole
-    polytope, which is the link; so the classes of equal Z are the link
-    classes.  With m = n - 1 - dim f, Z[f] >> (width << m) is the packed
-    total of the link, of dimension m, which ``link_classes`` unpacks.
+    one dimension and equal chain counts up to the whole polytope, so the
+    classes of equal Z are the link classes; with m = n - 1 - dim f,
+    Z[f] >> (width << m) is the packed total of the link, of dimension m.
 
-    Returns the flag vector, ``width``, for each class (dimension, a face
-    of it, the number of faces in it, Z), and the whole polytope's face, or
-    None if no face has dimension n.
+    Returns the flag vector, ``width``, for each class (dimension, the mask
+    of a face of it, its size, Z), and the whole polytope's mask, or None
+    if no face has dimension n.
     """
-    n, full, graded = lat.n, None, lat._graded
+    n, dims, full, graded = lat.n, lat._dims, None, lat._graded
+    verts = _lister(lat._ids)
+    if not graded:
+        _vertex_union(lat)
     levels = [[] for _ in range(n)]  # levels[k] holds dimension n - 1 - k
-    for f, d in lat.faces.items():
+    for m, d in dims.items():
         if 0 <= d < n:
-            levels[n - 1 - d].append(f)
+            levels[n - 1 - d].append(m)
         elif d == n and full is None:
-            full = f
-    if n <= 0:
-        return FlagVector(n, (1,)), 0, (), full
-    faces = [f for lv in levels for f in lv]
+            full = m
+    faces = [m for lv in levels for m in lv]
     start = list(accumulate(map(len, levels), initial=0))
-    index = dict.fromkeys(lat.vertices, 0)
-    for i, f in enumerate(faces):
-        for v in f:
-            index[v] |= 1 << i
-
     width = prod(len(lv) + 1 for lv in levels).bit_length()
+    del levels  # the faces hold them, in order
+    index = dict.fromkeys(lat._ids, 0)
     classes = {}  # Z value -> bitset of the faces with that Z
     ups = []  # unflagged: the up-sets of the level above, each with its face
     for k in range(n):
         higher, shift, level_ups = list(classes.items()), width << k, []
         above = (1 << start[k]) - 1
         for f in range(start[k], start[k + 1]):
-            up = reduce(and_, map(index.__getitem__, faces[f])) & above
+            bit, up = 1 << f, above
+            for v in verts(faces[f]):
+                up &= index[v]
+                index[v] |= bit
             if not graded:
                 reached, covers = 0, up >> start[k - 1]  # up is 0 when k is 0
                 while covers:
@@ -461,22 +465,21 @@ def _chain_pass(lat: FaceLattice):
                 if reached != up:
                     g = faces[(up & ~reached).bit_length() - 1]
                     raise ValueError(
-                        f"face {sorted(g)} of dimension {lat.faces[g]} lies "
-                        f"above face {sorted(faces[f])} of dimension "
-                        f"{n - 1 - k} with no face of dimension {n - k} "
-                        "between them")
-                level_ups.append(up | 1 << f)
+                        f"face {verts(g)} of dimension {dims[g]} lies above "
+                        f"face {verts(faces[f])} of dimension {n - 1 - k} "
+                        f"with no face of dimension {n - k} between them")
+                level_ups.append(up | bit)
             z = 1
             for value, members in higher:
                 z += value * (up & members).bit_count()
             z <<= shift
-            classes[z] = classes.get(z, 0) | 1 << f
+            classes[z] = classes.get(z, 0) | bit
         ups = level_ups
     total = 1 + sum(z * members.bit_count() for z, members in classes.items())
     reps = []
     for z, members in classes.items():
         f = faces[(members & -members).bit_length() - 1]
-        reps.append((lat.faces[f], f, members.bit_count(), z))
+        reps.append((dims[f], f, members.bit_count(), z))
     return _unpack(total, n, width), width, tuple(reps), full
 
 
@@ -559,21 +562,16 @@ def _subset(key: int, n: int) -> frozenset:
 
 
 def empty_polytope() -> FaceLattice:
-    return _built(-1, {frozenset(): -1}, True)
+    return _built(-1, {0: -1}, range(0), True)
 
 
 def point() -> FaceLattice:
-    return _built(0, {frozenset(): -1, frozenset({0}): 0}, True)
+    return _built(0, {0: -1, 1: 0}, range(1), True)
 
 
 def build(w: GeneratorWord) -> FaceLattice:
     """Right-to-left fold of the constructors over the point, anew each call."""
     lat = point()
     for op in reversed(w.ops):
-        if op == "C":
-            lat = lat.pyramid()
-        elif op == "I":
-            lat = lat.prism()
-        else:
-            lat = lat.bipyramid()
+        lat = getattr(lat, {"C": "pyramid", "I": "prism"}.get(op, "bipyramid"))()
     return lat

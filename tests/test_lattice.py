@@ -1,5 +1,6 @@
 """Face lattices, flag counting, links, serialization."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -402,7 +403,7 @@ def reference_closed(lat):
     verts = frozenset(lat.vertices)
     proper = {f for f, d in lat.faces.items() if 0 <= d < lat.n}
     if any(not f <= verts for f in proper):
-        raise KeyError("face uses a vertex outside the vertex faces")
+        raise ValueError("face uses a vertex outside the vertex faces")
     family = proper | {frozenset(), verts}
     return all(a & b in family for a, b in combinations(family, 2))
 
@@ -518,7 +519,7 @@ class TestGeneratorChecks:
             ("add", True, ("returned", True)),
             ("add", False, ("returned", False)),
             ("shift", False, ("returned", True)),
-            ("drop", False, ("raised", "KeyError")),
+            ("drop", False, ("raised", "ValueError")),
         }
 
     def test_dim_5_sample_against_pairwise_reference(self):
@@ -865,13 +866,22 @@ class TestGradedByConstruction:
     pass; every other lattice keeps it."""
 
     def test_every_word_up_to_dim_6_matches_unflagged_copy(self):
+        # one digest of every word's lattice JSON and link-class rows, so a
+        # changed face set or class representative changes it
+        digest = hashlib.sha256()
         for w in words_up_to(6, "ICB"):
             lat = build(w)
             copy = unflagged(lat)
             assert lat._graded and not copy._graded, w
             assert lat.flag_vector() == copy.flag_vector(), w
             # each class's dimension, face, size and link flag vector
-            assert lat.link_classes() == copy.link_classes(), w
+            classes = lat.link_classes()
+            assert classes == copy.link_classes(), w
+            digest.update(lat.dumps().encode())
+            digest.update(repr([(d, sorted(f), count, fv.counts)
+                                for d, f, count, fv in classes]).encode())
+        assert digest.hexdigest() == (
+            "d24467020188b6e905a8c6013c6709b2f3e07b9cf7ee5ef641434a8f3d1bbede")
 
     def test_flag_propagates(self):
         flagged = build(W("IC"))
@@ -920,3 +930,44 @@ class TestGradedByConstruction:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < peaks[1] / 2, peaks
+
+
+class TestFacesAtTheApi:
+    """Faces are vertex bitmasks inside the lattice; the frozenset faces are
+    made only for callers that read them."""
+
+    def test_no_route_reads_the_faces(self, monkeypatch):
+        from hvcalc.links import h_by_links
+        words = list(words_up_to(3, "ICB"))
+        data = build(W("BIC")).to_json()
+
+        def no_read(self):
+            raise AssertionError("a route read the frozenset faces")
+
+        monkeypatch.setattr(FaceLattice, "faces", property(no_read))
+        lats = [build(w) for w in words] + [FaceLattice.from_json(data)]
+        for lat in lats:
+            lat.validate()
+            assert lat.closed_under_intersection()
+            assert FaceLattice.from_json(lat.to_json()).flag_vector() == (
+                lat.flag_vector())
+            for _, face, _, fv in lat.link_classes():
+                assert lat.link(face).flag_vector() == fv
+            assert lat.join(point()).flag_vector() == lat.pyramid().flag_vector()
+            h_by_links(lat)
+
+    def test_faces_are_made_once(self):
+        lat = build(W("BIC"))
+        faces = lat.faces
+        assert lat.faces is faces and len(faces) == len(lat) == 28
+        assert faces[frozenset(range(6))] == 3
+
+    def test_unknown_vertices_refused_as_validate_does(self):
+        # vertex 1 is in the edge {0, 1} but in no vertex face
+        lat = FaceLattice(2, {frozenset(): -1, frozenset({0}): 0,
+                              frozenset({0, 1}): 1, frozenset({0, 1, 2}): 2})
+        for call in (lat.validate, lat.flag_vector, lat.link_classes,
+                     lat.closed_under_intersection):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "face [0, 1] uses unknown vertices"
