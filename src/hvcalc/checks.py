@@ -12,31 +12,23 @@ from __future__ import annotations
 import random
 
 from . import engine, flaglin, links, terms
+from ._frozen import Frozen
 from .lattice import build
 from .symbols import AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, word_degree
 from .terms import IndexTerm
 from .words import GeneratorWord, all_words, words_up_to
 
 
-class CheckResult:
+class CheckResult(Frozen):
     """One named check: whether it passed, and what failed if not."""
 
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.passed, self.detail)
-                == (other.name, other.passed, other.detail))
-
-    def __repr__(self):
-        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
-                f"detail={self.detail!r})")
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "passed", bool(passed))
+        init(self, "detail", detail)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -44,17 +36,13 @@ class CheckResult:
         return f"{status}  {self.name}{tail}"
 
 
-def _res(name, passed, detail=""):
-    return CheckResult(name, bool(passed), detail)
-
-
 def _each(name, items, ok, show=str):
     """One check over a family: it passes when ``ok`` holds for every item,
     and otherwise names the first item that fails."""
     for x in items:
         if not ok(x):
-            return _res(name, False, f"counterexample {show(x)}")
-    return _res(name, True)
+            return CheckResult(name, False, f"counterexample {show(x)}")
+    return CheckResult(name, True)
 
 
 # -- golden tables ------------------------------------------------------------
@@ -92,16 +80,16 @@ def check_tables():
     out = []
     for ops, want in GOLDEN_TABLES.items():
         got = engine.extended_hvector(GeneratorWord(ops)).render()
-        out.append(_res(f"table h({ops or ''}.) = {want}", got == want,
-                        f"got {got}"))
+        out.append(CheckResult(f"table h({ops or ''}.) = {want}",
+                               got == want, f"got {got}"))
     return out
 
 
 def check_aux_checkpoint():
     got = engine.aux_hvector(GeneratorWord("CCIC")).render()
     want = "[12221] + [11]{1}"
-    return [_res("aux h~(CCIC.) = [12221] + [11]{1}", got == want,
-                 f"got {got}")]
+    return [CheckResult("aux h~(CCIC.) = [12221] + [11]{1}", got == want,
+                        f"got {got}")]
 
 
 # -- Bayer counterexample and pseudo h ---------------------------------------
@@ -116,11 +104,12 @@ def check_bayer():
     via_links = links.h_by_links(lat)
     c2 = via_links.coefficient(XA1.xexp, XA1.yexp, XA1.word)
     return [
-        _res("linear h(BICCC.) has coefficient -2 on xA{1}", c1 == -2,
-             f"got {c1}"),
-        _res("link-recursion h(BICCC.) has coefficient -2 on xA{1}",
-             c2 == -2, f"got {c2}"),
-        _res("both Bayer routes agree term by term", via_linear == via_links),
+        CheckResult("linear h(BICCC.) has coefficient -2 on xA{1}",
+                    c1 == -2, f"got {c1}"),
+        CheckResult("link-recursion h(BICCC.) has coefficient -2 on xA{1}",
+                    c2 == -2, f"got {c2}"),
+        CheckResult("both Bayer routes agree term by term",
+                    via_linear == via_links),
     ]
 
 
@@ -128,51 +117,53 @@ def check_pseudo_octahedron():
     oct_fv = build(GeneratorWord("BIC")).flag_vector()
     got = flaglin.linear_pseudo_h(oct_fv)
     want = BiGradedPoly((1, -1, 5, 1))
-    return [_res("pseudo h extrapolated to the octahedron = (1,-1,5,1)",
-                 got == want, f"got {got.render()}")]
+    return [CheckResult("pseudo h extrapolated to the octahedron = (1,-1,5,1)",
+                        got == want, f"got {got.render()}")]
 
 
 # -- Fibonacci ranks and counts -----------------------------------------------
 
 def check_fibonacci_ranks(max_ic=7, max_b=6):
     out = []
-    for n in range(1, max_ic + 1):
-        vecs = [flaglin.word_flag_vector(w) for w in all_words(n, "IC")]
-        rank = flaglin.span_rank(vecs)
-        want = terms.fib(n + 1)
-        out.append(_res(f"rank of {{I,C}} flag vectors, dim {n} = F_{n + 1} = {want}",
-                        rank == want, f"got {rank}"))
-    for n in range(1, max_b + 1):
-        vecs = [flaglin.word_flag_vector(w) for w in all_words(n, "ICB")]
-        rank = flaglin.span_rank(vecs)
-        want = terms.fib(n + 1)
-        out.append(_res(f"bipyramids do not enlarge the span, dim {n}",
-                        rank == want, f"got {rank}"))
+    for letters, max_n, name in (
+            ("IC", max_ic, "rank of {{I,C}} flag vectors, dim {n} = F_{m} = {want}"),
+            ("ICB", max_b, "bipyramids do not enlarge the span, dim {n}")):
+        for n in range(1, max_n + 1):
+            rank = flaglin.span_rank(
+                [flaglin.word_flag_vector(w) for w in all_words(n, letters)])
+            want = terms.fib(n + 1)
+            out.append(CheckResult(name.format(n=n, m=n + 1, want=want),
+                                   rank == want, f"got {rank}"))
     return out
 
 
+# each count of the index terms of degree n: its name, the terms it counts,
+# and k in its expected value F_(n+k); F_(-1) = F_1 - F_0 = 1
+_TERM_COUNTS = (
+    ("term count of degree n is F_(n+2), n <= {}", lambda t: True, 2),
+    ("terms with i<=j number F_(n+1)", lambda t: t.xexp <= t.yexp, 1),
+    ("terms with i>j number F_n", lambda t: t.xexp > t.yexp, 0),
+    ("terms with i=j number F_(n-1)", lambda t: t.xexp == t.yexp, -1),
+)
+
+
 def check_fibonacci_terms(max_n=12, basis_dim=7):
+    by_degree = [terms.enumerate_terms(n) for n in range(max_n + 1)]
     out = []
-    ok_counts = ok_le = ok_gt = ok_eq = True
-    for n in range(max_n + 1):
-        ts = terms.enumerate_terms(n)
-        ok_counts &= len(ts) == terms.fib(n + 2)
-        ok_le &= sum(1 for t in ts if t.xexp <= t.yexp) == terms.fib(n + 1)
-        ok_gt &= sum(1 for t in ts if t.xexp > t.yexp) == terms.fib(n)
-        eq_want = terms.fib(n - 1) if n >= 1 else 1
-        ok_eq &= sum(1 for t in ts if t.xexp == t.yexp) == eq_want
-    out.append(_res(f"term count of degree n is F_(n+2), n <= {max_n}", ok_counts))
-    out.append(_res("terms with i<=j number F_(n+1)", ok_le))
-    out.append(_res("terms with i>j number F_n", ok_gt))
-    out.append(_res("terms with i=j number F_(n-1)", ok_eq))
+    for name, counts, k in _TERM_COUNTS:
+        ok = all(sum(map(counts, ts)) == (terms.fib(n + k) if n + k >= 0 else 1)
+                 for n, ts in enumerate(by_degree))
+        out.append(CheckResult(name.format(max_n), ok))
     ok_words = all(
         len(terms.words_up_to_degree(n)) == terms.fib(n)
         for n in range(1, max_n + 1))
-    out.append(_res(f"words of degree <= n number F_n, n <= {max_n}", ok_words))
+    out.append(CheckResult(f"words of degree <= n number F_n, n <= {max_n}",
+                           ok_words))
     ok_basis = all(
         len(flaglin.ic_basis(n)) == terms.fib(n + 1)
         for n in range(basis_dim + 1))
-    out.append(_res(f"basis words number F_(n+1), n <= {basis_dim}", ok_basis))
+    out.append(CheckResult(f"basis words number F_(n+1), n <= {basis_dim}",
+                           ok_basis))
     return out
 
 
@@ -226,7 +217,7 @@ def check_triple_agreement(max_dim=4, basis_dim=5):
     direct_agrees = all(
         links.h_by_links(build(w), links.DIRECT) == engine.extended_hvector(w)
         for w in ws)
-    return [agree, _res(
+    return [agree, CheckResult(
         "exactly one cone-rule reading passes (conjugation yes, direct no)",
         agree.passed and not direct_agrees,
         "direct rule unexpectedly agrees" if direct_agrees else "")]
@@ -307,7 +298,8 @@ def check_strata(max_downset_degree=9):
     out = []
     for t, want in STRATA_CASES:
         got = terms.strata_vector(t)
-        out.append(_res(f"strata of {t} = {want}", got == want, f"got {got}"))
+        out.append(CheckResult(f"strata of {t} = {want}", got == want,
+                               f"got {got}"))
     universe = {n: terms.enumerate_terms(n, AUX)
                 for n in range(max_downset_degree + 1)}
     out.append(_each(

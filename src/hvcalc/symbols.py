@@ -211,9 +211,11 @@ _WORDS: dict = {}
 _WORDS_MAX = 4096  # cleared when full
 
 
-def _checked_word(word) -> tuple:
+def _checked_word(word, bad_pad=None) -> tuple:
     """A word's entry: (the tuple checked, its degree, its pads).  Any word
-    but the very tuple registered is converted, checked and registered."""
+    but the very tuple registered is converted, checked and registered.  A
+    word that holds ``bad_pad``, the pad wrong for the caller's flavor, is
+    refused."""
     try:
         entry = _WORDS[word] if type(word) is tuple else None
     except (KeyError, TypeError):  # a new word, or an unhashable symbol
@@ -224,6 +226,9 @@ def _checked_word(word) -> tuple:
         if len(_WORDS) >= _WORDS_MAX:
             _WORDS.clear()
         _WORDS[word] = entry
+    if bad_pad in entry[2]:
+        flavor = next(f for f, row in _FLAVORS.items() if row[1] == bad_pad)
+        raise ValueError(f"word {entry[0]!r} has wrong flavor for {flavor}")
     return entry
 
 
@@ -240,10 +245,10 @@ class HVector(Frozen):
     polytope, which has no ``mpih`` part), deg(poly) + deg(word) equals it for
     every term, no term maps to the zero polynomial, no word ends in a pad,
     and every word matches the vector's flavor.  A term's coefficients, its
-    word's symbols (``_checked_word``, once per word object) and its flavor
-    are checked before it can be dropped: a word ending in a pad meets the
-    terminator, and a zero polynomial goes.  Homogeneity is checked on the
-    terms kept; ``terms`` is a read-only mapping.
+    word's symbols (once per word object) and its word's flavor (both in
+    ``_checked_word``) are checked before it can be dropped: a word ending
+    in a pad meets the terminator, and a zero polynomial goes.  Homogeneity
+    is checked on the terms kept; ``terms`` is a read-only mapping.
     """
 
     __slots__ = ("degree", "flavor", "terms")
@@ -257,9 +262,7 @@ class HVector(Frozen):
         clean = {}
         for word, cs in (terms or {}).items():
             cs = _coeff_tuple(cs)
-            word, wdeg, pads = _checked_word(word)
-            if bad_pad in pads:
-                raise ValueError(f"word {word!r} has wrong flavor for {flavor}")
+            word, wdeg, _ = _checked_word(word, bad_pad)
             if word and word[-1] in _PADS or not any(cs):
                 continue  # a trailing pad meets the terminator, or zero
             if len(cs) - 1 + wdeg != degree:

@@ -35,9 +35,7 @@ class IndexTerm(Frozen):
                  flavor: str = FINAL):
         bad_pad = _check_flavor(flavor)[1]
         _check_exponents(xexp, yexp)
-        word, _, pads = _checked_word(word)
-        if bad_pad in pads:
-            raise ValueError(f"word {word!r} has wrong flavor for {flavor}")
+        word = _checked_word(word, bad_pad)[0]
         if word and word[-1] in _PADS:
             raise ValueError("index words do not end in a pad")
         init = object.__setattr__

@@ -1,6 +1,7 @@
 """Polynomials, words, pad rewriting, and formal sums."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -85,6 +86,8 @@ class TestWords:
         assert word_degree((PAD, 1)) == 4
         assert word_degree((PAD_AUX, PAD_AUX, 1)) == 5
         assert word_degree((2,)) == 5
+        # an int subclass other than bool, such as an IntEnum member, is a local
+        assert word_degree((PAD, IntEnum("K", {"TWO": 2}).TWO)) == 6
 
     @pytest.mark.parametrize("bad", [0, -1, 1.0, "B", None, True])
     def test_bad_symbol_rejected(self, bad):
@@ -336,6 +339,7 @@ class TestHVector:
             (1,): (1, 1, 1),
         })
         assert h.render() == "(134431) + (111){1} + (11)A{1} + (2)AA{1} + (1){2}"
+        assert repr(h) == f"<HVector final deg 5: {h.render()}>"
 
     def test_json(self):
         h = HVector(4, FINAL, {(PAD, 1): (1,)})

@@ -126,7 +126,7 @@ class TestIndexTerm:
 
 
 @pytest.mark.parametrize("cls", [GeneratorWord, IndexTerm, FlagVector,
-                                 HVector, BiGradedPoly])
+                                 HVector, BiGradedPoly, CheckResult])
 def test_one_frozen_base(cls):
     assert issubclass(cls, Frozen)
     assert "__setattr__" not in vars(cls) and "__delattr__" not in vars(cls)
@@ -250,9 +250,9 @@ class TestCheckResult:
         assert r != ("table", True, "")
         assert repr(r) == "CheckResult(name='table', passed=True, detail='')"
 
-    def test_unhashable_and_mutable(self):
-        r = CheckResult("table", False, "got (11)")
-        with pytest.raises(TypeError):
-            hash(r)
-        r.detail = "got (121)"
-        assert r.line() == "FAIL  table  [got (121)]"
+    def test_hashable_and_immutable(self):
+        r = CheckResult("table", 0, "got (11)")
+        assert r.passed is False and hash(r) == hash(("table", False, "got (11)"))
+        assert len({r, CheckResult("table", False, "got (11)")}) == 1
+        _refuses_edits(r, ("name", "passed", "detail"))
+        assert r.line() == "FAIL  table  [got (11)]"
