@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from .words import GeneratorWord, WordParseError
@@ -25,46 +24,6 @@ LISTS = ("text", "json")  # the formats of the list-valued outputs
 
 class CliError(Exception):
     """A usage error: ``main`` prints it on one line and exits 2."""
-
-
-def parse_term(text: str):
-    """Parse terms like ``xA{1}``, ``X^2Y^3{5}``, ``Abar{1}{1}`` and ``1``
-    into an ``IndexTerm``."""
-    from .symbols import _FLAVORS, FINAL, PAD, PAD_AUX
-    from .terms import IndexTerm
-    if not text.strip():
-        raise CliError("empty term: write the constant term as 1")
-    # each pad and variable: its flavor, and the exponent it raises or None
-    alphabet = {}
-    for flavor, (pad, _, x, y) in _FLAVORS.items():
-        alphabet.update({pad: (flavor, None), x: (flavor, 0), y: (flavor, 1)})
-    variables = "".join(s for s, (_, i) in alphabet.items() if i is not None)
-    token = rf"([{variables}])(?:\^?(\d+))?|(Abar|Ā|Ā|A)|\{{(\d+)\}}|(.)"
-    exps = [0, 0]
-    word = []
-    flavors = set()
-    text = text.replace(" ", "")
-    try:  # int() refuses a number past its digit limit with ValueError
-        for m in re.finditer(token, "" if text == "1" else text, re.DOTALL):
-            var, exp, pad, local, junk = m.groups()
-            if junk is not None:
-                raise CliError(f"bad term syntax near {junk!r}")
-            if local is not None:
-                word.append(int(local))
-                continue
-            sym = var or (PAD if pad == "A" else PAD_AUX)
-            flavor, i = alphabet[sym]
-            flavors.add(flavor)
-            if i is None:
-                word.append(sym)
-            else:
-                exps[i] += int(exp) if exp else 1
-        if len(flavors) > 1:
-            raise CliError("term mixes aux and final symbols")
-        flavor = flavors.pop() if flavors else FINAL
-        return IndexTerm(*exps, tuple(word), flavor)
-    except ValueError as e:
-        raise CliError(str(e))
 
 
 def _emit(text: str, out_path):
@@ -83,16 +42,13 @@ def _dumps(data) -> str:
     return json.dumps(data)
 
 
-def _hvector_out(h, fmt):
+def _formatted(value, fmt):
+    """A value in its ``fmt`` format: JSON, CSV or text."""
     if fmt == "json":
-        return _dumps(h.to_json())
+        return _dumps(value.to_json())
     if fmt == "csv":
-        from .symbols import render_word
-        lines = ["word,poly"]
-        for w, cs in h.sorted_terms():
-            lines.append(f"{render_word(w)}," + " ".join(map(str, cs)))
-        return "\n".join(lines)
-    return h.render()
+        return value.to_csv().rstrip("\n")
+    return value.render()
 
 
 def _listing(items, fmt):
@@ -101,17 +57,21 @@ def _listing(items, fmt):
     return _dumps(rendered) if fmt == "json" else "\n".join(rendered)
 
 
-def _by_route(word: str, engine_name: str, linear_name: str):
+def _by_route(args, engine_name: str, linear_name: str):
     """``engine.<engine_name>`` of a bipyramid-free word, else
-    ``flaglin.<linear_name>`` of its flag vector; with the route's label."""
-    w = GeneratorWord.parse(word)
+    ``flaglin.<linear_name>`` of its flag vector, formatted; the text names
+    the route."""
+    w = GeneratorWord.parse(args.word)
     if w.is_bipyramid_free():
         from . import engine
-        return getattr(engine, engine_name)(w), "engine"
-    from . import flaglin
-    from .lattice import build
-    return (getattr(flaglin, linear_name)(build(w).flag_vector()),
-            "linear extension")
+        value, label = getattr(engine, engine_name)(w), "engine"
+    else:
+        from . import flaglin
+        from .lattice import build
+        value = getattr(flaglin, linear_name)(build(w).flag_vector())
+        label = "linear extension"
+    body = _formatted(value, args.format)
+    return body + f"   [{label}]" if args.format == "text" else body
 
 
 def _load_flag_vector(arg: str):
@@ -133,25 +93,17 @@ def _load_flag_vector(arg: str):
 # Each command returns the text it prints; ``_run`` writes it.
 
 def cmd_hvec(args):
-    h, label = _by_route(args.word, "extended_hvector", "linear_h")
-    body = _hvector_out(h, args.format)
-    return body + f"   [{label}]" if args.format == "text" else body
+    return _by_route(args, "extended_hvector", "linear_h")
 
 
 def cmd_aux(args):
     from . import engine
     w = GeneratorWord.parse(args.word)
-    return _hvector_out(engine.aux_hvector(w), args.format)
+    return _formatted(engine.aux_hvector(w), args.format)
 
 
 def cmd_flagvec(args):
-    fv = _load_flag_vector(args.word)
-    if args.format == "json":
-        return _dumps(fv.to_json())
-    if args.format == "csv":
-        return fv.to_csv().rstrip("\n")
-    return "\n".join("f{" + ",".join(map(str, sorted(S))) + f"}} = {fv[S]}"
-                     for S in fv.subsets())
+    return _formatted(_load_flag_vector(args.word), args.format)
 
 
 def cmd_lattice(args):
@@ -166,10 +118,10 @@ def cmd_basis(args):
 
 def cmd_express(args):
     from . import flaglin
-    from .symbols import AUX, scalar_to_json
+    from .terms import AUX, IndexTerm
     fv = _load_flag_vector(args.word)
     if args.coeff is not None:
-        term = parse_term(args.coeff)
+        term = IndexTerm.parse(args.coeff)
         if term.flavor == AUX:
             raise CliError(f"--coeff {term} is an aux term; the extended "
                            f"h-vector has final terms in x, y and A")
@@ -180,8 +132,9 @@ def cmd_express(args):
         return str(h.coefficient(term.xexp, term.yexp, term.word))
     pairs = list(zip(flaglin.ic_basis(fv.n), flaglin.express_in_basis(fv)))
     if args.format == "json":
-        return _dumps([{"word": w.render(), "coeff": scalar_to_json(c)}
-                       for w, c in pairs])
+        # each coefficient is a Fraction: an int in JSON when integral
+        return _dumps([{"word": w.render(), "coeff": c.numerator
+                        if c.denominator == 1 else str(c)} for w, c in pairs])
     sep, header = (",", ["word,coeff"]) if args.format == "csv" else (": ", [])
     return "\n".join(header + [f"{w.render()}{sep}{c!s}" for w, c in pairs])
 
@@ -191,15 +144,11 @@ def cmd_links(args):
     from .lattice import build
     w = GeneratorWord.parse(args.word)
     h = links.h_by_links(build(w), args.rule or links.CONJUGATION)
-    return _hvector_out(h, args.format)
+    return _formatted(h, args.format)
 
 
 def cmd_pseudo(args):
-    p, label = _by_route(args.word, "pseudo_h", "linear_pseudo_h")
-    if args.format == "json":
-        from .symbols import scalar_to_json
-        return _dumps([scalar_to_json(c) for c in p.coeffs])
-    return f"{p.render()}   [{label}]"
+    return _by_route(args, "pseudo_h", "linear_pseudo_h")
 
 
 def cmd_terms(args):
@@ -211,8 +160,8 @@ def cmd_terms(args):
 
 def cmd_order(args):
     from . import terms
-    t1 = parse_term(args.term1)
-    t2 = parse_term(args.term2)
+    t1 = terms.IndexTerm.parse(args.term1)
+    t2 = terms.IndexTerm.parse(args.term2)
     fwd = terms.implies(t1, t2)
     bwd = terms.implies(t2, t1)
     if fwd and bwd:

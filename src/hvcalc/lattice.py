@@ -309,6 +309,10 @@ class FaceLattice:
 
 
 _INT = frozenset({int})  # the exact type of most vertex ids
+# the most bits the chain pass holds in its class values before it refuses:
+# 8 times the 2^23 that CCCCCCCCCCCCIC (40 960 faces) takes, where
+# BICICICICICC (83 980 faces) takes 2^22
+_MAX_CLASS_BITS = 1 << 26
 _SELECT = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 selectors
 
 
@@ -426,6 +430,11 @@ def _chain_pass(lat: FaceLattice):
     one dimension and equal chain counts up to the whole polytope, so the
     classes of equal Z are the link classes; with m = n - 1 - dim f,
     Z[f] >> (width << m) is the packed total of the link, of dimension m.
+    A level's faces are classed by Z before the level's shift, and each
+    class's Z is shifted once.  The bits of the Z values roughly double per
+    level, so the pass raises ValueError, naming the lattice's dimension
+    and the bound, before a new class would take them past
+    ``_MAX_CLASS_BITS``.
 
     Returns the flag vector, ``width``, for each class (dimension, the mask
     of a face of it, its size, Z), and the whole polytope's mask, or None
@@ -447,9 +456,11 @@ def _chain_pass(lat: FaceLattice):
     del levels  # the faces hold them, in order
     index = dict.fromkeys(lat._ids, 0)
     classes = {}  # Z value -> bitset of the faces with that Z
+    held = 0  # the bits of the Z values of every class so far
     ups = []  # unflagged: the up-sets of the level above, each with its face
     for k in range(n):
         higher, shift, level_ups = list(classes.items()), width << k, []
+        level = {}  # Z >> shift -> bitset, for the faces of this level
         above = (1 << start[k]) - 1
         for f in range(start[k], start[k + 1]):
             bit, up = 1 << f, above
@@ -472,8 +483,15 @@ def _chain_pass(lat: FaceLattice):
             z = 1
             for value, members in higher:
                 z += value * (up & members).bit_count()
-            z <<= shift
-            classes[z] = classes.get(z, 0) | bit
+            if z not in level:  # a new class: Z has shift more bits than z
+                held += shift + z.bit_length()
+                if held > _MAX_CLASS_BITS:
+                    raise ValueError(
+                        f"counting the flags of this dimension-{n} lattice "
+                        f"would hold over {_MAX_CLASS_BITS} bits of chain "
+                        f"counts, reached at its faces of dimension {n - 1 - k}")
+            level[z] = level.get(z, 0) | bit
+        classes.update((z << shift, members) for z, members in level.items())
         ups = level_ups
     total = 1 + sum(z * members.bit_count() for z, members in classes.items())
     reps = []
@@ -524,7 +542,12 @@ class FlagVector(Frozen):
 
     def subsets(self):
         """All dimension subsets in binary-counter order."""
-        return [_subset(key, self.n) for key in range(len(self.counts))]
+        return [frozenset(S) for S, _ in self._entries()]
+
+    def _entries(self):
+        """Each entry's dimension set, sorted, with its count."""
+        return [([d for d in range(self.n) if key >> d & 1], c)
+                for key, c in enumerate(self.counts)]
 
     def as_vector(self) -> list:
         return list(self.counts)
@@ -541,24 +564,21 @@ class FlagVector(Frozen):
         return FlagVector(self.n, tuple(c * x for x in self.counts))
 
     def to_json(self) -> dict:
-        return {"n": self.n,
-                "entries": [{"set": sorted(S), "count": c}
-                            for S, c in zip(self.subsets(), self.counts)]}
+        return {"n": self.n, "entries": [{"set": S, "count": c}
+                                         for S, c in self._entries()]}
 
     def to_csv(self) -> str:
-        lines = ["set,count"]
-        for S, c in zip(self.subsets(), self.counts):
-            lines.append(";".join(str(i) for i in sorted(S)) + f",{c}")
-        return "\n".join(lines) + "\n"
+        return "set,count\n" + "".join(
+            f"{';'.join(map(str, S))},{c}\n" for S, c in self._entries())
+
+    def render(self) -> str:
+        """One line per entry, ``f{0,2} = 16``, in binary-counter order."""
+        return "\n".join("f{" + ",".join(map(str, S)) + f"}} = {c}"
+                         for S, c in self._entries())
 
     def __repr__(self):
-        shown = {tuple(sorted(S)): c
-                 for S, c in zip(self.subsets(), self.counts) if c}
+        shown = {tuple(S): c for S, c in self._entries() if c}
         return f"<FlagVector n={self.n} {shown}>"
-
-
-def _subset(key: int, n: int) -> frozenset:
-    return frozenset(d for d in range(n) if key >> d & 1)
 
 
 def empty_polytope() -> FaceLattice:

@@ -160,6 +160,9 @@ class BiGradedPoly(Frozen):
     def render(self, aux=False) -> str:
         return render_coeffs(self.coeffs, aux)
 
+    def to_json(self) -> list:
+        return [scalar_to_json(c) for c in self.coeffs]
+
     def __repr__(self):
         return f"BiGradedPoly({list(self.coeffs)!r})"
 
@@ -348,6 +351,13 @@ class HVector(Frozen):
                 for w, cs in self.sorted_terms()
             ],
         }
+
+    def to_csv(self) -> str:
+        """A header, then one line per term: its word, and its
+        coefficients separated by spaces."""
+        return "word,poly\n" + "".join(
+            f"{render_word(w)},{' '.join(map(str, cs))}\n"
+            for w, cs in self.sorted_terms())
 
     def __repr__(self):
         return f"<HVector {self.flavor} deg {self.degree}: {self.render()}>"

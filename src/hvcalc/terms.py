@@ -17,11 +17,12 @@ cross-checked in the tests, and the family is Fibonacci-counted.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from ._frozen import Frozen
 from .symbols import (
-    AUX, FINAL, PAD_AUX, _FLAVORS, _PADS, _check_exponents, _check_flavor,
+    AUX, FINAL, PAD, PAD_AUX, _FLAVORS, _PADS, _check_exponents, _check_flavor,
     _checked_word, render_word, word_degree, word_locals, word_sort_key,
 )
 
@@ -43,6 +44,40 @@ class IndexTerm(Frozen):
         init(self, "yexp", yexp)
         init(self, "word", word)
         init(self, "flavor", flavor)
+
+    @classmethod
+    def parse(cls, text: str) -> "IndexTerm":
+        """Read a term as ``render`` writes it: ``xA{1}``, ``X^2Y^3{5}``,
+        ``Abar{1}{1}`` or ``1``; an exponent may drop its ``^``, and the
+        aux pad is ``Abar`` or ``Ā``.  Bad text raises ValueError."""
+        if not text.strip():
+            raise ValueError("empty term: write the constant term as 1")
+        # each pad and variable: its flavor, and the exponent it raises or None
+        alphabet = {}
+        for flavor, (pad, _, x, y) in _FLAVORS.items():
+            alphabet.update({pad: (flavor, None), x: (flavor, 0), y: (flavor, 1)})
+        variables = "".join(s for s, (_, i) in alphabet.items() if i is not None)
+        token = rf"([{variables}])(?:\^?(\d+))?|(Abar|Ā|Ā|A)|\{{(\d+)\}}|(.)"
+        exps, word, flavors = [0, 0], [], set()
+        text = text.replace(" ", "")
+        # int() refuses a number past its digit limit with ValueError
+        for m in re.finditer(token, "" if text == "1" else text, re.DOTALL):
+            var, exp, pad, local, junk = m.groups()
+            if junk is not None:
+                raise ValueError(f"bad term syntax near {junk!r}")
+            if local is not None:
+                word.append(int(local))
+                continue
+            sym = var or (PAD if pad == "A" else PAD_AUX)
+            flavor, i = alphabet[sym]
+            flavors.add(flavor)
+            if i is None:
+                word.append(sym)
+            else:
+                exps[i] += int(exp) if exp else 1
+        if len(flavors) > 1:
+            raise ValueError("term mixes aux and final symbols")
+        return cls(*exps, tuple(word), flavors.pop() if flavors else FINAL)
 
     @property
     def degree(self) -> int:

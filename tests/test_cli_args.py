@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from hvcalc.cli import CliError, main, parse_term
+from hvcalc.cli import main
+from hvcalc.terms import IndexTerm
 
 TEXT_JSON_CSV = "[--format {text,json,csv}]"
 TEXT_JSON = "[--format {text,json}]"
@@ -57,9 +58,9 @@ def test_usage_lists_the_arguments_in_order(argv, parts):
     "x" + "9" * 5000, "X^" + "9" * 5000, "{" + "9" * 5000 + "}"],
     ids=["exponent", "aux-exponent", "local-symbol"])
 class TestLongNumbers:
-    def test_parse_term_refuses_with_cli_error(self, text):
-        with pytest.raises(CliError, match="digits"):
-            parse_term(text)
+    def test_parse_refuses_with_value_error(self, text):
+        with pytest.raises(ValueError, match="digits"):
+            IndexTerm.parse(text)
 
     def test_order_exits_2_with_one_line(self, capsys, text):
         assert main(["order", text, "x"]) == 2

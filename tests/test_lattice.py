@@ -199,6 +199,14 @@ class TestFlagVectorTuple:
         assert a != FlagVector(2, a.counts[:4]) and a != a.as_vector()
         assert len({a, b, c}) == 2
 
+    @pytest.mark.parametrize("lat", [empty_polytope(), point()],
+                             ids=["n=-1", "n=0"])
+    def test_render_of_the_lone_entry(self, lat):
+        fv = lat.flag_vector()
+        assert fv.render() == "f{} = 1"
+        assert FlagVector(fv.n, (Fraction(3, 2),)).render() == "f{} = 3/2"
+        assert fv.subsets() == [frozenset()]
+
     def test_as_vector_is_a_fresh_list(self):
         fv = build(W("IC")).flag_vector()
         v = fv.as_vector()
@@ -220,6 +228,8 @@ class TestFlagVectorTuple:
         assert repr(fv) == ("<FlagVector n=3 {(): 1, (0,): 5, (1,): 8, "
                             "(0, 1): 16, (2,): 5, (0, 2): 16, (1, 2): 16, "
                             "(0, 1, 2): 32}>")
+        assert fv.render().splitlines() == [
+            "f{%s} = %d" % (",".join(map(str, s)), c) for s, c in want]
         e = empty_polytope().flag_vector()
         assert e.to_json() == {"n": -1, "entries": [{"set": [], "count": 1}]}
         assert e.to_csv() == "set,count\n,1\n" and e.face_counts() == []
@@ -971,3 +981,98 @@ class TestFacesAtTheApi:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == "face [0, 1] uses unknown vertices"
+
+
+# -- lattice files whose chain counts would outgrow memory --------------------
+
+def chain_family(n):
+    """The empty face, the vertices 0..n and each face {0..k} of dimension
+    k: it validates, yet {0..k} lies above the vertex k with no edge
+    between them, which the chain pass finds only at its last level."""
+    return {"n": n, "faces": [
+        {"verts": [], "dim": -1},
+        *({"verts": [v], "dim": 0} for v in range(n + 1)),
+        *({"verts": list(range(k + 1)), "dim": k} for k in range(1, n + 1))]}
+
+
+def interval_family(n):
+    """The vertex intervals {i..j}, of dimension j - i: graded, and it
+    validates; its chain counts take about 4 times the bits per dimension."""
+    return {"n": n, "faces": [{"verts": [], "dim": -1}, *(
+        {"verts": list(range(i, j + 1)), "dim": j - i}
+        for i in range(n + 1) for j in range(i, n + 1))]}
+
+
+# each child caps its address space at 1 GiB, so that a pass the bound
+# missed raises MemoryError rather than exhaust the machine
+LIMITED = ("import json, resource, sys, time\n"
+           "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+API_CHILD = LIMITED + (
+    "from hvcalc.lattice import FaceLattice\n"
+    "data = json.load(open(sys.argv[1]))\n"
+    "lat = FaceLattice(data['n'], {frozenset(f['verts']): f['dim']\n"
+    "                              for f in data['faces']})\n"
+    "start = time.perf_counter()\n"
+    "try:\n"
+    "    lat.flag_vector()\n"
+    "except ValueError as e:\n"
+    "    print(json.dumps([time.perf_counter() - start, str(e)]))\n")
+CLI_CHILD = LIMITED + (
+    "from hvcalc.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n")
+
+
+def in_limited_child(code, *argv):
+    """Run ``code`` with ``argv`` in a fresh interpreter under the limit;
+    returns the process and its wall time."""
+    src = str(Path(hvcalc.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    p = subprocess.run([sys.executable, "-c", code, *argv],
+                       capture_output=True, text=True, timeout=20,
+                       env={"PYTHONPATH": src, "PATH": ""})
+    return p, time.perf_counter() - start
+
+
+class TestChainPassBound:
+    """The chain pass refuses a lattice once the bits of its class values
+    would pass ``lattice._MAX_CLASS_BITS``."""
+
+    BOUND = (f"would hold over {lattice._MAX_CLASS_BITS} bits of chain "
+             f"counts, reached at its faces of dimension ")
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_interval_family_still_counts(self, n):
+        lat = FaceLattice.from_json(interval_family(n))
+        assert lat.flag_vector().counts == reference_flag_counts(lat)
+
+    def test_bound_is_the_bits_of_the_class_values(self, monkeypatch):
+        held = sum(z.bit_length()
+                   for *_, z in lattice._chain_pass(build(W("BICC")))[2])
+        monkeypatch.setattr(lattice, "_MAX_CLASS_BITS", held)
+        assert build(W("BICC")).flag_vector() == (
+            lattice._chain_pass(build(W("BICC")))[0])
+        monkeypatch.setattr(lattice, "_MAX_CLASS_BITS", held - 1)
+        with pytest.raises(ValueError, match="dimension-4 lattice would hold "
+                           f"over {held - 1} bits"):
+            build(W("BICC")).flag_vector()
+
+    @pytest.mark.parametrize("family", [chain_family, interval_family])
+    def test_dimension_40_refused_through_the_api(self, tmp_path, family):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(family(40)))
+        p, _ = in_limited_child(API_CHILD, str(path))
+        assert p.returncode == 0 and p.stderr == "", p.stderr
+        elapsed, message = json.loads(p.stdout)
+        assert message.startswith("counting the flags of this dimension-40 "
+                                  "lattice " + self.BOUND), message
+        assert elapsed < 2
+
+    @pytest.mark.parametrize("family", [chain_family, interval_family])
+    def test_dimension_40_refused_by_flagvec(self, tmp_path, family):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(family(40)))
+        p, elapsed = in_limited_child(CLI_CHILD, "flagvec", str(path))
+        assert p.returncode == 2 and p.stdout == ""
+        assert len(p.stderr.splitlines()) == 1, p.stderr
+        assert "Traceback" not in p.stderr and self.BOUND in p.stderr, p.stderr
+        assert elapsed < 2

@@ -347,6 +347,18 @@ class TestHVector:
         assert data == {"degree": 4, "flavor": "final",
                         "terms": [{"word": ["A", {"local": 1}], "poly": [1]}]}
 
+    def test_csv_of_fraction_coefficients(self):
+        # aux words print their barred pad; the zero vector is the header
+        h = HVector(5, AUX, {(): [Fraction(1, 2), 3, Fraction(6, 4), 0, 1, 7],
+                             (PAD_AUX, 1): [Fraction(-1, 3), Fraction(4, 2)]})
+        assert h.to_csv() == "word,poly\n,1/2 3 3/2 0 1 7\nĀ{1},-1/3 2\n"
+        assert HVector.zero(2, FINAL).to_csv() == "word,poly\n"
+
+    def test_poly_json(self):
+        p = BiGradedPoly([Fraction(1, 3), Fraction(4, 2), -5])
+        assert p.to_json() == ["1/3", 2, -5]
+        assert type(p.to_json()[1]) is int
+
     def test_coefficient(self):
         h = HVector(5, FINAL, {(PAD, 1): (-2, 4)})
         assert h.coefficient(1, 0, (PAD, 1)) == -2
