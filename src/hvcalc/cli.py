@@ -287,6 +287,8 @@ def _run(args) -> int:
         message = f"parse error: {e}"
     except (CliError, ValueError, KeyError) as e:
         message = f"error: {e}"
+    except MemoryError:  # raised with no message
+        message = "error: the input is too large: memory ran out"
     except Exception as e:  # any other failure: one line, never a traceback
         message = f"error: {type(e).__name__}: {' '.join(str(e).split())}"
     print(message, file=sys.stderr)

@@ -13,8 +13,9 @@ first read, by no route), ``link`` takes any iterable of ids and
 Flag vectors count chains of proper nonempty faces; this is the oracle
 against which the symbolic engine is checked.  One top-down pass
 (``_chain_pass``) counts the chains and groups the nonempty faces into link
-classes, of equal dimension and link flag vector, which the link route sums
-over.  A lattice caches the pass, so its fields are fixed.  A lattice made
+classes, of equal dimension and link flag vector, and counts for one face
+of each class the faces of each class above it: the link route sums over
+these.  A lattice caches the pass, so its fields are fixed.  A lattice made
 by the constructors (``empty_polytope``, ``point`` and the operations on
 lattices so made) is graded by construction and flagged so; only one from
 ``FaceLattice(n, faces)`` or ``from_json`` has the pass check that no face
@@ -154,7 +155,7 @@ class FaceLattice:
         if self.n < 0:
             return []
         self.flag_vector()
-        _, width, classes, full = self._pass
+        _, width, classes, full, *_ = self._pass
         if full is None:
             raise ValueError("no full face present")
         verts, out = _lister(self._ids), []
@@ -163,6 +164,21 @@ class FaceLattice:
             out.append((d, frozenset(verts(f)), count,
                         _unpack(z >> (width << m), m, width)))
         return [*out, (self.n, frozenset(verts(full)), 1, FlagVector(-1, (1,)))]
+
+    def interval_counts(self) -> tuple:
+        """For the first face of each link class (``link_classes`` order),
+        then the empty face: (class, how many of its faces lie above), for
+        each class above.  ValueError if no face is full, or if an interval
+        of length 2 is not a diamond."""
+        self.flag_vector()
+        _, _, _, full, rows, thin = self._pass
+        if full is None:
+            raise ValueError("no full face present")
+        if thin:
+            lo, hi = map(_lister(self._ids), thin)
+            raise ValueError(f"the interval from face {lo} to face {hi} is not "
+                             "a diamond; not a polytope lattice")
+        return rows
 
     # -- links ---------------------------------------------------------------
 
@@ -409,16 +425,19 @@ def _chain_pass(lat: FaceLattice):
     """Count the chains of every dimension set, and class the proper faces
     by their links, in one pass over the faces from the top down.
 
-    The faces are indexed top level first.  Each face's vertices are listed
-    once: the AND of their index entries (the faces so far on the vertex)
-    is its up-set, the faces above it, and the face then joins them.  Those
-    one level up are its covers.  Off the constructors (no ``_graded``
-    flag), a proper face using a vertex of no vertex face raises ValueError
-    as in ``validate``, and so does a face whose up-set is not its covers
-    and their up-sets: one lying above another with no face of the
-    dimension in between, which ``validate`` accepts.  That check keeps the
-    up-sets of the level above, O(F) bits each; a lattice graded by
-    construction cannot fail it, and skips it and keeps none.
+    The faces are indexed top level first, then the empty face as level n.
+    Each face's vertices are listed once: the AND of their index entries
+    (the faces so far on the vertex) is its up-set, the faces above it, and
+    the face then joins them.  Those one level up are its covers.  Off the
+    constructors (no ``_graded`` flag), a proper face using a vertex of no
+    vertex face raises ValueError as in ``validate``, and so does a proper
+    face whose up-set is not its covers and their up-sets: one lying above
+    another with no face of the dimension in between, which ``validate``
+    accepts.  That check keeps the up-sets of the level above, O(F) bits
+    each, and from them notes, refusing nothing, the first interval of
+    length 2 that is not a diamond: a face two levels up over other than two
+    covers, or a ridge in other than two facets.  A lattice graded by
+    construction passes both, so it skips them and keeps no up-set.
 
     Z[f] packs the chains starting at f into one int, one slot of ``width``
     bits per dimension set, with dimension d at bit n - 1 - d of the slot's
@@ -434,11 +453,14 @@ def _chain_pass(lat: FaceLattice):
     class's Z is shifted once.  The bits of the Z values roughly double per
     level, so the pass raises ValueError, naming the lattice's dimension
     and the bound, before a new class would take them past
-    ``_MAX_CLASS_BITS``.
+    ``_MAX_CLASS_BITS``.  The first face of each class, and the empty face,
+    whose unshifted Z is the total, write a row of those bit counts: (class,
+    count) for each class above with a face in the up-set.
 
     Returns the flag vector, ``width``, for each class (dimension, the mask
-    of a face of it, its size, Z), and the whole polytope's mask, or None
-    if no face has dimension n.
+    of a face of it, its size, Z), the whole polytope's mask (None if no
+    face has dimension n), the rows, and the first interval that is not a
+    diamond as (lower mask, upper mask), or None.
     """
     n, dims, full, graded = lat.n, lat._dims, None, lat._graded
     verts = _lister(lat._ids)
@@ -450,41 +472,55 @@ def _chain_pass(lat: FaceLattice):
             levels[n - 1 - d].append(m)
         elif d == n and full is None:
             full = m
-    faces = [m for lv in levels for m in lv]
-    start = list(accumulate(map(len, levels), initial=0))
     width = prod(len(lv) + 1 for lv in levels).bit_length()
+    faces = [m for lv in levels for m in lv] + [0]  # the empty face last
+    start = list(accumulate(map(len, levels), initial=0)) + [len(faces)]
     del levels  # the faces hold them, in order
     index = dict.fromkeys(lat._ids, 0)
     classes = {}  # Z value -> bitset of the faces with that Z
-    held = 0  # the bits of the Z values of every class so far
-    ups = []  # unflagged: the up-sets of the level above, each with its face
-    for k in range(n):
+    held, z = 0, 1  # the bits of the Z values so far; z ends as the total
+    # the up-sets of the level above (unflagged), each with its face; the
+    # rows; the first interval of length 2 that is not a diamond
+    ups, rows, thin = [], [], None
+    for k in range(n + 1):
         higher, shift, level_ups = list(classes.items()), width << k, []
         level = {}  # Z >> shift -> bitset, for the faces of this level
         above = (1 << start[k]) - 1
+        span = (1 << start[k - 1]) - (1 << start[k - 2]) if k > 1 else 0
         for f in range(start[k], start[k + 1]):
             bit, up = 1 << f, above
             for v in verts(faces[f]):
                 up &= index[v]
                 index[v] |= bit
             if not graded:
-                reached, covers = 0, up >> start[k - 1]  # up is 0 when k is 0
+                # the faces above 1, 2 and 3+ covers (up is 0 when k is 0)
+                covers, reached, two, many = up >> start[k - 1], 0, 0, 0
                 while covers:
                     low = covers & -covers
-                    reached |= ups[low.bit_length() - 1]
+                    u = ups[low.bit_length() - 1]
+                    many |= two & u
+                    two |= reached & u
+                    reached |= u
                     covers ^= low
-                if reached != up:
+                if reached != up and k < n:
                     g = faces[(up & ~reached).bit_length() - 1]
                     raise ValueError(
                         f"face {verts(g)} of dimension {dims[g]} lies above "
                         f"face {verts(faces[f])} of dimension {n - 1 - k} "
                         f"with no face of dimension {n - k} between them")
                 level_ups.append(up | bit)
+                odd = (up ^ two | many) & span
+                if thin is None and (odd or k == 1 and up.bit_count() != 2):
+                    thin = faces[f], faces[odd.bit_length() - 1] if odd else full
             z = 1
             for value, members in higher:
                 z += value * (up & members).bit_count()
-            if z not in level:  # a new class: Z has shift more bits than z
-                held += shift + z.bit_length()
+            if z not in level:  # a new class, or the empty face: its row
+                rows.append(tuple((j, c) for j, (_, members) in enumerate(higher)
+                                  if (c := (up & members).bit_count())))
+                if k == n:
+                    break
+                held += shift + z.bit_length()  # Z has shift more bits
                 if held > _MAX_CLASS_BITS:
                     raise ValueError(
                         f"counting the flags of this dimension-{n} lattice "
@@ -493,12 +529,11 @@ def _chain_pass(lat: FaceLattice):
             level[z] = level.get(z, 0) | bit
         classes.update((z << shift, members) for z, members in level.items())
         ups = level_ups
-    total = 1 + sum(z * members.bit_count() for z, members in classes.items())
     reps = []
-    for z, members in classes.items():
+    for value, members in classes.items():
         f = faces[(members & -members).bit_length() - 1]
-        reps.append((dims[f], f, members.bit_count(), z))
-    return _unpack(total, n, width), width, tuple(reps), full
+        reps.append((dims[f], f, members.bit_count(), value))
+    return _unpack(z, n, width), width, tuple(reps), full, tuple(rows), thin
 
 
 def _unpack(total: int, n: int, width: int) -> "FlagVector":

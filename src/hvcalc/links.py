@@ -1,39 +1,29 @@
-"""h-vectors from links: the face-sum recursion.
+"""h-vectors from links: the face-sum recursion, on one chain pass.
 
 The extended h-vector can be rebuilt without the symbolic engine: sum, over
-the nonempty faces of the polytope, a level functional of the link along
-each face, where the level is the face dimension.  The level functionals
-obey
+the nonempty faces F of the polytope, g_(dim F) of the link along F, where
 
     g_0(B)   = cone(h(B)) - y h(B);      g_0(empty) = 1
     g_{i+1}(B) = y g_i(B) - g_i(cone B)
 
-and h of a link is computed by the same face sum, all the way down.  The
-sum ranges over nonempty faces including the whole polytope, whose link is
-the empty polytope; that convention is pinned by the point, segment and
-square hand values and then by exhaustive agreement with the engine.
-Faces of one dimension whose links have equal flag vectors add equal
-terms, so the sum runs over the lattice's link classes
-(``FaceLattice.link_classes``), which carry each link's flag vector: one
-term per class, times the class size, and a link is built only when its
-term is not yet cached.
+and h of a link is the same sum, down to the whole polytope's link, the
+empty polytope (a convention pinned by hand values and by agreement with
+the engine).  The sum runs over the link classes, and no lattice is built:
+a link's classes are the lattice's classes above its face, with the counts
+of ``FaceLattice.interval_counts``, and a face of pyr^j X is F + S, S a set
+of apexes, with link pyr^(j - |S|) of the link of F in X (X if F is empty).
 
-The cone acting on final vectors admits two readings, kept behind a
-switch.  They differ only in the flavor the face sum runs in: the cone is
-the engine's one three-part rule (``engine._cone``), padding with that
-flavor's pad.  The conjugation reading is the auxiliary cone operator
-carried through the change of variables: lift the final vector to
-auxiliary flavor, apply the cone, push forward again.  The change of
-variables (``engine.to_extended``) is linear and injective, commutes with
-multiplication by the second variable and sends the auxiliary unit to the
-final unit, so each step of the recursion is its image under that map.
-The recursion therefore runs on auxiliary vectors, and the change of
-variables is applied once, to the value returned.  The direct reading runs
-in the final flavor, with the final pad.  Exactly one of them reproduces
-the engine; the test suite records which.
+The cone on final vectors has two readings behind a switch, both the
+engine's rule (``engine._cone``) with the pad of the flavor the sum runs in.
+Conjugation runs the recursion on auxiliary vectors and changes variables
+once, at the end (``engine.to_extended`` is linear, injective, commutes with
+the second variable and keeps the unit); direct runs it on final vectors.
+Exactly one reproduces the engine; the test suite records which.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .engine import _cone, to_extended
 from .lattice import FaceLattice
@@ -45,12 +35,9 @@ RULES = (CONJUGATION, DIRECT)
 
 
 class LinkCalculator:
-    """Memoized face-sum evaluator; the level functionals are cached by
-    level and flag vector, and each h of a link is met once, in its g_0.
-
-    Under the conjugation rule the values are auxiliary vectors, under the
-    direct rule final ones; ``final`` maps either to the final flavor.
-    """
+    """Memoized face-sum evaluator: ``_g`` maps a link flag vector to the
+    values g_i(pyr^k link) by (i, k): auxiliary vectors under the conjugation
+    rule, final ones under the direct rule, either made final by ``final``."""
 
     def __init__(self, rule: str = CONJUGATION):
         if rule not in RULES:
@@ -62,33 +49,47 @@ class LinkCalculator:
         return to_extended(h) if self.flavor == AUX else h
 
     def h(self, L: FaceLattice) -> HVector:
-        total = HVector.zero(L.n, self.flavor)
-        for d, face, count, fv in L.link_classes():
-            got = self._g.get((d, fv))
-            if got is None:
-                got = self.g(d, L.link(face))
-            total = total + got.scale(count)
-        return total
+        return self._on(L)[1](0, -1)
 
     def g(self, i: int, B: FaceLattice) -> HVector:
         if type(i) is not int:  # a bool is not a level
             raise TypeError(f"level must be an int, got {i!r}")
         if i < 0:
             raise ValueError(f"level must be an int >= 0, got {i!r}")
-        key = (i, B.flag_vector())
-        got = self._g.get(key)
-        if got is not None:
+        return self._on(B)[0](i, 0, -1)
+
+    def _on(self, L: FaceLattice):
+        """g(i, k, c) = g_i(pyr^k X) and h(k, c) = h(pyr^k X), X the link
+        along class c of L in ``link_classes`` order, or L itself at -1."""
+        classes, counts = L.link_classes(), L.interval_counts()
+        full, rows = len(classes) - 1, [*counts[:-1], (), *counts[-1:]]
+        dim = [L.n - 1 - d for d, *_ in classes] + [L.n]  # of each link
+        memo = [self._g.setdefault(fv, {})
+                for *_, fv in [*classes, (L.flag_vector(),)]]
+
+        def h(k, c):  # over the faces F + S of pyr^k X, by the class of F
+            total = HVector.zero(dim[c] + k, self.flavor)
+            for c2, q in [*rows[c], (full, 1)] if dim[c] >= 0 else ():
+                e = dim[c] - dim[c2] - 1
+                for b in range(k + 1):
+                    total += g(e + b, k - b, c2).scale(q * comb(k, b))
+            for s in range(1, k + 1):
+                total += g(s - 1, k - s, c).scale(comb(k, s))
+            return total
+
+        def g(i, k, c):
+            got = memo[c].get((i, k))
+            if got is None:
+                if i:
+                    got = g(i - 1, k, c).times_second() - g(i - 1, k + 1, c)
+                elif k or dim[c] >= 0:  # not the empty polytope
+                    hX = h(k, c)
+                    got = _cone(hX) - hX.times_second()
+                else:
+                    got = HVector.unit(self.flavor)
+                memo[c][i, k] = got
             return got
-        if i == 0:
-            if B.n == -1:
-                val = HVector.unit(self.flavor)
-            else:
-                hB = self.h(B)
-                val = _cone(hB) - hB.times_second()
-        else:
-            val = self.g(i - 1, B).times_second() - self.g(i - 1, B.pyramid())
-        self._g[key] = val
-        return val
+        return g, h
 
 
 _CALCULATORS = {rule: LinkCalculator(rule) for rule in RULES}
@@ -105,4 +106,3 @@ def g_eval(i: int, B: FaceLattice, rule: str = CONJUGATION) -> HVector:
     """Level functional on a concrete lattice."""
     calc = _CALCULATORS.get(rule) or LinkCalculator(rule)
     return calc.final(calc.g(i, B))
-

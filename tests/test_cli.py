@@ -577,6 +577,18 @@ class TestCommands:
         assert err == "error: RuntimeError: internal state lost\n"
         assert "Traceback" not in err
 
+    def test_memory_error_names_the_input_as_too_large(self, capsys, monkeypatch):
+        from hvcalc import cli
+
+        def exhausted(args):
+            raise MemoryError()  # as raised, with no message
+
+        monkeypatch.setattr(cli, "cmd_links", exhausted)
+        rc, out, err = run(capsys, "links", "IC.")
+        assert rc == 2 and out == ""
+        assert err == "error: the input is too large: memory ran out\n"
+        assert "Traceback" not in err
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         from hvcalc import checks as checks_mod
         monkeypatch.setitem(checks_mod.SUITES, "doomed", ((lambda: [

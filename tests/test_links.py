@@ -1,12 +1,13 @@
 """The face-sum recursion, the transported cone rule, and the lift."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from hvcalc import checks, engine, flaglin
+from hvcalc import checks, engine, flaglin, links
 from hvcalc.lattice import FaceLattice, build, empty_polytope, point
 from hvcalc.links import (
     CONJUGATION, DIRECT, LinkCalculator, g_eval, h_by_links,
@@ -15,6 +16,7 @@ from hvcalc.symbols import AUX, FINAL, PAD, HVector
 from hvcalc.terms import enumerate_terms
 from hvcalc.words import GeneratorWord as W
 from hvcalc.words import all_words, words_up_to
+from test_lattice import mutants, outcome
 
 
 def final_vec(degree, terms):
@@ -89,17 +91,23 @@ def cone_rule_final(h, rule=CONJUGATION):
 
 
 class FinalLinkCalculator:
-    """The face-sum recursion on final vectors, coning by cone_rule_final."""
+    """The face-sum recursion on final vectors, coning by cone_rule_final,
+    on built lattices: one link per nonempty face, one pyramid per level."""
+
+    flavor = FINAL
 
     def __init__(self, rule):
         self.rule = rule
         self._h = {}
         self._g = {}
 
+    def cone(self, h):
+        return cone_rule_final(h, self.rule)
+
     def h(self, L):
         key = L.flag_vector()
         if key not in self._h:
-            total = HVector.zero(L.n, FINAL)
+            total = HVector.zero(L.n, self.flavor)
             for face, d in L.faces.items():
                 if d >= 0:
                     total = total + self.g(d, L.link(face))
@@ -110,10 +118,10 @@ class FinalLinkCalculator:
         key = (i, B.flag_vector())
         if key not in self._g:
             if i == 0 and B.n == -1:
-                val = HVector.unit(FINAL)
+                val = HVector.unit(self.flavor)
             elif i == 0:
                 hB = self.h(B)
-                val = cone_rule_final(hB, self.rule) - hB.times_second()
+                val = self.cone(hB) - hB.times_second()
             else:
                 val = (self.g(i - 1, B).times_second()
                        - self.g(i - 1, B.pyramid()))
@@ -311,23 +319,21 @@ class TestBayer:
         assert h_by_links(lat).coefficient(1, 0, (PAD, 1)) == -2
 
 
-class PerFaceLinkCalculator(LinkCalculator):
-    """The face sum with one link built per nonempty face: the reference
-    for the sum over link classes, with its own cache of h by flag vector."""
+class PerFaceLinkCalculator(FinalLinkCalculator):
+    """The same face sum on built lattices, in the rule's flavor with the
+    engine's cone, changing variables at the end under the conjugation
+    rule: the reference for ``hvcalc.links``, which builds no lattice and
+    shares no recursion with it."""
 
     def __init__(self, rule):
         super().__init__(rule)
-        self._h = {}
+        self.flavor = AUX if rule == CONJUGATION else FINAL
 
-    def h(self, L):
-        key = L.flag_vector()
-        if key not in self._h:
-            total = HVector.zero(L.n, self.flavor)
-            for face, d in L.faces.items():
-                if d >= 0:
-                    total = total + self.g(d, L.link(face))
-            self._h[key] = total
-        return self._h[key]
+    def cone(self, h):
+        return engine._cone(h)
+
+    def final(self, h):
+        return engine.to_extended(h) if self.flavor == AUX else h
 
 
 PER_FACE = {rule: PerFaceLinkCalculator(rule) for rule in (CONJUGATION, DIRECT)}
@@ -349,24 +355,107 @@ class TestLinkClasses:
         for w in random.Random(6).sample(list(all_words(6, "ICB")), 40):
             self.check(build(w), rule, w)
 
-    def test_links_built_only_on_a_miss(self, monkeypatch):
-        built = []
-        link = FaceLattice.link
+    def test_the_route_builds_no_lattice(self, monkeypatch):
+        # h, and g at levels 0-2 below dim 5 and level 0 at dim 5: the
+        # reference's pyramids of dim 7 would take most of a minute
+        cases = [(w, build(w), range(3 if w.dim < 5 else 1))
+                 for w in words_up_to(5, "ICB")]
+        want = {(rule, w): [typed_terms(calc.final(calc.h(lat)))] + [
+                    typed_terms(calc.final(calc.g(i, lat))) for i in levels]
+                for rule, calc in PER_FACE.items() for w, lat, levels in cases}
 
-        def counted(lat, face):
-            B = link(lat, face)
-            built.append((lat.faces[frozenset(face)], B.flag_vector()))
-            return B
+        def refuse(*args):
+            raise AssertionError("the link route built a lattice")
 
-        monkeypatch.setattr(FaceLattice, "link", counted)
-        calc = LinkCalculator()
-        words = list(words_up_to(4, "ICB")) + [W("BICIC")]
-        cold = [calc.h(build(w)) for w in words]
-        # cold: at most one link per (dimension, link flag vector), over
-        # every lattice the recursion meets
-        assert built and len(built) == len(set(built))
-        assert len(built) < sum(len(build(w).link_classes()) for w in words)
-        # warm: every class of a fresh build of each word is cached
-        built.clear()
-        assert [calc.h(build(w)) for w in words] == cold
-        assert built == []
+        for name in ("link", "pyramid", "prism", "bipyramid", "join"):
+            monkeypatch.setattr(FaceLattice, name, refuse)
+        for rule in PER_FACE:
+            # a cold calculator, so that every value is computed here
+            monkeypatch.setitem(links._CALCULATORS, rule, LinkCalculator(rule))
+            for w, lat, levels in cases:
+                got = [typed_terms(h_by_links(lat, rule))] + [
+                    typed_terms(g_eval(i, lat, rule)) for i in levels]
+                assert got == want[rule, w], (rule, w)
+
+
+# graded families that validate, though not every interval of length 2 is
+# a diamond: a quadrilateral whose edge {0, 1, 2} has three vertices, so
+# vertex 1 lies in one edge only; Pasch's configuration, four edges of
+# three vertices each, every vertex in two; and a tetrahedron with a vertex
+# 1 put on its edge {0, 2} and on no other edge, so that every ridge lies in
+# two facets yet vertex 1 in one edge of each facet that holds it
+LOPSIDED = (((), -1), *(((v,), 0) for v in range(4)), ((0, 1, 2), 1),
+            ((2, 3), 1), ((0, 3), 1), ((0, 1, 2, 3), 2))
+PASCH = (((), -1), *(((v,), 0) for v in range(6)), ((0, 1, 2), 1),
+         ((2, 3, 4), 1), ((4, 5, 0), 1), ((1, 3, 5), 1), (tuple(range(6)), 2))
+TENT = (((), -1), *(((v,), 0) for v in range(5)), ((0, 1, 2), 1),
+        *(((u, v), 1) for u, v in ((2, 3), (0, 3), (2, 4), (0, 4), (3, 4))),
+        ((0, 1, 2, 3), 2), ((0, 1, 2, 4), 2), ((2, 3, 4), 2), ((0, 3, 4), 2),
+        (tuple(range(5)), 3))
+
+
+def coned(faces, cones):
+    """The lattice of these faces, coned this many times."""
+    lat = FaceLattice(max(d for _, d in faces),
+                      {frozenset(f): d for f, d in faces})
+    for _ in range(cones):
+        lat = lat.pyramid()
+    return lat
+
+
+class TestNotThin:
+    """A lattice with an interval of length 2 that is not a diamond is not
+    a polytope's: the route refuses it, naming the interval."""
+
+    def test_validating_mutants(self):
+        rng = random.Random(7)
+        tally = Counter()
+        for w in words_up_to(4, "ICB"):
+            for _, mut in mutants(build(w), rng, 16):
+                if outcome(FaceLattice.validate, mut) != ("returned", None):
+                    continue
+                if any(outcome(mut.link, f)[0] == "raised"
+                       for f, d in mut.faces.items() if d >= 0):
+                    with pytest.raises(ValueError,
+                                       match="not a polytope lattice$"):
+                        h_by_links(mut)
+                    tally["refused"] += 1
+                else:
+                    assert typed_terms(h_by_links(mut)) == typed_terms(
+                        REFERENCE[CONJUGATION].h(mut)), w
+                    tally["equal"] += 1
+        assert tally == {"refused": 94, "equal": 53}
+
+    @pytest.mark.parametrize("cones", range(4))
+    @pytest.mark.parametrize("faces, lo, hi, atomic", [
+        (LOPSIDED, [1], [0, 1, 2, 3], False), (PASCH, [], [1, 3, 5], True),
+        (TENT, [1], [0, 1, 2, 4], False)])
+    def test_graded_families(self, faces, lo, hi, atomic, cones):
+        lat = coned(faces, cones)
+        assert lat.validate() is None and not lat._graded
+        assert lat.flag_vector().n == lat.n  # the chain pass counts it
+        # every interval up from a nonempty face is atomic in PASCH, so a
+        # link built per face would not see that its edges are not segments
+        built = [outcome(lat.link, f) for f, d in lat.faces.items() if d >= 0]
+        assert all(r == "returned" for r, _ in built) is atomic
+        base = sum(d == 0 for _, d in faces)  # the apexes come next
+        apexes = list(range(base, base + cones))
+        # the first found: in TENT the vertex 1 below a facet, over one edge
+        message = (f"the interval from face {lo + apexes} to face "
+                   f"{hi + apexes} is not a diamond; not a polytope lattice")
+        for call in (lambda: h_by_links(lat), lambda: g_eval(0, lat),
+                     lat.interval_counts):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_no_full_face(self):
+        # a path: vertices 0 and 2 lie in one edge each, with no polytope
+        # face above the edges to end the interval
+        lat = FaceLattice(2, {frozenset(f): d for f, d in (
+            ((), -1), ((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 1),
+            ((1, 2), 1))})
+        for call in (lat.link_classes, lat.interval_counts,
+                     lambda: h_by_links(lat)):
+            with pytest.raises(ValueError, match="^no full face present$"):
+                call()
