@@ -225,43 +225,40 @@ def check_triple_agreement(max_dim=4, basis_dim=5):
 
 # -- lattice oracle suites ------------------------------------------------------
 
-def _mpih_is_classical_h(w):
-    ext = engine.extended_hvector(w)
-    return (ext.terms.keys() <= {()}
-            and ext.mpih() == engine.classical_h_simple(build(w).face_counts()))
-
-
-def _n_edges_at_every_vertex(w):
-    lat = build(w)
-    return set(lat.vertex_edge_degrees().values()) == {lat.n}
+def _oracle_verdicts(w, lat, cone_dim):
+    """Whether each oracle check holds on word ``w`` with its lattice
+    ``lat``; True where the check does not run on ``w``."""
+    # simple polytopes among the generator words are exactly I^a C^b
+    simple = w.dim > 0 and not w.ops.lstrip("I").lstrip("C")
+    ext = engine.extended_hvector(w) if simple else None
+    return (
+        lat.euler_ok(),
+        lat.closed_under_intersection(),
+        not simple or set(lat.vertex_edge_degrees().values()) == {lat.n},
+        not simple or (ext.terms.keys() <= {()} and ext.mpih()
+                       == engine.classical_h_simple(lat.face_counts())),
+        w.dim > cone_dim or (flaglin.cone_flag_vector(lat.flag_vector())
+                             == lat.pyramid().flag_vector()))
 
 
 def check_oracles(max_dim=6, cone_base_dim=5):
-    ws = list(words_up_to(max_dim, "ICB"))
-    simple = [w for w in ws if w.dim > 0 and _is_simple_word(w.ops)]
-    return [
-        _each(f"Euler relation on all lattices, dim <= {max_dim}",
-              ws, lambda w: build(w).euler_ok()),
-        _each(f"intersection closure on all lattices, dim <= {max_dim}",
-              ws, lambda w: build(w).closed_under_intersection()),
-        _each(f"simple words have n edges at every vertex, dim <= {max_dim}",
-              simple, _n_edges_at_every_vertex),
-        _each("classical h of the face vector = mpih part on simple words, "
-              f"dim <= {max_dim}", simple, _mpih_is_classical_h),
-        _each("cone transform matches the lattice pyramid, "
-              f"base dim <= {min(max_dim, cone_base_dim)}",
-              [w for w in ws if w.dim <= cone_base_dim],
-              lambda w: (flaglin.cone_flag_vector(build(w).flag_vector())
-                         == build(w).pyramid().flag_vector())),
-    ]
-
-
-def _is_simple_word(ops: str) -> bool:
-    # simple polytopes among the generator words are exactly I^a C^b
-    i = 0
-    while i < len(ops) and ops[i] == "I":
-        i += 1
-    return all(ch == "C" for ch in ops[i:])
+    """The oracle checks on each word's lattice, built once; a check fails
+    on the first word it does not hold on."""
+    cone_dim = min(max_dim, cone_base_dim)
+    names = (f"Euler relation on all lattices, dim <= {max_dim}",
+             f"intersection closure on all lattices, dim <= {max_dim}",
+             f"simple words have n edges at every vertex, dim <= {max_dim}",
+             "classical h of the face vector = mpih part on simple words, "
+             f"dim <= {max_dim}",
+             "cone transform matches the lattice pyramid, "
+             f"base dim <= {cone_dim}")
+    failed = {}  # a check's index: its first counterexample
+    for w in words_up_to(max_dim, "ICB"):
+        for i, ok in enumerate(_oracle_verdicts(w, build(w), cone_dim)):
+            if not ok:
+                failed.setdefault(i, f"counterexample {w}")
+    return [CheckResult(name, i not in failed, failed.get(i, ""))
+            for i, name in enumerate(names)]
 
 
 # -- properties: palindromy, unimodality, strata, downsets ---------------------

@@ -3,6 +3,9 @@
 Subcommands compute h-vectors (symbolic engine or linear extension),
 auxiliary vectors, flag vectors, lattices, basis expressions, link-recursion
 values, pseudo h, index terms and their order, and run verification suites.
+Every command that reads a polytope takes a generator word or a lattice
+JSON file, through one loader (``_source``), except ``aux``, which runs
+the engine and so takes words only.
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
 or parse errors and any other error (one line of stderr), 141 closed stdout.
 
@@ -57,37 +60,44 @@ def _listing(items, fmt):
     return _dumps(rendered) if fmt == "json" else "\n".join(rendered)
 
 
+def _source(arg: str):
+    """The polytope that ``arg`` names: its GeneratorWord if it parses as
+    one, else the lattice of the JSON file it names, validated.  Text that
+    is neither is refused with the word's parse error and the file's."""
+    try:
+        return GeneratorWord.parse(arg)
+    except WordParseError as e:
+        refusal = f"not a word: {e}; not a readable file"
+    try:
+        fh = open(arg)
+    except OSError as e:
+        raise CliError(f"{refusal}: {e}")
+    import json
+    from .lattice import FaceLattice
+    with fh:
+        return FaceLattice.from_json(json.load(fh))
+
+
+def _lattice(source):
+    """The face lattice of a polytope from ``_source``."""
+    from .lattice import build
+    return build(source) if isinstance(source, GeneratorWord) else source
+
+
 def _by_route(args, engine_name: str, linear_name: str):
     """``engine.<engine_name>`` of a bipyramid-free word, else
-    ``flaglin.<linear_name>`` of its flag vector, formatted; the text names
-    the route."""
-    w = GeneratorWord.parse(args.word)
-    if w.is_bipyramid_free():
+    ``flaglin.<linear_name>`` of the flag vector of the word's lattice or
+    of a lattice file, formatted; the text names the route."""
+    source = _source(args.word)
+    if isinstance(source, GeneratorWord) and source.is_bipyramid_free():
         from . import engine
-        value, label = getattr(engine, engine_name)(w), "engine"
+        value, label = getattr(engine, engine_name)(source), "engine"
     else:
         from . import flaglin
-        from .lattice import build
-        value = getattr(flaglin, linear_name)(build(w).flag_vector())
+        value = getattr(flaglin, linear_name)(_lattice(source).flag_vector())
         label = "linear extension"
     body = _formatted(value, args.format)
     return body + f"   [{label}]" if args.format == "text" else body
-
-
-def _load_flag_vector(arg: str):
-    """The flag vector of a generator word, or of a lattice JSON file."""
-    from .lattice import FaceLattice, build
-    try:
-        return build(GeneratorWord.parse(arg)).flag_vector()
-    except WordParseError:
-        pass
-    import json
-    try:
-        with open(arg) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise CliError(f"not a word and not a readable file: {e}")
-    return FaceLattice.from_json(data).flag_vector()
 
 
 # Each command returns the text it prints; ``_run`` writes it.
@@ -103,12 +113,11 @@ def cmd_aux(args):
 
 
 def cmd_flagvec(args):
-    return _formatted(_load_flag_vector(args.word), args.format)
+    return _formatted(_lattice(_source(args.word)).flag_vector(), args.format)
 
 
 def cmd_lattice(args):
-    from .lattice import build
-    return build(GeneratorWord.parse(args.word)).dumps()
+    return _lattice(_source(args.word)).dumps()
 
 
 def cmd_basis(args):
@@ -119,7 +128,7 @@ def cmd_basis(args):
 def cmd_express(args):
     from . import flaglin
     from .terms import AUX, IndexTerm
-    fv = _load_flag_vector(args.word)
+    fv = _lattice(_source(args.word)).flag_vector()
     if args.coeff is not None:
         term = IndexTerm.parse(args.coeff)
         if term.flavor == AUX:
@@ -141,9 +150,8 @@ def cmd_express(args):
 
 def cmd_links(args):
     from . import links
-    from .lattice import build
-    w = GeneratorWord.parse(args.word)
-    h = links.h_by_links(build(w), args.rule or links.CONJUGATION)
+    h = links.h_by_links(_lattice(_source(args.word)),
+                         args.rule or links.CONJUGATION)
     return _formatted(h, args.format)
 
 
@@ -245,21 +253,21 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     word, n = [("word", {})], [("n", {"type": int})]
-    command("hvec", cmd_hvec, "extended h-vector of a word", word, FORMATS)
+    source = [("word", {"help": "a generator word such as CIC., or a lattice "
+                                "JSON file"})]
+    command("hvec", cmd_hvec, "extended h-vector", source, FORMATS)
     command("aux", cmd_aux, "auxiliary vector of a bipyramid-free word",
             word, FORMATS)
-    command("flagvec", cmd_flagvec, "flag vector of a word or lattice file",
-            word, FORMATS)
-    command("lattice", cmd_lattice, "face lattice of a word, as JSON", word)
+    command("flagvec", cmd_flagvec, "flag vector", source, FORMATS)
+    command("lattice", cmd_lattice, "face lattice, as JSON", source)
     command("basis", cmd_basis, "basis words of a dimension", n, LISTS)
     coeff = {"help": "print one h coefficient, e.g. 'xA{1}'"}
-    command("express", cmd_express,
-            "basis coefficients of a word or lattice file",
-            word + [("--coeff", coeff)], FORMATS)
+    command("express", cmd_express, "basis coefficients",
+            source + [("--coeff", coeff)], FORMATS)
     command("links", cmd_links, "h-vector via the link recursion",
-            word + [("--rule", {"choices": _LayerChoices(_link_rules)})],
+            source + [("--rule", {"choices": _LayerChoices(_link_rules)})],
             FORMATS)
-    command("pseudo", cmd_pseudo, "pseudo h-vector of a word", word, LISTS)
+    command("pseudo", cmd_pseudo, "pseudo h-vector", source, LISTS)
     command("terms", cmd_terms, "index terms of a degree", n, LISTS)
     command("order", cmd_order, "compare two index terms",
             [("term1", {}), ("term2", {})])

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import hvcalc
 from hvcalc.cli import main
 from hvcalc.symbols import AUX, FINAL, PAD, PAD_AUX
 from hvcalc.terms import IndexTerm, enumerate_terms
-from hvcalc.words import GeneratorWord, WordParseError
+from hvcalc.words import GeneratorWord, WordParseError, words_up_to
 
 
 def lower_palindromy_cap(monkeypatch):
@@ -565,6 +567,16 @@ class TestCommands:
         assert "first failure: Euler relation" in err
         assert "[counterexample ICC.]" in err
 
+    def test_oracle_builds_each_lattice_once(self, monkeypatch):
+        from hvcalc import checks
+        from hvcalc.lattice import build
+        built = []
+        monkeypatch.setattr(checks, "build",
+                            lambda w: built.append(w) or build(w))
+        results = checks.check_oracles(max_dim=4, cone_base_dim=3)
+        assert [r.passed for r in results] == [True] * 5
+        assert built == list(words_up_to(4, "ICB"))
+
     def test_unexpected_error_is_one_line(self, capsys, monkeypatch):
         from hvcalc import cli
 
@@ -680,3 +692,122 @@ class TestSuiteTable:
         from hvcalc import checks
         with pytest.raises(KeyError):
             checks.run_suite("bogus")
+
+
+# -- polytope sources: a word or a lattice file, through one loader -----------
+
+READERS = ("hvec", "pseudo", "links", "lattice", "flagvec", "express")
+# each command that prints a value of a polytope, with the options of each
+# format it writes; links under both rules
+VALUE_RUNS = [
+    *[(cmd, "--format", fmt) for cmd, fmts in (
+        ("hvec", "text json csv"), ("pseudo", "text json"),
+        ("flagvec", "text json csv"), ("express", "text json csv"))
+      for fmt in fmts.split()],
+    *[("links", "--rule", rule, "--format", fmt)
+      for rule in ("conjugation", "direct") for fmt in ("text", "json", "csv")],
+]
+
+
+@pytest.fixture
+def one_parser(monkeypatch):
+    """``main`` with its parser built once rather than on every call."""
+    from hvcalc import cli
+    parser = cli.make_parser()
+    monkeypatch.setattr(cli, "make_parser", lambda: parser)
+
+
+def relabelled(doc, rng):
+    """A lattice document with new vertex ids and its faces shuffled."""
+    ids = sorted({v for face in doc["faces"] for v in face["verts"]})
+    new = dict(zip(ids, rng.sample(range(100, 100 + 3 * len(ids)), len(ids))))
+    faces = [{"dim": face["dim"], "verts": [new[v] for v in face["verts"]]}
+             for face in doc["faces"]]
+    rng.shuffle(faces)
+    return {"faces": faces, "n": doc["n"]}
+
+
+class TestPolytopeSources:
+    """Every command that reads a polytope takes a generator word or a
+    lattice file, and a file gives the value its word gives."""
+
+    def test_files_give_the_words_values(self, tmp_path, one_parser):
+        rng = random.Random(37)
+        plain, shuffled = tmp_path / "plain.json", tmp_path / "shuffled.json"
+        for w in words_up_to(4, "ICB"):
+            word = w.render()
+            rc, doc, err = run_captured(["lattice", word])
+            assert rc == 0 and err == ""
+            plain.write_text(doc)
+            shuffled.write_text(json.dumps(relabelled(json.loads(doc), rng)))
+            assert run_captured(["lattice", str(plain)]) == (0, doc, ""), word
+            for cmd, *options in VALUE_RUNS:
+                rc, want, err = run_captured([cmd, word, *options])
+                assert rc == 0 and err == "", (word, cmd)
+                # a file has no word for the engine to read
+                want = want.replace("   [engine]\n", "   [linear extension]\n")
+                for path in (plain, shuffled):
+                    got = run_captured([cmd, str(path), *options])
+                    assert got == (0, want, ""), (word, path.name, options)
+
+    @pytest.mark.parametrize("cmd", READERS)
+    def test_refusals_are_one_line(self, capsys, tmp_path, cmd):
+        invalid, schema = tmp_path / "invalid.json", tmp_path / "schema.json"
+        invalid.write_text('{"n": 1, "faces": [')
+        schema.write_text(json.dumps({"n": 0, "faces": [
+            {"verts": [], "dim": -1}, {"verts": 5, "dim": 0}]}))
+        for arg, says in [
+                ("CXC.", "unknown character 'X' at column 2; not a readable "
+                         "file: [Errno 2] No such file or directory"),
+                (str(tmp_path), "at column 1; not a readable file: "
+                                "[Errno 21] Is a directory"),
+                (str(invalid), "error: Expecting value"),
+                (str(schema), "error: lattice JSON faces[1]")]:
+            rc, out, err = run(capsys, cmd, arg)
+            assert rc == 2 and out == "", (cmd, arg)
+            assert err.count("\n") == 1 and says in err, (cmd, err)
+            assert "Traceback" not in err
+
+    def test_mutant_files_exit_0_or_2(self, tmp_path, one_parser):
+        from hvcalc.lattice import build
+        from test_lattice import mutants
+        rng = random.Random(7)
+        path = tmp_path / "mutant.json"
+        tally = Counter()
+        for w in words_up_to(4, "ICB"):
+            for _, mut in mutants(build(w), rng, 16):
+                path.write_text(json.dumps(mut.to_json()))
+                for cmd in READERS:
+                    rc, _, err = run_captured([cmd, str(path)])
+                    assert rc in (0, 2) and err.count("\n") == rc // 2, (
+                        w, cmd, err)
+                    assert "Traceback" not in err
+                    tally[cmd] += rc == 0
+        # 147 of the 1593 validate; 94 of those are not thin, so neither the
+        # link route nor the linear extension gives them a value
+        assert tally == {"hvec": 53, "pseudo": 53, "links": 53,
+                         "lattice": 147, "flagvec": 147, "express": 53}
+
+    @pytest.mark.parametrize("family", ["LOPSIDED", "PASCH"])
+    def test_links_refuses_a_file_that_is_not_thin(self, capsys, tmp_path,
+                                                   family):
+        import test_links
+        faces = getattr(test_links, family)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"n": 2, "faces": [
+            {"verts": list(f), "dim": d} for f, d in faces]}))
+        rc, out, err = run(capsys, "links", str(path))
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: the interval from face ")
+        assert err.endswith(" is not a diamond; not a polytope lattice\n")
+
+    def test_a_word_opens_no_file(self):
+        # the loader imports json only once it has opened a file
+        src = str(Path(hvcalc.__file__).resolve().parents[1])
+        p = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom hvcalc.cli import main\nrc = main(['hvec', "
+             "'CIC.'])\nprint(rc, {'json', 'hvcalc.lattice'} & {*sys.modules})"],
+            env={"PYTHONPATH": src, "PATH": ""}, capture_output=True,
+            text=True, timeout=60)
+        assert p.stdout.splitlines()[-1] == "0 set()" and p.stderr == ""
