@@ -63,7 +63,8 @@ def _listing(items, fmt):
 def _source(arg: str):
     """The polytope that ``arg`` names: its GeneratorWord if it parses as
     one, else the lattice of the JSON file it names, validated.  Text that
-    is neither is refused with the word's parse error and the file's."""
+    is neither is refused with the word's parse error and the file's; a
+    file that is not JSON, with the decoder's error and the file's name."""
     try:
         return GeneratorWord.parse(arg)
     except WordParseError as e:
@@ -75,7 +76,11 @@ def _source(arg: str):
     import json
     from .lattice import FaceLattice
     with fh:
-        return FaceLattice.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise CliError(f"{e} in lattice JSON file {arg}")
+    return FaceLattice.from_json(data)
 
 
 def _lattice(source):
@@ -127,6 +132,7 @@ def cmd_basis(args):
 
 def cmd_express(args):
     from . import flaglin
+    from .symbols import scalar_to_json
     from .terms import AUX, IndexTerm
     fv = _lattice(_source(args.word)).flag_vector()
     if args.coeff is not None:
@@ -141,9 +147,8 @@ def cmd_express(args):
         return str(h.coefficient(term.xexp, term.yexp, term.word))
     pairs = list(zip(flaglin.ic_basis(fv.n), flaglin.express_in_basis(fv)))
     if args.format == "json":
-        # each coefficient is a Fraction: an int in JSON when integral
-        return _dumps([{"word": w.render(), "coeff": c.numerator
-                        if c.denominator == 1 else str(c)} for w, c in pairs])
+        return _dumps([{"word": w.render(), "coeff": scalar_to_json(c)}
+                       for w, c in pairs])
     sep, header = (",", ["word,coeff"]) if args.format == "csv" else (": ", [])
     return "\n".join(header + [f"{w.render()}{sep}{c!s}" for w, c in pairs])
 

@@ -17,6 +17,11 @@ pad, with pad * first variable = 0) gives the extended vector.
 The operators are implemented once, as kernels on term maps (word -> exact
 coefficients), the format of ``HVector.terms``.  A kernel reads a vector's
 terms directly and keeps exactly the terms a checked HVector would keep.
+Two invariants let the kernels write each term with little lookup: their
+input is homogeneous, as a checked vector is, so the cone's record and
+correction words lie one degree above every word it grows; and each head
+the change of variables stores is a new tuple, never a caller's, so a
+stored head is told from a merge by identity.
 The fold and the change of variables run on these maps, and a checked
 HVector is built only for a value a public function returns: one per
 call, so ``extended_hvector`` checks its final vector and never builds the
@@ -73,29 +78,32 @@ def _cone_words(word, m: int, pad) -> tuple:
 def _cone_terms(terms: dict, pad) -> dict:
     """The three-part cone rule on a term map, padding with ``pad``.
 
-    Coefficients are summed into one fresh list per output word.  The
-    full-pad correction of the empty word meets the terminator and lists
-    that cancel to zero are dropped, so clean terms give clean terms: what
-    the checked constructor would keep.
+    The input must be homogeneous, as every term map of a checked vector
+    is: of degree D, every record and correction word then has degree
+    D + 1, above every term's own word, so no record meets a term's word.
+    Each term's own word is written once, with its grown list, which is
+    nonzero exactly when its input is.  The record and correction
+    constants are summed in a map of their own, and only those that cancel
+    to zero are dropped; the full-pad correction of the empty word meets
+    the terminator.  So clean terms give clean terms: what the checked
+    constructor would keep.
     """
     out: dict[tuple, list] = {}
-    get = out.get
+    consts: dict[tuple, int] = {}
+    get = consts.get
     for word, cs in terms.items():
         m = len(cs) - 1
         mid = m // 2
-        acc = get(word)
-        grown = [*cs[:mid + 1], *cs[mid:]]
-        out[word] = grown if acc is None else list(map(add, acc, grown))
+        out[word] = [*cs[:mid + 1], *cs[mid:]]
         records, correction = _cone_words(word, m, pad)
-        # a record or correction word carries a constant: one entry
         for k, w2 in enumerate(records, 1):
-            acc = get(w2)
-            c = cs[k] - cs[k - 1]
-            out[w2] = [c] if acc is None else [acc[0] + c]
+            consts[w2] = get(w2, 0) + cs[k] - cs[k - 1]
         if correction is not None:
-            acc = get(correction)
-            out[correction] = [-cs[0]] if acc is None else [acc[0] - cs[0]]
-    return {w: cs for w, cs in out.items() if any(cs)}
+            consts[correction] = get(correction, 0) - cs[0]
+    for w2, c in consts.items():
+        if c:
+            out[w2] = [c]
+    return out
 
 
 def apply_cylinder(h: HVector) -> HVector:
@@ -172,17 +180,22 @@ def _expansion(word, m: int) -> tuple:
 
 def _extended_terms(terms: dict) -> dict:
     """The change of variables on a term map: each term's head
-    coefficients summed into the final words of its plan."""
-    acc: dict[tuple, list] = {}
-    get = acc.get
+    coefficients summed into the final words of its plan.
+
+    Each head is a new tuple, never the caller's coefficient tuple (a
+    full-length slice of a tuple is that same tuple), so a head that
+    ``setdefault`` hands back is one already stored: the merge case.  A
+    zero sum stays, and the checked constructor drops it.
+    """
+    acc: dict[tuple, tuple] = {}
+    setdefault = acc.setdefault
     for word, cs in terms.items():
         for length, finals in _expansion(word, len(cs) - 1):
-            head = cs[:length]
-            if not any(head):
-                continue
+            head = (*cs[:length],)
             for w2 in finals:
-                out = get(w2)
-                acc[w2] = head if out is None else list(map(add, out, head))
+                out = setdefault(w2, head)
+                if out is not head:
+                    acc[w2] = tuple(map(add, out, head))
     return acc
 
 

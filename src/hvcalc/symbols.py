@@ -248,10 +248,13 @@ class HVector(Frozen):
     polytope, which has no ``mpih`` part), deg(poly) + deg(word) equals it for
     every term, no term maps to the zero polynomial, no word ends in a pad,
     and every word matches the vector's flavor.  A term's coefficients, its
-    word's symbols (once per word object) and its word's flavor (both in
-    ``_checked_word``) are checked before it can be dropped: a word ending
-    in a pad meets the terminator, and a zero polynomial goes.  Homogeneity
-    is checked on the terms kept; ``terms`` is a read-only mapping.
+    word's symbols (once per word object, in ``_checked_word``) and its
+    word's flavor are checked before it can be dropped: a word ending in a
+    pad meets the terminator, and a zero polynomial goes.  Homogeneity is
+    checked on the terms kept; ``terms`` is a read-only mapping.  A term
+    of int coefficients in a tuple, on the very tuple of a registered
+    word, is checked inline; any other goes through ``_coeff_tuple`` and
+    ``_checked_word``, with the same checks in the same order.
     """
 
     __slots__ = ("degree", "flavor", "terms")
@@ -263,9 +266,22 @@ class HVector(Frozen):
         if degree < -1:  # -1 is the empty polytope's
             raise ValueError(f"degree must be at least -1, got {degree}")
         clean = {}
+        get = _WORDS.get
         for word, cs in (terms or {}).items():
-            cs = _coeff_tuple(cs)
-            word, wdeg, _ = _checked_word(word, bad_pad)
+            if type(cs) is not tuple or not cs:
+                cs = _coeff_tuple(cs)
+            else:
+                for c in cs:
+                    if type(c) is not int:
+                        cs = _coeff_tuple(cs)
+                        break
+            try:
+                entry = get(word) if type(word) is tuple else None
+            except TypeError:  # an unhashable symbol
+                entry = None
+            if entry is None or entry[0] is not word or bad_pad in entry[2]:
+                entry = _checked_word(word, bad_pad)
+            word, wdeg, _ = entry
             if word and word[-1] in _PADS or not any(cs):
                 continue  # a trailing pad meets the terminator, or zero
             if len(cs) - 1 + wdeg != degree:

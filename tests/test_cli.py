@@ -761,7 +761,8 @@ class TestPolytopeSources:
                          "file: [Errno 2] No such file or directory"),
                 (str(tmp_path), "at column 1; not a readable file: "
                                 "[Errno 21] Is a directory"),
-                (str(invalid), "error: Expecting value"),
+                (str(invalid), "error: Expecting value: line 1 column 20 "
+                               f"(char 19) in lattice JSON file {invalid}"),
                 (str(schema), "error: lattice JSON faces[1]")]:
             rc, out, err = run(capsys, cmd, arg)
             assert rc == 2 and out == "", (cmd, arg)

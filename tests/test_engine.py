@@ -301,6 +301,38 @@ class TestAgainstReference:
         assert types == {int, Fraction}
 
 
+class TestKernelHeads:
+    """The change of variables stores a new tuple for each head, never a
+    caller's coefficient tuple, and sums heads whose leading coefficients
+    are zero like any other."""
+
+    def test_one_tuple_shared_by_two_terms(self):
+        t = (1,)
+        h = aux_vec(7, {(PAD_AUX, 1, 1): t, (1, PAD_AUX, 1): t})
+        assert h.terms[(PAD_AUX, 1, 1)] is h.terms[(1, PAD_AUX, 1)] is t
+        # both terms reach {1}A{1}: the second head is summed into the first
+        assert to_extended(h).render() == "(1)A{1}{1} + (2){1}A{1}"
+        assert t == (1,)
+
+    @pytest.mark.parametrize("fractions", [False, True])
+    def test_zero_leading_coefficients(self, fractions):
+        rng = random.Random(20261022)
+        zero_heads = 0
+        for h in random_aux_vectors(20261023, 300, fractions):
+            terms = {}
+            for w, cs in h.terms.items():
+                k = rng.randint(1, max(1, len(cs) - 1))
+                terms[w] = (0,) * k + cs[k:]
+                zero_heads += sum(length <= k for length, _ in
+                                  _expansion(w, len(cs) - 1))
+            z = aux_vec(h.degree, terms)
+            assert (typed_terms(to_extended(z))
+                    == typed_terms(reference_to_extended(z))), z
+            assert (typed_terms(apply_cone(z))
+                    == typed_terms(reference_cone(z))), z
+        assert zero_heads > 100
+
+
 class TestPlans:
     """The per-word plans the kernels read, against their definitions."""
 

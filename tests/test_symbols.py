@@ -387,6 +387,23 @@ class TestHVector:
         assert h.scale(a) + h.scale(b) == h.scale(a + b)
 
 
+class _Liar(tuple):
+    """Equal to (1,) and hashed as it, whatever it holds."""
+
+    def __eq__(self, other):
+        return other == (1,)
+
+    def __hash__(self):
+        return hash((1,))
+
+
+class _Pairs(list):
+    """(word, coefficients) pairs, read as a term map."""
+
+    def items(self):
+        return self
+
+
 class TestWordRegistry:
     """A term skips its word's symbol check only when the word is the very
     tuple checked before; the coefficient, flavor and degree checks run on
@@ -458,6 +475,39 @@ class TestWordRegistry:
         with pytest.raises(TypeError, match="exact"):
             HVector(4, FINAL, {word: [1, 1.0]})
         assert HVector(4, FINAL, {word: [0, 0]}).terms == {}
+
+    @pytest.mark.parametrize("registered,word,poly,degree,flavor,refusal", [
+        ((PAD_AUX, 1), None, (1,), 4, FINAL,
+         (ValueError, "word ('Ā', 1) has wrong flavor for final")),
+        ((1,), None, (1, 1.0), 4, FINAL,
+         (TypeError, "exact coefficient required, got float")),
+        ((1,), None, (1, True), 4, FINAL,
+         (TypeError, "exact coefficient required, got bool")),
+        ((1,), None, (), 4, FINAL,
+         (ValueError, "a polynomial needs at least one coefficient")),
+        ((PAD_AUX, 1), (PAD_AUX, [1]), (1,), 4, AUX,
+         (ValueError, "bad symbol [1]")),
+        ((1,), _Liar((True,)), (1,), 3, AUX,
+         (ValueError, "bad symbol True")),
+        ((1,), None, (1,), 4, FINAL,
+         (ValueError, "term (1,) breaks degree 4 homogeneity")),
+    ], ids=["aux-word-in-final", "float-after-ints", "bool-after-ints",
+            "no-coefficients", "unhashable-symbol", "tuple-subclass",
+            "wrong-degree"])
+    def test_fast_path_refusals(self, registered, word, poly, degree,
+                                flavor, refusal):
+        """A term on a registered word, or beside one, is refused with
+        the same exception and message as by the full checks."""
+        HVector(word_degree(registered), AUX if PAD_AUX in registered
+                else FINAL, {registered: (1,)})
+        assert symbols._WORDS[registered][0] is registered
+        exc, message = refusal
+        # the term map is a list of pairs behind ``items``, which can hold
+        # an unhashable word
+        terms = _Pairs([(registered if word is None else word, poly)])
+        with pytest.raises(exc) as info:
+            HVector(degree, flavor, terms)
+        assert type(info.value) is exc and str(info.value) == message
 
     def test_registry_bounded(self):
         for k in range(1, symbols._WORDS_MAX + 100):
