@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from .words import GeneratorWord, WordParseError
 
@@ -243,7 +244,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="exact h-vector calculus for cone/cylinder/bipyramid polytopes")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def command(name, fn, help, arguments, formats=()):
+    def command(name, help, arguments, formats=()):
         """Add subcommand ``name``: its (flag, options) ``arguments``, then
         --format when it writes ``formats`` and always --out."""
         p = sub.add_parser(name, help=help)
@@ -255,28 +256,27 @@ def make_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.set_defaults(fn=fn)
 
     word, n = [("word", {})], [("n", {"type": int})]
     source = [("word", {"help": "a generator word such as CIC., or a lattice "
                                 "JSON file"})]
-    command("hvec", cmd_hvec, "extended h-vector", source, FORMATS)
-    command("aux", cmd_aux, "auxiliary vector of a bipyramid-free word",
+    command("hvec", "extended h-vector", source, FORMATS)
+    command("aux", "auxiliary vector of a bipyramid-free word",
             word, FORMATS)
-    command("flagvec", cmd_flagvec, "flag vector", source, FORMATS)
-    command("lattice", cmd_lattice, "face lattice, as JSON", source)
-    command("basis", cmd_basis, "basis words of a dimension", n, LISTS)
+    command("flagvec", "flag vector", source, FORMATS)
+    command("lattice", "face lattice, as JSON", source)
+    command("basis", "basis words of a dimension", n, LISTS)
     coeff = {"help": "print one h coefficient, e.g. 'xA{1}'"}
-    command("express", cmd_express, "basis coefficients",
+    command("express", "basis coefficients",
             source + [("--coeff", coeff)], FORMATS)
-    command("links", cmd_links, "h-vector via the link recursion",
+    command("links", "h-vector via the link recursion",
             source + [("--rule", {"choices": _LayerChoices(_link_rules)})],
             FORMATS)
-    command("pseudo", cmd_pseudo, "pseudo h-vector", source, LISTS)
-    command("terms", cmd_terms, "index terms of a degree", n, LISTS)
-    command("order", cmd_order, "compare two index terms",
+    command("pseudo", "pseudo h-vector", source, LISTS)
+    command("terms", "index terms of a degree", n, LISTS)
+    command("order", "compare two index terms",
             [("term1", {}), ("term2", {})])
-    command("verify", cmd_verify, "run a verification suite",
+    command("verify", "run a verification suite",
             [("suite", {"choices": _LayerChoices(_suite_names)}),
              ("--max-dim", {"type": int})])
 
@@ -284,11 +284,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Run a subcommand and write its text; any error but a closed pipe:
-    one line, exit 2.  A command that returns its text with a line for
-    stderr fails: the line follows the text, and the exit status is 1."""
+    """Run a subcommand's ``cmd_`` function and write its text; any error
+    but a closed pipe: one line, exit 2.  A command that returns its text
+    with a line for stderr fails: the line follows the text, and the exit
+    status is 1."""
     try:
-        text = args.fn(args)
+        text = globals()[f"cmd_{args.cmd}"](args)
         text, failure = text if isinstance(text, tuple) else (text, None)
         _emit(text, args.out)
         if failure:
@@ -308,8 +309,15 @@ def _run(args) -> int:
     return 2
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in the process, built once; parsing
+    reads it and never changes it."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         rc = _run(args)
         sys.stdout.flush()

@@ -24,15 +24,23 @@ the change of variables stores is a new tuple, never a caller's, so a
 stored head is told from a merge by identity.
 The fold and the change of variables run on these maps, and a checked
 HVector is built only for a value a public function returns: one per
-call, so ``extended_hvector`` checks its final vector and never builds the
-auxiliary one.  The words a term is sent to depend only on its word and
-degree, so the kernels read them from per-word plans, cached once per
-process: the cone's record and correction words (``_cone_words``) and the
-change of variables' final words with their head lengths
-(``_expansion``).  Words share the folds of their suffixes, so the fold of
-each suffix of at most ten letters is kept too (``_suffix_terms``, at most
-2^11 - 1 read-only maps); only a longer word's outer letters, and the
-change of variables, sum their coefficients afresh on every call.
+computed call, so ``extended_hvector`` checks its final vector and never
+builds the auxiliary one.  The words a term is sent to depend only on its
+word and degree, so the kernels read them from per-word plans, cached once
+per process: the cone's record and correction words (``_cone_words``) and
+the change of variables' final words with their head lengths
+(``_expansion``).
+
+Over the point the cone and the cylinder give the same segment, so a word
+and its twin (its innermost letter swapped between C and I) have one
+vector.  Every word memo here is keyed by the canonical spelling, with
+the innermost letter written C (``GeneratorWord.canonical_ops``).  Words
+share the folds of their suffixes, so the fold of each canonical suffix of
+at most 11 letters is kept (``_suffix_terms``, at most 2^11 read-only
+maps); only a longer word's outer letters, and the change of variables,
+sum their coefficients afresh.  ``aux_hvector`` and ``extended_hvector``
+keep their last two checked (frozen) values, so a twin met next in a sweep
+costs a lookup.
 
 Also here: palindromy and operator-identity checks, the classical h of a
 simple polytope from its face vector, and the naive pseudo h-vector.
@@ -134,29 +142,40 @@ def _fold(ops: str, terms):
     return terms
 
 
-_SUFFIX = 10  # the letters of a word whose fold is kept for the process
+_SUFFIX = 11  # the letters of a word whose fold is kept for the process
 
 
-@lru_cache(maxsize=2 ** (_SUFFIX + 1) - 1)  # every I/C word of <= 10 letters
+@lru_cache(maxsize=2 ** _SUFFIX)  # every canonical I/C word of <= 11 letters
 def _suffix_terms(ops: str) -> MappingProxyType:
-    """The fold of a short word, read-only with tuple coefficients."""
+    """The fold of a short canonical word, read-only with tuple coefficients."""
     terms = _fold(ops[0], _suffix_terms(ops[1:])) if ops else {(): (1,)}
     return MappingProxyType({w: tuple(cs) for w, cs in terms.items()})
 
 
-def _aux_terms(w: GeneratorWord):
-    """The two operators folded over a bipyramid-free word from the seed:
-    its last ``_SUFFIX`` letters from the memo, the outer ones afresh."""
+def _engine_ops(w: GeneratorWord) -> str:
+    """The canonical letters of a bipyramid-free word; a word with the
+    bipyramid operator is refused, named as given."""
     if not w.is_bipyramid_free():
         raise ValueError(
             f"word {w} contains the bipyramid operator; "
             "use the linear extension over flag vectors instead")
-    return _fold(w.ops[:-_SUFFIX], _suffix_terms(w.ops[-_SUFFIX:]))
+    return w.canonical_ops
+
+
+def _aux_terms(ops: str):
+    """The two operators folded over canonical letters from the seed: the
+    last ``_SUFFIX`` letters from the memo, the outer ones afresh."""
+    return _fold(ops[:-_SUFFIX], _suffix_terms(ops[-_SUFFIX:]))
 
 
 def aux_hvector(w: GeneratorWord) -> HVector:
     """Fold the two operators over a bipyramid-free word from the seed."""
-    return HVector(w.dim, AUX, _aux_terms(w))
+    return _aux_hvector(_engine_ops(w))
+
+
+@lru_cache(maxsize=2)
+def _aux_hvector(ops: str) -> HVector:
+    return HVector(len(ops), AUX, _aux_terms(ops))
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +226,14 @@ def to_extended(h: HVector) -> HVector:
 
 
 def extended_hvector(w: GeneratorWord) -> HVector:
-    return HVector(w.dim, FINAL, _extended_terms(_aux_terms(w)))
+    """The extended h-vector of a bipyramid-free word: its aux fold put
+    through the change of variables, checked once."""
+    return _extended_hvector(_engine_ops(w))
+
+
+@lru_cache(maxsize=2)
+def _extended_hvector(ops: str) -> HVector:
+    return HVector(len(ops), FINAL, _extended_terms(_aux_terms(ops)))
 
 
 def check_ic_equation(h: HVector) -> bool:

@@ -48,7 +48,12 @@ class NotInSpanError(ValueError):
     """Raised when a vector lies outside the polytope flag-vector span."""
 
     def __init__(self, residual):
-        super().__init__(f"vector is outside the basis span; residual {residual}")
+        nonzero = [r for r in residual if r]
+        count = len(nonzero)
+        super().__init__(
+            "vector is outside the basis span; residual has "
+            f"{count} nonzero entr{'y' if count == 1 else 'ies'}"
+            + (f", the first {nonzero[0]}" if nonzero else ""))
         self.residual = residual
 
 
@@ -105,6 +110,7 @@ _POINT_FLAG = FlagVector(0, (1,))
 
 @lru_cache(maxsize=None)
 def _word_flag_cached(ops: str) -> FlagVector:
+    """The flag vector of canonical letters, grown from the point."""
     if not ops:
         return _POINT_FLAG
     inner = _word_flag_cached(ops[1:])
@@ -120,9 +126,11 @@ def word_flag_vector(w: GeneratorWord) -> FlagVector:
     """Flag vector of a generator word by the linear transforms.
 
     Agrees with the lattice count (tested exhaustively at low dimension)
-    but stays cheap for prism-heavy words in dimension 6 and 7.
+    but stays cheap for prism-heavy words in dimension 6 and 7.  Kept for
+    the process by the word's canonical spelling: over the point the
+    three transforms agree, so a word and its twins share one value.
     """
-    return _word_flag_cached(w.ops)
+    return _word_flag_cached(w.canonical_ops)
 
 
 # -- the basis and row reduction --------------------------------------------

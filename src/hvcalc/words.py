@@ -51,6 +51,19 @@ class GeneratorWord(Frozen):
     def is_bipyramid_free(self) -> bool:
         return "B" not in self.ops
 
+    @property
+    def canonical_ops(self) -> str:
+        """The letters with the innermost one written C.
+
+        Over the point the cone, the prism and the bipyramid all give the
+        segment, so words that differ only in their innermost letter (a
+        word and its twins) name one polytope; memos keyed by this
+        spelling give them one value.  A suffix of a canonical spelling is
+        canonical.
+        """
+        ops = self.ops
+        return ops[:-1] + "C" if ops[-1:] in ("I", "B") else ops
+
     def render(self) -> str:
         return self.ops + "."
 

@@ -181,8 +181,23 @@ class TestCommands:
         assert rc == 0 and out.strip() == "[12221] + [11]{1}"
 
     def test_aux_rejects_bipyramid(self, capsys):
-        rc, _, err = run(capsys, "aux", "BIC.")
-        assert rc == 2 and "bipyramid" in err
+        # an innermost B is refused too, and the word is named as given
+        for word, given in (("BIC.", "BIC."), ("CB.", "CB."),
+                            ("ICC B", "ICCB.")):
+            rc, out, err = run(capsys, "aux", word)
+            assert rc == 2 and out == ""
+            assert err == (f"error: word {given} contains the bipyramid "
+                           "operator; use the linear extension over flag "
+                           "vectors instead\n")
+
+    def test_hvec_of_a_bipyramid_twin_goes_linear(self, capsys):
+        # CB. names the polytope CC. names, by another route
+        rc, linear, _ = run(capsys, "hvec", "CB.", "--format", "json")
+        assert rc == 0
+        assert run(capsys, "hvec", "CC.", "--format", "json") == (
+            0, linear, "")
+        rc, out, _ = run(capsys, "hvec", "CB.")
+        assert out == "(111)   [linear extension]\n"
 
     def test_flagvec(self, capsys):
         rc, out, _ = run(capsys, "flagvec", "IC.")
@@ -577,6 +592,14 @@ class TestCommands:
         assert [r.passed for r in results] == [True] * 5
         assert built == list(words_up_to(4, "ICB"))
 
+    def test_main_builds_its_parser_once(self, capsys):
+        from hvcalc import cli
+        for argv in (["basis", "3"], ["hvec", "Q."], ["order", "x", "y"]):
+            run(capsys, *argv)
+        assert cli._parser.cache_info().misses == 1
+        assert cli._parser() is cli._parser()
+        assert cli.make_parser() is not cli.make_parser()
+
     def test_unexpected_error_is_one_line(self, capsys, monkeypatch):
         from hvcalc import cli
 
@@ -709,14 +732,6 @@ VALUE_RUNS = [
 ]
 
 
-@pytest.fixture
-def one_parser(monkeypatch):
-    """``main`` with its parser built once rather than on every call."""
-    from hvcalc import cli
-    parser = cli.make_parser()
-    monkeypatch.setattr(cli, "make_parser", lambda: parser)
-
-
 def relabelled(doc, rng):
     """A lattice document with new vertex ids and its faces shuffled."""
     ids = sorted({v for face in doc["faces"] for v in face["verts"]})
@@ -731,7 +746,7 @@ class TestPolytopeSources:
     """Every command that reads a polytope takes a generator word or a
     lattice file, and a file gives the value its word gives."""
 
-    def test_files_give_the_words_values(self, tmp_path, one_parser):
+    def test_files_give_the_words_values(self, tmp_path):
         rng = random.Random(37)
         plain, shuffled = tmp_path / "plain.json", tmp_path / "shuffled.json"
         for w in words_up_to(4, "ICB"):
@@ -769,7 +784,7 @@ class TestPolytopeSources:
             assert err.count("\n") == 1 and says in err, (cmd, err)
             assert "Traceback" not in err
 
-    def test_mutant_files_exit_0_or_2(self, tmp_path, one_parser):
+    def test_mutant_files_exit_0_or_2(self, tmp_path):
         from hvcalc.lattice import build
         from test_lattice import mutants
         rng = random.Random(7)
@@ -788,6 +803,32 @@ class TestPolytopeSources:
         # link route nor the linear extension gives them a value
         assert tally == {"hvec": 53, "pseudo": 53, "links": 53,
                          "lattice": 147, "flagvec": 147, "express": 53}
+
+    def test_files_outside_the_span_are_refused_on_a_short_line(
+            self, tmp_path):
+        from hvcalc.lattice import build
+        from test_lattice import mutants
+        rng = random.Random(7)
+        path = tmp_path / "mutant.json"
+        refused = Counter()
+        for w in words_up_to(4, "ICB"):
+            for _, mut in mutants(build(w), rng, 16):
+                try:
+                    mut.validate()
+                except ValueError:
+                    continue
+                path.write_text(json.dumps(mut.to_json()))
+                for cmd in ("hvec", "pseudo", "express"):
+                    rc, out, err = run_captured([cmd, str(path)])
+                    if rc == 0:
+                        continue
+                    assert rc == 2 and out == "", (w, cmd)
+                    assert err.count("\n") == 1 and len(err) < 200, err
+                    assert err.startswith("error: vector is outside the "
+                                          "basis span; residual has "), err
+                    assert "Fraction(" not in err
+                    refused[cmd] += 1
+        assert refused == {"hvec": 94, "pseudo": 94, "express": 94}
 
     @pytest.mark.parametrize("family", ["LOPSIDED", "PASCH"])
     def test_links_refuses_a_file_that_is_not_thin(self, capsys, tmp_path,

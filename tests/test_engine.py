@@ -8,8 +8,8 @@ import pytest
 
 from hvcalc.checks import _random_aux_vector
 from hvcalc.engine import (
-    _SUFFIX, _cone_terms, _cone_words, _cylinder_terms, _expansion,
-    _suffix_terms, apply_cone,
+    _SUFFIX, _aux_hvector, _cone_terms, _cone_words, _cylinder_terms,
+    _expansion, _extended_hvector, _suffix_terms, apply_cone,
     apply_cylinder, aux_hvector, check_ic_equation, classical_h_simple,
     extended_hvector, pseudo_h, to_extended,
 )
@@ -103,6 +103,15 @@ class TestCylinder:
         seed = HVector.unit(AUX)
         assert apply_cylinder(seed) == apply_cone(seed) == aux_vec(1, {(): [1, 1]})
 
+    def test_seed_cone_is_seed_cylinder_as_typed_terms(self):
+        # the identity that lets every word memo key by the canonical
+        # spelling: over the point the cone and the cylinder agree
+        seed = HVector.unit(AUX).terms
+        cone, cylinder = _cone_terms(seed, PAD_AUX), _cylinder_terms(seed)
+        assert ({w: [(type(c), c) for c in cs] for w, cs in cone.items()}
+                == {w: [(type(c), c) for c in cs] for w, cs in cylinder.items()}
+                == {(): [(int, 1), (int, 1)]})
+
 
 class TestAuxVectors:
     def test_checkpoint(self):
@@ -128,6 +137,16 @@ class TestAuxVectors:
     def test_bipyramid_rejected(self):
         with pytest.raises(ValueError):
             aux_hvector(W("BIC"))
+
+    @pytest.mark.parametrize("fn", [aux_hvector, extended_hvector])
+    @pytest.mark.parametrize("ops", ["BIC", "CB", "B", "ICCB"])
+    def test_bipyramid_refused_as_given(self, fn, ops):
+        # an innermost B is refused though its canonical spelling has none
+        with pytest.raises(ValueError) as err:
+            fn(W(ops))
+        assert str(err.value) == (
+            f"word {ops}. contains the bipyramid operator; "
+            "use the linear extension over flag vectors instead")
 
     def test_degree_law(self):
         for w in words_up_to(8, "IC"):
@@ -208,6 +227,11 @@ def kernel_fold(ops, h):
         terms = (_cone_terms(terms, PAD_AUX) if op == "C"
                  else _cylinder_terms(terms))
     return terms
+
+
+def twin_ops(ops):
+    """A nonempty word's letters with the innermost swapped between C and I."""
+    return ops[:-1] + ("C" if ops[-1] == "I" else "I")
 
 
 def typed_terms(h):
@@ -381,9 +405,11 @@ class TestPlans:
 
         monkeypatch.setattr(HVector, "__init__", counting)
         for w in words_up_to(6, "IC"):
+            _extended_hvector.cache_clear()
             del built[:]
             extended_hvector(w)
             assert built == [FINAL], w
+            _aux_hvector.cache_clear()
             del built[:]
             h = aux_hvector(w)
             assert built == [AUX], w
@@ -416,7 +442,7 @@ class TestSuffixMemo:
         return [(w, fold(w.ops)) for w in words]
 
     def test_aux_hvector_is_the_public_fold(self, folds):
-        assert _SUFFIX == 10 and max(w.dim for w, _ in folds) > _SUFFIX
+        assert _SUFFIX == 11 and max(w.dim for w, _ in folds) > _SUFFIX
         for w, want in folds:
             assert typed_terms(aux_hvector(w)) == typed_terms(want), w
 
@@ -425,14 +451,60 @@ class TestSuffixMemo:
             assert (typed_terms(extended_hvector(w))
                     == typed_terms(to_extended(aux_hvector(w)))), w
 
+    def test_both_twins_are_the_public_fold(self, folds):
+        # each word's twin, computed with the result memos empty and then
+        # read from them, against the word's own fold
+        for w, want in folds:
+            if not w.dim:
+                continue
+            twin = W(twin_ops(w.ops))
+            _aux_hvector.cache_clear()
+            _extended_hvector.cache_clear()
+            assert typed_terms(aux_hvector(twin)) == typed_terms(want), twin
+            assert (typed_terms(extended_hvector(twin))
+                    == typed_terms(to_extended(want))), twin
+            assert typed_terms(aux_hvector(w)) == typed_terms(want), w
+
     def test_memo_bounded(self, folds):
         info = _suffix_terms.cache_info()
-        assert info.maxsize == 2 ** (_SUFFIX + 1) - 1
+        # every canonical word of at most _SUFFIX letters, the empty one too
+        assert info.maxsize == 2 ** _SUFFIX
         assert info.currsize <= info.maxsize
         _suffix_terms.cache_clear()
         aux_hvector(W("CI" * 6 + "C"))
-        # the suffixes of 0..10 letters; the three outer letters not kept
+        # the suffixes of 0..11 letters; the two outer letters not kept
         assert _suffix_terms.cache_info().currsize == _SUFFIX + 1
+        _suffix_terms.cache_clear()
+        for w in words_up_to(_SUFFIX, "IC"):
+            aux_hvector(w)
+        assert _suffix_terms.cache_info().currsize == 2 ** _SUFFIX
+
+    def test_twin_met_next_builds_nothing(self, monkeypatch):
+        built = []
+        init = HVector.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[1])
+            init(self, *args, **kwargs)
+
+        for memo in (_aux_hvector, _extended_hvector):
+            assert memo.cache_info().maxsize == 2
+        monkeypatch.setattr(HVector, "__init__", counting)
+        for ops in ("I", "CICIC", "CICII", "I" * 12 + "C", "C" * 13 + "I"):
+            for fn, memo in ((aux_hvector, _aux_hvector),
+                             (extended_hvector, _extended_hvector)):
+                memo.cache_clear()
+                first = fn(W(ops))
+                twin = W(twin_ops(ops))
+                del built[:]
+                again = fn(twin)
+                assert built == [], twin
+                assert again == first and again.degree == twin.dim
+                with pytest.raises(AttributeError):
+                    again.terms = {}
+                with pytest.raises(TypeError):
+                    again.terms[()] = (1,)
+                assert memo.cache_info().currsize <= 2
 
     def test_memo_values_read_only(self):
         terms = _suffix_terms("CIC")

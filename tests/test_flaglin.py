@@ -66,8 +66,17 @@ class TestTransforms:
         assert bipyramid_flag_vector(fv) == lat.bipyramid().flag_vector()
 
     def test_word_flag_vector_route(self):
-        for w in words_up_to(4, "ICB"):
+        # the memo is keyed by the canonical spelling, so a word and its
+        # twins share one value; the lattice of each is built on its own
+        for w in words_up_to(6, "ICB"):
             assert word_flag_vector(w) == build(w).flag_vector(), w
+            assert word_flag_vector(w) is word_flag_vector(
+                W(w.canonical_ops)), w
+
+    def test_three_transforms_agree_on_the_point(self):
+        fv = point().flag_vector()
+        assert (cone_flag_vector(fv) == prism_flag_vector(fv)
+                == bipyramid_flag_vector(fv) == build(W("C")).flag_vector())
 
     def test_cone_of_square_hand_values(self):
         got = cone_flag_vector(build(W("IC")).flag_vector())

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hvcalc
+from hvcalc import engine
 from hvcalc._frozen import Frozen
 from hvcalc.checks import CheckResult
 from hvcalc.flaglin import word_flag_vector
@@ -63,6 +64,15 @@ class TestGeneratorWord:
     def test_validation(self):
         with pytest.raises(ValueError, match="bad constructor letter 'X'"):
             GeneratorWord("CXC")
+
+    @pytest.mark.parametrize("ops,canonical", [
+        ("", ""), ("C", "C"), ("I", "C"), ("B", "C"), ("CI", "CC"),
+        ("IB", "IC"), ("BIC", "BIC"), ("CIBI", "CIBC")])
+    def test_canonical_ops(self, ops, canonical):
+        # only the innermost letter is rewritten, and the word keeps its own
+        w = GeneratorWord(ops)
+        assert w.canonical_ops == canonical and w.ops == ops
+        assert GeneratorWord(canonical).canonical_ops == canonical
 
     @pytest.mark.parametrize("ops", [["C", "I"], ("C", "I"), None],
                              ids=["list", "tuple", "none"])
@@ -210,6 +220,21 @@ class TestCachedValuesStayPut:
         got = word_flag_vector(GeneratorWord("CIC"))
         assert got.counts == (1, 5, 8, 16, 5, 16, 16, 32)
         assert got == build(GeneratorWord("CIC")).flag_vector()
+        # the twins read the value the first call stored
+        assert word_flag_vector(GeneratorWord("CII")) is got
+        assert word_flag_vector(GeneratorWord("CIB")) is got
+
+    @pytest.mark.parametrize("name", ["aux_hvector", "extended_hvector"])
+    def test_engine_values(self, name):
+        fn = getattr(engine, name)
+        first = fn(GeneratorWord("CICIC"))
+        text = first.render()
+        with pytest.raises(AttributeError):
+            first.terms = {}
+        with pytest.raises(TypeError):
+            first.terms[()] = (1,)
+        assert fn(GeneratorWord("CICII")) is first
+        assert fn(GeneratorWord("CICIC")).render() == text
 
     def test_h_by_links(self):
         first = h_by_links(build(GeneratorWord("CIC")), "direct")
