@@ -25,7 +25,11 @@ stored head is told from a merge by identity.
 The fold and the change of variables run on these maps, and a checked
 HVector is built only for a value a public function returns: one per
 computed call, so ``extended_hvector`` checks its final vector and never
-builds the auxiliary one.  The words a term is sent to depend only on its
+builds the auxiliary one.  That final map is a dict of int tuples on the
+words of the plans below, the very tuples the constructor keeps once it
+has checked them, so it is accepted with one lookup per term and its zero
+sums dropped there; an auxiliary vector's map (lists, or a read-only memo
+map) is checked term by term.  The words a term is sent to depend only on its
 word and degree, so the kernels read them from per-word plans, cached once
 per process: the cone's record and correction words (``_cone_words``) and
 the change of variables' final words with their head lengths

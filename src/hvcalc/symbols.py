@@ -212,6 +212,10 @@ def rewrite_pads(word) -> tuple:
 # only that very object, never (True,) for (1,) nor a tuple subclass
 _WORDS: dict = {}
 _WORDS_MAX = 4096  # cleared when full
+# flavor -> {word: its entry of _WORDS}: the registered words a vector of
+# the flavor keeps, those that neither end in a pad nor hold the flavor's
+# wrong pad; filled and cleared with _WORDS, so each entry is the current one
+_KEPT = {AUX: {}, FINAL: {}}
 
 
 def _checked_word(word, bad_pad=None) -> tuple:
@@ -228,11 +232,79 @@ def _checked_word(word, bad_pad=None) -> tuple:
         entry = word, word_degree(word), tuple(p for p in _PADS if p in word)
         if len(_WORDS) >= _WORDS_MAX:
             _WORDS.clear()
+            for kept in _KEPT.values():
+                kept.clear()
         _WORDS[word] = entry
+        if not word or word[-1] not in _PADS:
+            for flavor, kept in _KEPT.items():
+                if _FLAVORS[flavor][1] not in entry[2]:
+                    kept[word] = entry
     if bad_pad in entry[2]:
         flavor = next(f for f, row in _FLAVORS.items() if row[1] == bad_pad)
         raise ValueError(f"word {entry[0]!r} has wrong flavor for {flavor}")
     return entry
+
+
+def _checked_terms(terms, degree: int, bad_pad, kept: dict) -> dict:
+    """Every term checked, in order, and the clean ones kept; a word that
+    is the very tuple of its entry in ``kept`` skips the word checks."""
+    clean = {}
+    get = kept.get
+    for word, cs in terms.items():
+        if type(cs) is not tuple or not cs:
+            cs = _coeff_tuple(cs)
+        else:
+            for c in cs:
+                if type(c) is not int:
+                    cs = _coeff_tuple(cs)
+                    break
+        try:
+            entry = get(word) if type(word) is tuple else None
+        except TypeError:  # an unhashable symbol
+            entry = None
+        if entry is None or entry[0] is not word:
+            entry = _checked_word(word, bad_pad)
+            word = entry[0]
+            if word and word[-1] in _PADS:
+                continue  # a trailing pad meets the terminator
+        if not any(cs):
+            continue  # a zero polynomial goes
+        if len(cs) - 1 + entry[1] != degree:
+            raise ValueError(
+                f"term {word!r} breaks degree {degree} homogeneity")
+        clean[word] = cs
+    return clean
+
+
+def _accepted(terms: dict, kept: dict, size: int):
+    """``terms`` without its zero polynomials, when every term is a tuple
+    of ints on the very tuple of a word in ``kept``, and its number of
+    coefficients plus its word's degree is ``size``; else None, and the
+    full checks run.  Only an acceptance test: it refuses nothing."""
+    zeros = []
+    get = kept.get
+    for word, cs in terms.items():
+        entry = get(word) if type(word) is tuple else None
+        if (entry is None or entry[0] is not word or type(cs) is not tuple
+                or len(cs) + entry[1] != size):
+            return None
+        for c in cs:
+            if type(c) is not int:
+                return None
+        if not any(cs):
+            if not cs:
+                return None
+            zeros.append(word)
+    clean = dict(terms)
+    for word in zeros:
+        del clean[word]
+    return clean
+
+
+@lru_cache(maxsize=_WORDS_MAX)
+def _word_view(word) -> tuple:
+    """A word's display sort key and its text."""
+    return word_sort_key(word), render_word(word)
 
 
 class HVector(Frozen):
@@ -251,10 +323,15 @@ class HVector(Frozen):
     word's symbols (once per word object, in ``_checked_word``) and its
     word's flavor are checked before it can be dropped: a word ending in a
     pad meets the terminator, and a zero polynomial goes.  Homogeneity is
-    checked on the terms kept; ``terms`` is a read-only mapping.  A term
-    of int coefficients in a tuple, on the very tuple of a registered
-    word, is checked inline; any other goes through ``_coeff_tuple`` and
-    ``_checked_word``, with the same checks in the same order.
+    checked on the terms kept; ``terms`` is a read-only mapping.
+
+    Each flavor has a table of kept words, the registered words its
+    vectors keep (``_KEPT``).  A dict whose every term is a tuple of ints
+    on the very tuple of a kept word, at the vector's degree, is accepted
+    in one loop (``_accepted``), one lookup per term, and copied without
+    its zero polynomials.  Any other map is checked term by term, in order
+    (``_checked_terms``), where a kept word skips only the word checks;
+    every refusal comes from there, with the messages above.
     """
 
     __slots__ = ("degree", "flavor", "terms")
@@ -265,29 +342,11 @@ class HVector(Frozen):
             raise TypeError(f"degree must be an int, got {degree!r}")
         if degree < -1:  # -1 is the empty polytope's
             raise ValueError(f"degree must be at least -1, got {degree}")
-        clean = {}
-        get = _WORDS.get
-        for word, cs in (terms or {}).items():
-            if type(cs) is not tuple or not cs:
-                cs = _coeff_tuple(cs)
-            else:
-                for c in cs:
-                    if type(c) is not int:
-                        cs = _coeff_tuple(cs)
-                        break
-            try:
-                entry = get(word) if type(word) is tuple else None
-            except TypeError:  # an unhashable symbol
-                entry = None
-            if entry is None or entry[0] is not word or bad_pad in entry[2]:
-                entry = _checked_word(word, bad_pad)
-            word, wdeg, _ = entry
-            if word and word[-1] in _PADS or not any(cs):
-                continue  # a trailing pad meets the terminator, or zero
-            if len(cs) - 1 + wdeg != degree:
-                raise ValueError(
-                    f"term {word!r} breaks degree {degree} homogeneity")
-            clean[word] = cs
+        kept = _KEPT[flavor]
+        clean = (_accepted(terms, kept, degree + 1) if type(terms) is dict
+                 else None)
+        if clean is None:
+            clean = _checked_terms(terms or {}, degree, bad_pad, kept)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "terms", MappingProxyType(clean))
@@ -321,7 +380,8 @@ class HVector(Frozen):
 
     def scale(self, c) -> "HVector":
         return HVector(self.degree, self.flavor,
-                       {w: [c * a for a in cs] for w, cs in self.terms.items()})
+                       {w: tuple([c * a for a in cs])
+                        for w, cs in self.terms.items()})
 
     def times_second(self) -> "HVector":
         """Multiply every polynomial by the second variable (y or Y)."""
@@ -346,7 +406,7 @@ class HVector(Frozen):
         return all(cs == cs[::-1] for cs in self.terms.values())
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: word_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: _word_view(kv[0])[0])
 
     def render(self) -> str:
         if not self.terms:
@@ -354,7 +414,7 @@ class HVector(Frozen):
         aux = self.flavor == AUX
         parts = []
         for word, cs in self.sorted_terms():
-            parts.append(render_coeffs(cs, aux) + render_word(word))
+            parts.append(render_coeffs(cs, aux) + _word_view(word)[1])
         return " + ".join(parts)
 
     def to_json(self) -> dict:
@@ -372,7 +432,7 @@ class HVector(Frozen):
         """A header, then one line per term: its word, and its
         coefficients separated by spaces."""
         return "word,poly\n" + "".join(
-            f"{render_word(w)},{' '.join(map(str, cs))}\n"
+            f"{_word_view(w)[1]},{' '.join(map(str, cs))}\n"
             for w, cs in self.sorted_terms())
 
     def __repr__(self):

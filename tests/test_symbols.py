@@ -9,13 +9,15 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from hvcalc import symbols
-from hvcalc.engine import extended_hvector
+from hvcalc import engine, symbols
+from hvcalc.engine import aux_hvector, extended_hvector
+from hvcalc.lattice import build
+from hvcalc.links import CONJUGATION, DIRECT, h_by_links
 from hvcalc.symbols import (
-    AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, render_word, rewrite_pads,
-    word_degree, word_to_json,
+    AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, render_coeffs,
+    render_word, rewrite_pads, word_degree, word_sort_key, word_to_json,
 )
-from hvcalc.words import GeneratorWord
+from hvcalc.words import GeneratorWord, all_words, words_up_to
 
 
 class TestPoly:
@@ -202,6 +204,20 @@ class TestHVector:
         v = HVector(4, AUX, {(PAD_AUX, 1): (1,)})
         w = u + v.scale(-1)
         assert w.terms == {(): (1, 2, 2, 2, 1)}
+
+    def test_render_reads_words_from_a_bounded_memo(self):
+        h = extended_hvector(GeneratorWord("ICICCIC"))
+        order = sorted(h.terms.items(), key=lambda kv: word_sort_key(kv[0]))
+        for _ in range(2):  # the second pass reads every word from the memo
+            assert h.sorted_terms() == order
+            assert h.render() == " + ".join(
+                render_coeffs(cs) + render_word(w) for w, cs in order)
+            assert h.to_csv() == "word,poly\n" + "".join(
+                f"{render_word(w)},{' '.join(map(str, cs))}\n"
+                for w, cs in order)
+        info = symbols._word_view.cache_info()
+        assert info.hits >= 2 * len(order)
+        assert info.maxsize == symbols._WORDS_MAX
 
     def test_distinct_words_retained(self):
         u = HVector(4, AUX, {(1,): (1, 1)})
@@ -404,6 +420,36 @@ class _Pairs(list):
         return self
 
 
+def _reference_terms(degree, flavor, terms):
+    """The constructor's per-term checks as they ran before it accepted a
+    map of kept words in one loop: the clean terms, in order."""
+    bad_pad = symbols._check_flavor(flavor)[1]
+    clean = {}
+    get = symbols._WORDS.get
+    for word, cs in (terms or {}).items():
+        if type(cs) is not tuple or not cs:
+            cs = symbols._coeff_tuple(cs)
+        else:
+            for c in cs:
+                if type(c) is not int:
+                    cs = symbols._coeff_tuple(cs)
+                    break
+        try:
+            entry = get(word) if type(word) is tuple else None
+        except TypeError:  # an unhashable symbol
+            entry = None
+        if entry is None or entry[0] is not word or bad_pad in entry[2]:
+            entry = symbols._checked_word(word, bad_pad)
+        word, wdeg, _ = entry
+        if word and word[-1] in symbols._PADS or not any(cs):
+            continue  # a trailing pad meets the terminator, or zero
+        if len(cs) - 1 + wdeg != degree:
+            raise ValueError(
+                f"term {word!r} breaks degree {degree} homogeneity")
+        clean[word] = cs
+    return clean
+
+
 class TestWordRegistry:
     """A term skips its word's symbol check only when the word is the very
     tuple checked before; the coefficient, flavor and degree checks run on
@@ -514,3 +560,169 @@ class TestWordRegistry:
             HVector(2 * k + 1, FINAL, {(k,): [1]})
             assert len(symbols._WORDS) <= symbols._WORDS_MAX
         assert (k,) in symbols._WORDS
+
+    def test_kept_words_cleared_with_the_registry(self, checks):
+        word = tuple([1])
+        HVector(3, FINAL, {word: (1,)})
+        assert symbols._KEPT[FINAL][word][0] is word
+        for k in range(1, symbols._WORDS_MAX + 1):
+            HVector(2 * k + 2, FINAL, {(PAD, k): (1,)})
+            for kept in symbols._KEPT.values():
+                assert len(kept) <= len(symbols._WORDS) <= symbols._WORDS_MAX
+        assert word not in symbols._KEPT[FINAL]
+        checks.clear()
+        HVector(3, FINAL, {word: (1,)})
+        assert checks == [word] and checks[0] is word
+
+    def test_second_engine_vector_checks_no_word(self, checks):
+        w = GeneratorWord("ICICCIC")
+        engine._extended_hvector.cache_clear()
+        first = extended_hvector(w)
+        engine._extended_hvector.cache_clear()
+        checks.clear()
+        second = extended_hvector(w)
+        assert checks == [] and second == first and second is not first
+        kept = symbols._KEPT[FINAL]
+        assert all(kept[word][0] is word for word in second.terms)
+
+
+class TestFastAcceptance:
+    """A map of kept words is accepted in one loop; every map, accepted or
+    not, gives the terms or the refusal of the per-term checks."""
+
+    @staticmethod
+    def _maps():
+        """Every term map the engine, the link route and the vector
+        operations hand the constructor on words of dim <= 7."""
+        maps = []
+        init = HVector.__init__
+
+        def recording(self, degree, flavor, terms=None):
+            maps.append((degree, flavor, terms))
+            init(self, degree, flavor, terms)
+
+        HVector.__init__ = recording
+        try:
+            engine._aux_hvector.cache_clear()
+            engine._extended_hvector.cache_clear()
+            finals = [extended_hvector(w) for w in words_up_to(7, "IC")]
+            auxes = [aux_hvector(w) for w in words_up_to(7, "IC")]
+            rng = random.Random(40)
+            words = [*words_up_to(5, "ICB"),
+                     *rng.sample(list(all_words(6, "ICB")), 10),
+                     *rng.sample(list(all_words(7, "ICB")), 10)]
+            for w in words:
+                for rule in (CONJUGATION, DIRECT):
+                    h_by_links(build(w), rule)
+            for h, g in zip(finals + auxes, finals[1:] + auxes[1:]):
+                if h.degree == g.degree:
+                    h + g, h - g, h - h, g - h
+                for c in (0, -2, Fraction(1, 2)):
+                    h.scale(c)
+                h.times_second()
+        finally:
+            HVector.__init__ = init
+        return maps
+
+    @staticmethod
+    def _mutants(maps):
+        """Seeded single-term mutants of the maps: each changes one term
+        of a nonempty map of tuples."""
+        rng = random.Random(4040)
+
+        class Word(tuple):
+            pass
+
+        def kept(flavor, degree, pad=None):
+            """A word kept for the flavor, of that degree, holding ``pad``."""
+            words = [w for w, (_, d, pads) in symbols._KEPT[flavor].items()
+                     if d == degree and (pad is None or pad in pads)]
+            return rng.choice(words) if words else None
+
+        def mutate(word, cs, kind, flavor, degree):
+            own, wrong = symbols._FLAVORS[flavor][:2]
+            other = AUX if flavor == FINAL else FINAL
+            i = rng.randrange(len(cs))
+            if kind == "empty-above":  # no coefficient, degree + 1 in all
+                return kept(flavor, degree + 1) or word, ()
+            if kind == "other-flavor":  # the very word the other one kept
+                return kept(other, degree - len(cs) + 1, wrong) or word, cs
+            if kind in ("float", "bool", "fraction", "half"):
+                new = {"float": float(cs[i]), "bool": True,
+                       "fraction": Fraction(cs[i]),
+                       "half": Fraction(1, 2)}[kind]
+                return word, (*cs[:i], new, *cs[i + 1:])
+            return {
+                "list": (word, list(cs)),
+                "empty": (word, ()),
+                "zero": (word, (0,) * len(cs)),
+                "trailing-pad": ((*word, own), cs),
+                "wrong-pad": ((wrong, *word), cs[1:] or cs),
+                "wrong-degree": (word, (*cs, 0)),
+                "equal-tuple": (tuple(list(word)), cs),
+                "tuple-subclass": (Word(word), cs),
+                "unhashable": ((*word, [1]), cs),
+            }[kind]
+
+        kinds = ("float", "bool", "fraction", "half", "list", "empty",
+                 "empty-above", "other-flavor",
+                 "zero", "trailing-pad", "wrong-pad", "wrong-degree",
+                 "equal-tuple", "tuple-subclass", "unhashable")
+        usable = [m for m in maps if type(m[2]) is dict and m[2]
+                  and all(type(cs) is tuple for cs in m[2].values())]
+        for kind in kinds:
+            for degree, flavor, terms in rng.sample(usable, 40):
+                items = list(terms.items())
+                at = rng.randrange(len(items))
+                items[at] = mutate(*items[at], kind, flavor, degree)
+                yield kind, degree, flavor, (
+                    _Pairs(items) if kind == "unhashable" else dict(items))
+
+    @staticmethod
+    def _verdict(fn, *args):
+        try:
+            return "returned", list(fn(*args).items())
+        except (TypeError, ValueError) as e:
+            return type(e), str(e)
+
+    def test_constructor_equals_the_per_term_checks(self, monkeypatch):
+        accepted = []
+        fast = symbols._accepted
+
+        def counting(*args):
+            clean = fast(*args)
+            accepted.append(clean is not None)
+            return clean
+        monkeypatch.setattr(symbols, "_accepted", counting)
+        maps = self._maps()
+        cases = [("as made", *m) for m in maps]
+        cases += list(self._mutants(maps))
+        kinds, fast_kinds = set(), set()
+        for kind, degree, flavor, terms in cases:
+            want = self._verdict(_reference_terms, degree, flavor, terms)
+            for _ in range(2):  # the second run meets every word kept
+                accepted.clear()
+                got = self._verdict(
+                    lambda: HVector(degree, flavor, terms).terms)
+                assert got == want, (kind, degree, flavor, terms)
+            if want[0] == "returned":
+                assert all(type(w) is tuple and type(cs) is tuple
+                           for w, cs in want[1])
+            kinds.add((kind, want[0]))
+            if accepted == [True]:
+                fast_kinds.add(kind)
+        # the one loop accepted the maps as made and dropped zero terms;
+        # every mutant kind was met with the outcome it must have
+        assert {"as made", "zero"} <= fast_kinds
+        # each kept word's entry is its current entry in the registry
+        assert all(symbols._WORDS[word] is entry
+                   for kept in symbols._KEPT.values()
+                   for word, entry in kept.items())
+        assert {("float", TypeError), ("bool", TypeError),
+                ("list", "returned"), ("empty", ValueError),
+                ("zero", "returned"), ("trailing-pad", "returned"),
+                ("wrong-pad", ValueError), ("wrong-degree", ValueError),
+                ("equal-tuple", "returned"), ("tuple-subclass", "returned"),
+                ("unhashable", ValueError), ("fraction", "returned"),
+                ("empty-above", ValueError), ("other-flavor", ValueError),
+                } <= kinds
