@@ -25,15 +25,15 @@ stored head is told from a merge by identity.
 The fold and the change of variables run on these maps, and a checked
 HVector is built only for a value a public function returns: one per
 computed call, so ``extended_hvector`` checks its final vector and never
-builds the auxiliary one.  That final map is a dict of int tuples on the
-words of the plans below, the very tuples the constructor keeps once it
-has checked them, so it is accepted with one lookup per term and its zero
-sums dropped there; an auxiliary vector's map (lists, or a read-only memo
-map) is checked term by term.  The words a term is sent to depend only on its
-word and degree, so the kernels read them from per-word plans, cached once
-per process: the cone's record and correction words (``_cone_words``) and
-the change of variables' final words with their head lengths
-(``_expansion``).
+builds the auxiliary one.  Every kernel writes a dict of tuples, on the
+very word tuples of its input or of the plans below, so once the
+constructor has checked those words it accepts the map with one lookup per
+term and drops its zero sums there; an auxiliary vector is handed a dict
+copy of the memo's read-only map.  The words a term is sent to depend
+only on its word and degree, so the kernels read them from per-word plans,
+cached once per process: the cone's record and correction words
+(``_cone_words``) and the change of variables' final words with their
+head lengths (``_expansion``).
 
 Over the point the cone and the cylinder give the same segment, so a word
 and its twin (its innermost letter swapped between C and I) have one
@@ -64,12 +64,12 @@ from .words import GeneratorWord
 
 
 def _cylinder_terms(terms: dict) -> dict:
-    """Every coefficient list times the linear sum of the two variables.
+    """Every coefficient tuple times the linear sum of the two variables.
 
     A nonzero polynomial stays nonzero and no word changes, so clean terms
     stay clean.
     """
-    return {w: [cs[0], *map(add, cs, cs[1:]), cs[-1]]
+    return {w: (cs[0], *map(add, cs, cs[1:]), cs[-1])
             for w, cs in terms.items()}
 
 
@@ -93,20 +93,20 @@ def _cone_terms(terms: dict, pad) -> dict:
     The input must be homogeneous, as every term map of a checked vector
     is: of degree D, every record and correction word then has degree
     D + 1, above every term's own word, so no record meets a term's word.
-    Each term's own word is written once, with its grown list, which is
+    Each term's own word is written once, with its grown tuple, which is
     nonzero exactly when its input is.  The record and correction
     constants are summed in a map of their own, and only those that cancel
     to zero are dropped; the full-pad correction of the empty word meets
     the terminator.  So clean terms give clean terms: what the checked
     constructor would keep.
     """
-    out: dict[tuple, list] = {}
+    out: dict[tuple, tuple] = {}
     consts: dict[tuple, int] = {}
     get = consts.get
     for word, cs in terms.items():
         m = len(cs) - 1
         mid = m // 2
-        out[word] = [*cs[:mid + 1], *cs[mid:]]
+        out[word] = (*cs[:mid + 1], *cs[mid:])
         records, correction = _cone_words(word, m, pad)
         for k, w2 in enumerate(records, 1):
             consts[w2] = get(w2, 0) + cs[k] - cs[k - 1]
@@ -114,7 +114,7 @@ def _cone_terms(terms: dict, pad) -> dict:
             consts[correction] = get(correction, 0) - cs[0]
     for w2, c in consts.items():
         if c:
-            out[w2] = [c]
+            out[w2] = (c,)
     return out
 
 
@@ -151,9 +151,9 @@ _SUFFIX = 11  # the letters of a word whose fold is kept for the process
 
 @lru_cache(maxsize=2 ** _SUFFIX)  # every canonical I/C word of <= 11 letters
 def _suffix_terms(ops: str) -> MappingProxyType:
-    """The fold of a short canonical word, read-only with tuple coefficients."""
-    terms = _fold(ops[0], _suffix_terms(ops[1:])) if ops else {(): (1,)}
-    return MappingProxyType({w: tuple(cs) for w, cs in terms.items()})
+    """The fold of a short canonical word, read-only."""
+    return MappingProxyType(_fold(ops[0], _suffix_terms(ops[1:])) if ops
+                            else {(): (1,)})
 
 
 def _engine_ops(w: GeneratorWord) -> str:
@@ -179,7 +179,7 @@ def aux_hvector(w: GeneratorWord) -> HVector:
 
 @lru_cache(maxsize=2)
 def _aux_hvector(ops: str) -> HVector:
-    return HVector(len(ops), AUX, _aux_terms(ops))
+    return HVector(len(ops), AUX, dict(_aux_terms(ops)))
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,8 @@ pyramid, prism, bipyramid, join) work on masks and assign dimensions
 explicitly, so grading never has to be recovered from the order; what they
 build has the ids 0, ..., V - 1.  Frozen sets of vertex ids appear only at the
 API: ``FaceLattice(n, faces)`` takes them, ``faces`` shows them (made on
-first read, by no route), ``link`` takes any iterable of ids and
-``link_classes`` returns them.  A message names a face by its sorted ids.
+first read, by no route) and ``link_classes`` returns them.  A message
+names a face by its sorted ids.
 
 Flag vectors count chains of proper nonempty faces; this is the oracle
 against which the symbolic engine is checked.  One top-down pass
@@ -179,30 +179,6 @@ class FaceLattice:
             raise ValueError(f"the interval from face {lo} to face {hi} is not "
                              "a diamond; not a polytope lattice")
         return rows
-
-    # -- links ---------------------------------------------------------------
-
-    def link(self, face) -> "FaceLattice":
-        """The interval from a nonempty face to the whole polytope, as a
-        lattice in its own right.  Atoms of the interval become vertices,
-        in the order of their sorted vertex lists."""
-        bit, face = {v: 1 << i for i, v in enumerate(self._ids)}, set(face)
-        m = sum(map(bit.__getitem__, face)) if face.issubset(bit) else None
-        d0 = self._dims.get(m)
-        if d0 is None:
-            raise ValueError("link requested along a non-face")
-        if d0 < 0:
-            raise ValueError("link along the empty face is the polytope itself")
-        above = [(g, d) for g, d in self._dims.items() if d > d0 and g & m == m]
-        atoms = sorted((g for g, d in above if d == d0 + 1),
-                       key=_lister(self._ids))
-        dims = {0: -1}
-        for g, d in above:
-            fa = sum(1 << i for i, a in enumerate(atoms) if g & a == a)
-            if fa in dims:
-                raise ValueError("interval is not atomic; not a polytope lattice")
-            dims[fa] = d - d0 - 1
-        return _built(self.n - d0 - 1, dims, range(len(atoms)), self._graded)
 
     # -- checks used by the oracle suites -----------------------------------
 

@@ -10,6 +10,9 @@ exist: the auxiliary flavor (variables X, Y and sliding pad Ā) and the
 final flavor (variables x, y and frozen pad A).  Every word is implicitly
 terminated, and a pad sitting against the terminator annihilates the whole
 term; that is the only normalization rule applied on construction.
+A word is checked once per tuple object, into one bounded table
+(``_WORDS``) whose entry holds every fact this layer reads about it: its
+degree and pads, which flavors keep it, its display sort key and its text.
 
 The pad elimination system that converts auxiliary words to final words is
 
@@ -41,6 +44,7 @@ AUX = "aux"
 FINAL = "final"
 
 _PADS = (PAD, PAD_AUX)
+_DIGITS = frozenset(range(10))  # coefficients written with no separator
 # each flavor's own pad, the pad that is wrong for it, and its first and
 # second variables
 _FLAVORS = {FINAL: (PAD, PAD_AUX, "x", "y"), AUX: (PAD_AUX, PAD, "X", "Y")}
@@ -170,7 +174,7 @@ class BiGradedPoly(Frozen):
 def render_coeffs(cs, aux=False) -> str:
     """A polynomial's coefficients as text: ``(121)``, or ``[1,-1]`` for aux."""
     lo, hi = ("[", "]") if aux else ("(", ")")
-    sep = "" if all(isinstance(c, int) and 0 <= c <= 9 for c in cs) else ","
+    sep = "" if _DIGITS.issuperset(cs) else ","
     return lo + sep.join(map(str, cs)) + hi
 
 
@@ -208,85 +212,68 @@ def rewrite_pads(word) -> tuple:
     return frozen + rewrite_pads(word[:i] + (nxt, PAD_AUX) + word[i + 2:])
 
 
-# word -> (the tuple object checked, its degree, its pads); an entry serves
-# only that very object, never (True,) for (1,) nor a tuple subclass
+# word -> its entry: (the tuple object checked, its degree, its pads,
+# whether an aux vector keeps it, whether a final vector keeps it, its
+# display sort key, its text).  A flavor keeps a word that neither ends in
+# a pad nor holds the flavor's wrong pad.  An entry serves only that very
+# object, never (True,) for (1,) nor a tuple subclass
 _WORDS: dict = {}
 _WORDS_MAX = 4096  # cleared when full
-# flavor -> {word: its entry of _WORDS}: the registered words a vector of
-# the flavor keeps, those that neither end in a pad nor hold the flavor's
-# wrong pad; filled and cleared with _WORDS, so each entry is the current one
-_KEPT = {AUX: {}, FINAL: {}}
+_KEEPS = {AUX: 3, FINAL: 4}  # the slot of the flavor's keep flag
 
 
 def _checked_word(word, bad_pad=None) -> tuple:
-    """A word's entry: (the tuple checked, its degree, its pads).  Any word
-    but the very tuple registered is converted, checked and registered.  A
-    word that holds ``bad_pad``, the pad wrong for the caller's flavor, is
-    refused."""
+    """A word's entry in ``_WORDS``.  Any word but the very tuple
+    registered is converted, checked and registered.  A word that holds
+    ``bad_pad``, the pad wrong for the caller's flavor, is refused."""
     try:
         entry = _WORDS[word] if type(word) is tuple else None
     except (KeyError, TypeError):  # a new word, or an unhashable symbol
         entry = None
     if entry is None or entry[0] is not word:
         word = tuple(word)
-        entry = word, word_degree(word), tuple(p for p in _PADS if p in word)
+        degree = word_degree(word)
+        pads = tuple(p for p in _PADS if p in word)
+        live = not word or word[-1] not in _PADS
+        entry = (word, degree, pads, live and PAD not in pads,
+                 live and PAD_AUX not in pads,
+                 (degree, word_locals(word), pad_positions(word)),
+                 render_word(word))
         if len(_WORDS) >= _WORDS_MAX:
             _WORDS.clear()
-            for kept in _KEPT.values():
-                kept.clear()
         _WORDS[word] = entry
-        if not word or word[-1] not in _PADS:
-            for flavor, kept in _KEPT.items():
-                if _FLAVORS[flavor][1] not in entry[2]:
-                    kept[word] = entry
     if bad_pad in entry[2]:
         flavor = next(f for f, row in _FLAVORS.items() if row[1] == bad_pad)
         raise ValueError(f"word {entry[0]!r} has wrong flavor for {flavor}")
     return entry
 
 
-def _checked_terms(terms, degree: int, bad_pad, kept: dict) -> dict:
-    """Every term checked, in order, and the clean ones kept; a word that
-    is the very tuple of its entry in ``kept`` skips the word checks."""
+def _checked_terms(terms, degree: int, bad_pad) -> dict:
+    """Every term checked, in order, and the clean ones kept."""
     clean = {}
-    get = kept.get
     for word, cs in terms.items():
-        if type(cs) is not tuple or not cs:
-            cs = _coeff_tuple(cs)
-        else:
-            for c in cs:
-                if type(c) is not int:
-                    cs = _coeff_tuple(cs)
-                    break
-        try:
-            entry = get(word) if type(word) is tuple else None
-        except TypeError:  # an unhashable symbol
-            entry = None
-        if entry is None or entry[0] is not word:
-            entry = _checked_word(word, bad_pad)
-            word = entry[0]
-            if word and word[-1] in _PADS:
-                continue  # a trailing pad meets the terminator
-        if not any(cs):
-            continue  # a zero polynomial goes
-        if len(cs) - 1 + entry[1] != degree:
+        cs = _coeff_tuple(cs)
+        word, wdeg = _checked_word(word, bad_pad)[:2]
+        if word and word[-1] in _PADS or not any(cs):
+            continue  # a trailing pad meets the terminator, or zero
+        if len(cs) - 1 + wdeg != degree:
             raise ValueError(
                 f"term {word!r} breaks degree {degree} homogeneity")
         clean[word] = cs
     return clean
 
 
-def _accepted(terms: dict, kept: dict, size: int):
+def _accepted(terms: dict, slot: int, size: int):
     """``terms`` without its zero polynomials, when every term is a tuple
-    of ints on the very tuple of a word in ``kept``, and its number of
-    coefficients plus its word's degree is ``size``; else None, and the
-    full checks run.  Only an acceptance test: it refuses nothing."""
+    of ints on the very tuple of a word whose entry has ``slot`` set, and
+    its number of coefficients plus its word's degree is ``size``; else
+    None, and the full checks run.  An acceptance test: it refuses nothing."""
     zeros = []
-    get = kept.get
+    get = _WORDS.get
     for word, cs in terms.items():
         entry = get(word) if type(word) is tuple else None
-        if (entry is None or entry[0] is not word or type(cs) is not tuple
-                or len(cs) + entry[1] != size):
+        if (entry is None or entry[0] is not word or not entry[slot]
+                or type(cs) is not tuple or len(cs) + entry[1] != size):
             return None
         for c in cs:
             if type(c) is not int:
@@ -299,12 +286,6 @@ def _accepted(terms: dict, kept: dict, size: int):
     for word in zeros:
         del clean[word]
     return clean
-
-
-@lru_cache(maxsize=_WORDS_MAX)
-def _word_view(word) -> tuple:
-    """A word's display sort key and its text."""
-    return word_sort_key(word), render_word(word)
 
 
 class HVector(Frozen):
@@ -325,13 +306,13 @@ class HVector(Frozen):
     pad meets the terminator, and a zero polynomial goes.  Homogeneity is
     checked on the terms kept; ``terms`` is a read-only mapping.
 
-    Each flavor has a table of kept words, the registered words its
-    vectors keep (``_KEPT``).  A dict whose every term is a tuple of ints
-    on the very tuple of a kept word, at the vector's degree, is accepted
-    in one loop (``_accepted``), one lookup per term, and copied without
-    its zero polynomials.  Any other map is checked term by term, in order
-    (``_checked_terms``), where a kept word skips only the word checks;
-    every refusal comes from there, with the messages above.
+    A word's registry entry (``_WORDS``) says whether each flavor keeps
+    it.  A dict whose every term is a tuple of ints on the very tuple of a
+    word the flavor keeps, at the vector's degree, is accepted in one loop
+    (``_accepted``), one lookup per term, and copied without its zero
+    polynomials.  Any other map is checked term by term, in order
+    (``_checked_terms``); every refusal comes from there, with the
+    messages above.  Display order and word text are read from the entry.
     """
 
     __slots__ = ("degree", "flavor", "terms")
@@ -342,11 +323,10 @@ class HVector(Frozen):
             raise TypeError(f"degree must be an int, got {degree!r}")
         if degree < -1:  # -1 is the empty polytope's
             raise ValueError(f"degree must be at least -1, got {degree}")
-        kept = _KEPT[flavor]
-        clean = (_accepted(terms, kept, degree + 1) if type(terms) is dict
-                 else None)
+        clean = (_accepted(terms, _KEEPS[flavor], degree + 1)
+                 if type(terms) is dict else None)
         if clean is None:
-            clean = _checked_terms(terms or {}, degree, bad_pad, kept)
+            clean = _checked_terms(terms or {}, degree, bad_pad)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "terms", MappingProxyType(clean))
@@ -405,17 +385,18 @@ class HVector(Frozen):
     def is_palindromic(self) -> bool:
         return all(cs == cs[::-1] for cs in self.terms.values())
 
+    def _display(self) -> list:
+        """(word entry, coefficients) of every term, in display order."""
+        return sorted([(_checked_word(w), cs) for w, cs in self.terms.items()],
+                      key=lambda ec: ec[0][5])
+
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _word_view(kv[0])[0])
+        return [(e[0], cs) for e, cs in self._display()]
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         aux = self.flavor == AUX
-        parts = []
-        for word, cs in self.sorted_terms():
-            parts.append(render_coeffs(cs, aux) + _word_view(word)[1])
-        return " + ".join(parts)
+        return " + ".join(render_coeffs(cs, aux) + e[6]
+                          for e, cs in self._display()) or "0"
 
     def to_json(self) -> dict:
         return {
@@ -432,8 +413,7 @@ class HVector(Frozen):
         """A header, then one line per term: its word, and its
         coefficients separated by spaces."""
         return "word,poly\n" + "".join(
-            f"{_word_view(w)[1]},{' '.join(map(str, cs))}\n"
-            for w, cs in self.sorted_terms())
+            f"{e[6]},{' '.join(map(str, cs))}\n" for e, cs in self._display())
 
     def __repr__(self):
         return f"<HVector {self.flavor} deg {self.degree}: {self.render()}>"

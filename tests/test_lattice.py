@@ -21,6 +21,31 @@ from hvcalc.words import GeneratorWord as W
 from hvcalc.words import all_words, words_up_to
 
 
+def link(lat, face):
+    """The interval from a nonempty face of ``lat`` to the whole polytope,
+    built as a lattice in its own right: the per-face reference for the
+    link classes of the chain pass.  Atoms of the interval become vertices,
+    in the order of their sorted vertex lists."""
+    bit, face = {v: 1 << i for i, v in enumerate(lat._ids)}, set(face)
+    m = sum(map(bit.__getitem__, face)) if face.issubset(bit) else None
+    d0 = lat._dims.get(m)
+    if d0 is None:
+        raise ValueError("link requested along a non-face")
+    if d0 < 0:
+        raise ValueError("link along the empty face is the polytope itself")
+    above = [(g, d) for g, d in lat._dims.items() if d > d0 and g & m == m]
+    atoms = sorted((g for g, d in above if d == d0 + 1),
+                   key=lattice._lister(lat._ids))
+    dims = {0: -1}
+    for g, d in above:
+        fa = sum(1 << i for i, a in enumerate(atoms) if g & a == a)
+        if fa in dims:
+            raise ValueError("interval is not atomic; not a polytope lattice")
+        dims[fa] = d - d0 - 1
+    return lattice._built(lat.n - d0 - 1, dims, range(len(atoms)),
+                          lat._graded)
+
+
 class TestConstructors:
     def test_point(self):
         p = point()
@@ -241,38 +266,38 @@ class TestLinks:
     def test_cube_vertex_link_is_triangle(self):
         cube = build(W("IIC"))
         v = next(f for f, d in cube.faces.items() if d == 0)
-        lk = cube.link(v)
+        lk = link(cube, v)
         assert lk.n == 2 and lk.face_counts() == [3, 3]
         assert lk.flag_vector()[{0, 1}] == 6
 
     def test_octahedron_edge_link(self):
         octa = build(W("BIC"))
         e = next(f for f, d in octa.faces.items() if d == 1)
-        fv = octa.link(e).flag_vector()
+        fv = link(octa, e).flag_vector()
         assert fv.n == 1 and fv[{0}] == 2
 
     def test_full_face_link_is_empty_polytope(self):
         sq = build(W("IC"))
-        lk = sq.link(sq.full_face)
+        lk = link(sq, sq.full_face)
         assert lk.n == -1 and lk.flag_vector() == FlagVector(-1, (1,))
 
     def test_facet_link_is_point(self):
         sq = build(W("IC"))
         e = next(f for f, d in sq.faces.items() if d == 1)
-        assert sq.link(e).n == 0
+        assert link(sq, e).n == 0
 
     def test_non_face_rejected(self):
         sq = build(W("IC"))
         with pytest.raises(ValueError):
-            sq.link(frozenset({0, 99}))
+            link(sq, frozenset({0, 99}))
         with pytest.raises(ValueError):
-            sq.link(frozenset())
+            link(sq, frozenset())
 
     def test_simple_polytope_vertex_links_are_simplices(self):
         prism3 = build(W("ICC"))
         for f, d in prism3.faces.items():
             if d == 0:
-                assert prism3.link(f).face_counts() == [3, 3]
+                assert link(prism3, f).face_counts() == [3, 3]
 
 
 class TestInvariantChecks:
@@ -723,7 +748,7 @@ class TestFlagDP:
             lat = build(W(ops))
             for f, d in lat.faces.items():
                 if 0 <= d < lat.n:
-                    self.check(lat.link(f), (ops, sorted(f)))
+                    self.check(link(lat, f), (ops, sorted(f)))
 
     def test_validating_mutants(self):
         rng = random.Random(7)
@@ -772,7 +797,7 @@ class TestFlagDP:
 def link_truth(lat):
     """(dimension, link flag vector) of every nonempty face, one link built
     per face."""
-    return {f: (d, lat.link(f).flag_vector())
+    return {f: (d, link(lat, f).flag_vector())
             for f, d in lat.faces.items() if d >= 0}
 
 
@@ -901,7 +926,7 @@ class TestGradedByConstruction:
             assert base.pyramid()._graded is graded
             assert base.prism()._graded is graded
             assert base.bipyramid()._graded is graded
-            assert base.link(frozenset({0}))._graded is graded
+            assert link(base, frozenset({0}))._graded is graded
         assert flagged.join(point())._graded
         assert not flagged.join(plain)._graded
         assert not plain.join(flagged)._graded
@@ -962,7 +987,7 @@ class TestFacesAtTheApi:
             assert FaceLattice.from_json(lat.to_json()).flag_vector() == (
                 lat.flag_vector())
             for _, face, _, fv in lat.link_classes():
-                assert lat.link(face).flag_vector() == fv
+                assert link(lat, face).flag_vector() == fv
             assert lat.join(point()).flag_vector() == lat.pyramid().flag_vector()
             h_by_links(lat)
 

@@ -215,9 +215,11 @@ class TestHVector:
             assert h.to_csv() == "word,poly\n" + "".join(
                 f"{render_word(w)},{' '.join(map(str, cs))}\n"
                 for w, cs in order)
-        info = symbols._word_view.cache_info()
-        assert info.hits >= 2 * len(order)
-        assert info.maxsize == symbols._WORDS_MAX
+        words = symbols._WORDS
+        assert all(words[w][0] is w
+                   and words[w][5:] == (word_sort_key(w), render_word(w))
+                   for w, _ in order)
+        assert len(symbols._WORDS) <= symbols._WORDS_MAX
 
     def test_distinct_words_retained(self):
         u = HVector(4, AUX, {(1,): (1, 1)})
@@ -440,7 +442,7 @@ def _reference_terms(degree, flavor, terms):
             entry = None
         if entry is None or entry[0] is not word or bad_pad in entry[2]:
             entry = symbols._checked_word(word, bad_pad)
-        word, wdeg, _ = entry
+        word, wdeg = entry[:2]
         if word and word[-1] in symbols._PADS or not any(cs):
             continue  # a trailing pad meets the terminator, or zero
         if len(cs) - 1 + wdeg != degree:
@@ -564,12 +566,12 @@ class TestWordRegistry:
     def test_kept_words_cleared_with_the_registry(self, checks):
         word = tuple([1])
         HVector(3, FINAL, {word: (1,)})
-        assert symbols._KEPT[FINAL][word][0] is word
+        entry = symbols._WORDS[word]
+        assert entry[0] is word and entry[symbols._KEEPS[FINAL]]
         for k in range(1, symbols._WORDS_MAX + 1):
             HVector(2 * k + 2, FINAL, {(PAD, k): (1,)})
-            for kept in symbols._KEPT.values():
-                assert len(kept) <= len(symbols._WORDS) <= symbols._WORDS_MAX
-        assert word not in symbols._KEPT[FINAL]
+            assert len(symbols._WORDS) <= symbols._WORDS_MAX
+        assert word not in symbols._WORDS
         checks.clear()
         HVector(3, FINAL, {word: (1,)})
         assert checks == [word] and checks[0] is word
@@ -582,8 +584,9 @@ class TestWordRegistry:
         checks.clear()
         second = extended_hvector(w)
         assert checks == [] and second == first and second is not first
-        kept = symbols._KEPT[FINAL]
-        assert all(kept[word][0] is word for word in second.terms)
+        words, final = symbols._WORDS, symbols._KEEPS[FINAL]
+        assert all(words[word][0] is word and words[word][final]
+                   for word in second.terms)
 
 
 class TestFastAcceptance:
@@ -635,8 +638,9 @@ class TestFastAcceptance:
 
         def kept(flavor, degree, pad=None):
             """A word kept for the flavor, of that degree, holding ``pad``."""
-            words = [w for w, (_, d, pads) in symbols._KEPT[flavor].items()
-                     if d == degree and (pad is None or pad in pads)]
+            slot = symbols._KEEPS[flavor]
+            words = [w for w, e in symbols._WORDS.items() if e[slot]
+                     and e[1] == degree and (pad is None or pad in e[2])]
             return rng.choice(words) if words else None
 
         def mutate(word, cs, kind, flavor, degree):
@@ -697,7 +701,7 @@ class TestFastAcceptance:
         maps = self._maps()
         cases = [("as made", *m) for m in maps]
         cases += list(self._mutants(maps))
-        kinds, fast_kinds = set(), set()
+        kinds, fast_kinds, unaccepted = set(), set(), []
         for kind, degree, flavor, terms in cases:
             want = self._verdict(_reference_terms, degree, flavor, terms)
             for _ in range(2):  # the second run meets every word kept
@@ -711,13 +715,15 @@ class TestFastAcceptance:
             kinds.add((kind, want[0]))
             if accepted == [True]:
                 fast_kinds.add(kind)
+            elif kind == "as made" and type(terms) is dict and all(
+                    type(c) is int for cs in terms.values() for c in cs):
+                unaccepted.append((degree, flavor, terms))
         # the one loop accepted the maps as made and dropped zero terms;
         # every mutant kind was met with the outcome it must have
         assert {"as made", "zero"} <= fast_kinds
-        # each kept word's entry is its current entry in the registry
-        assert all(symbols._WORDS[word] is entry
-                   for kept in symbols._KEPT.values()
-                   for word, entry in kept.items())
+        # on its second construction every dict map of ints as made was
+        # accepted: aux folds, both link rules and the vector operations
+        assert unaccepted == []
         assert {("float", TypeError), ("bool", TypeError),
                 ("list", "returned"), ("empty", ValueError),
                 ("zero", "returned"), ("trailing-pad", "returned"),
