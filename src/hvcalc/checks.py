@@ -203,20 +203,23 @@ def check_ic_equation_suite(n_random=100, max_random_degree=6, engine_dim=5,
 
 # -- triple agreement ---------------------------------------------------------
 
-def _three_routes_agree(w):
-    lat = build(w)
+def _three_routes_agree(pair):
+    w, lat = pair
     return (engine.extended_hvector(w)
             == links.h_by_links(lat, links.CONJUGATION)
             == flaglin.linear_h(lat.flag_vector()))
 
 
 def check_triple_agreement(max_dim=4, basis_dim=5):
-    ws = list(words_up_to(max_dim, "IC")) + flaglin.ic_basis(basis_dim)
+    """Both parts read each word's lattice, built once."""
+    pairs = [(w, build(w)) for w in (*words_up_to(max_dim, "IC"),
+                                     *flaglin.ic_basis(basis_dim))]
     agree = _each(f"engine = link recursion = linear extension, dim <= {max_dim} "
-                  f"plus the dim-{basis_dim} basis", ws, _three_routes_agree)
+                  f"plus the dim-{basis_dim} basis", pairs, _three_routes_agree,
+                  lambda pair: str(pair[0]))
     direct_agrees = all(
-        links.h_by_links(build(w), links.DIRECT) == engine.extended_hvector(w)
-        for w in ws)
+        links.h_by_links(lat, links.DIRECT) == engine.extended_hvector(w)
+        for w, lat in pairs)
     return [agree, CheckResult(
         "exactly one cone-rule reading passes (conjugation yes, direct no)",
         agree.passed and not direct_agrees,

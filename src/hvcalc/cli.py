@@ -61,6 +61,22 @@ def _listing(items, fmt):
     return _dumps(rendered) if fmt == "json" else "\n".join(rendered)
 
 
+# the most items ``terms`` and ``basis`` list: terms 28 and basis 29 print
+# 832 040 each, in about 10 s and 3 s at about 210 MB on a 2-core host
+_MAX_LISTED = 1_000_000
+
+
+def _bounded(command: str, n: int, index: int, noun: str):
+    """Refuse ``command n`` before it lists the Fibonacci number F_index of
+    items, if that passes ``_MAX_LISTED``; the count stops at the bound."""
+    a, b = 0, 1  # F_i, F_(i + 1)
+    for _ in range(index):
+        a, b = b, a + b
+        if a > _MAX_LISTED:
+            raise CliError(f"{command} {n} would list more than "
+                           f"{_MAX_LISTED} {noun}, the bound of a listing")
+
+
 def _source(arg: str):
     """The polytope that ``arg`` names: its GeneratorWord if it parses as
     one, else the lattice of the JSON file it names, validated.  Text that
@@ -128,6 +144,7 @@ def cmd_lattice(args):
 
 def cmd_basis(args):
     from . import flaglin
+    _bounded("basis", args.n, args.n + 1, "words")
     return _listing(flaglin.ic_basis(args.n), args.format)
 
 
@@ -169,6 +186,7 @@ def cmd_terms(args):
     from . import terms
     if args.n < 0:
         raise CliError(f"degree must be non-negative, got {args.n}")
+    _bounded("terms", args.n, args.n + 2, "terms")
     return _listing(terms.enumerate_terms(args.n), args.format)
 
 

@@ -166,10 +166,12 @@ class FaceLattice:
         return [*out, (self.n, frozenset(verts(full)), 1, FlagVector(-1, (1,)))]
 
     def interval_counts(self) -> tuple:
-        """For the first face of each link class (``link_classes`` order),
-        then the empty face: (class, how many of its faces lie above), for
-        each class above.  ValueError if no face is full, or if an interval
-        of length 2 is not a diamond."""
+        """One row per ``link_classes`` entry, for its face, then one for
+        the empty face: (class, how many of its faces lie above) for each
+        class above, the whole polytope, last of the classes, included as
+        (its index, 1).  The whole polytope's row is (); the empty
+        polytope's table is ((),).  ValueError if no face is full, or if an
+        interval of length 2 is not a diamond."""
         self.flag_vector()
         _, _, _, full, rows, thin = self._pass
         if full is None:
@@ -178,7 +180,10 @@ class FaceLattice:
             lo, hi = map(_lister(self._ids), thin)
             raise ValueError(f"the interval from face {lo} to face {hi} is not "
                              "a diamond; not a polytope lattice")
-        return rows
+        # the pass writes the proper classes' rows, then the empty face's
+        whole = ((len(rows) - 1, 1),)
+        return (*(r + whole for r in rows[:-1]), (),
+                *(r + whole for r in rows[-1:]))
 
     # -- checks used by the oracle suites -----------------------------------
 

@@ -9,9 +9,10 @@ the nonempty faces F of the polytope, g_(dim F) of the link along F, where
 and h of a link is the same sum, down to the whole polytope's link, the
 empty polytope (a convention pinned by hand values and by agreement with
 the engine).  The sum runs over the link classes, and no lattice is built:
-a link's classes are the lattice's classes above its face, with the counts
-of ``FaceLattice.interval_counts``, and a face of pyr^j X is F + S, S a set
-of apexes, with link pyr^(j - |S|) of the link of F in X (X if F is empty).
+a link's classes are the lattice's classes above its face, the whole
+polytope among them, with the counts of ``FaceLattice.interval_counts``,
+read as given, and a face of pyr^j X is F + S, S a set of apexes, with link
+pyr^(j - |S|) of the link of F in X (X if F is empty).
 
 The cone on final vectors has two readings behind a switch, both the
 engine's rule (``engine._cone``) with the pad of the flavor the sum runs in.
@@ -60,16 +61,16 @@ class LinkCalculator:
 
     def _on(self, L: FaceLattice):
         """g(i, k, c) = g_i(pyr^k X) and h(k, c) = h(pyr^k X), X the link
-        along class c of L in ``link_classes`` order, or L itself at -1."""
-        classes, counts = L.link_classes(), L.interval_counts()
-        full, rows = len(classes) - 1, [*counts[:-1], (), *counts[-1:]]
+        along class c of L in ``link_classes`` order, or L itself at -1: the
+        row of ``interval_counts`` at c lists the classes of X's faces."""
+        classes, rows = L.link_classes(), L.interval_counts()
         dim = [L.n - 1 - d for d, *_ in classes] + [L.n]  # of each link
         memo = [self._g.setdefault(fv, {})
                 for *_, fv in [*classes, (L.flag_vector(),)]]
 
         def h(k, c):  # over the faces F + S of pyr^k X, by the class of F
             total = HVector.zero(dim[c] + k, self.flavor)
-            for c2, q in [*rows[c], (full, 1)] if dim[c] >= 0 else ():
+            for c2, q in rows[c]:
                 e = dim[c] - dim[c2] - 1
                 for b in range(k + 1):
                     total += g(e + b, k - b, c2).scale(q * comb(k, b))

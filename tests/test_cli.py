@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -316,6 +317,26 @@ class TestCommands:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("cmd, largest, noun", [
+        ("terms", 28, "terms"), ("basis", 29, "words")])
+    def test_listing_bound(self, capsys, monkeypatch, cmd, largest, noun):
+        # the listings stubbed out: the bound alone decides, before listing
+        from hvcalc import flaglin, terms
+        listed = []
+        monkeypatch.setattr(terms, "enumerate_terms", listed.append)
+        monkeypatch.setattr(flaglin, "ic_basis", listed.append)
+        monkeypatch.setattr("hvcalc.cli._listing", lambda items, fmt: "-")
+        assert run(capsys, cmd, str(largest)) == (0, "-\n", "")
+        assert listed == [largest]
+        for n in (largest + 1, 10 ** 20, 10 ** 4000):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, cmd, str(n))
+            assert time.perf_counter() - start < 1, n
+            assert (rc, out) == (2, "") and err == (
+                f"error: {cmd} {n} would list more than 1000000 {noun}, "
+                "the bound of a listing\n")
+        assert listed == [largest]
+
     @pytest.mark.parametrize("argv", [
         ("verify", "all", "--max-dim", "0"),
         ("verify", "gds-rank", "--max-dim", "-1"),
@@ -591,6 +612,17 @@ class TestCommands:
         results = checks.check_oracles(max_dim=4, cone_base_dim=3)
         assert [r.passed for r in results] == [True] * 5
         assert built == list(words_up_to(4, "ICB"))
+
+    def test_triple_agreement_builds_each_lattice_once(self, monkeypatch):
+        # the direct reading reads the lattices the agreement check built
+        from hvcalc import checks, flaglin
+        from hvcalc.lattice import build
+        built = []
+        monkeypatch.setattr(checks, "build",
+                            lambda w: built.append(w) or build(w))
+        results = checks.check_triple_agreement(max_dim=4, basis_dim=5)
+        assert [r.passed for r in results] == [True] * 2
+        assert built == [*words_up_to(4, "IC"), *flaglin.ic_basis(5)]
 
     def test_main_builds_its_parser_once(self, capsys):
         from hvcalc import cli

@@ -890,6 +890,38 @@ class TestLinkClasses:
                 assert str(info.value) == message
 
 
+def reference_interval_counts(lat):
+    """For the face of each link class, then the empty face, the faces
+    strictly above it counted by class, each face's class read from its own
+    built link."""
+    classes = lat.link_classes()
+    index = {(d, fv): j for j, (d, _, _, fv) in enumerate(classes)}
+    class_of = {f: index[key] for f, key in link_truth(lat).items()}
+    return tuple(
+        tuple(sorted(Counter(j for g, j in class_of.items() if g > f).items()))
+        for f in [f for _, f, *_ in classes] + [frozenset()])
+
+
+class TestIntervalCounts:
+    """The class table the link route reads: one row per link class, the
+    whole polytope's included, then the empty face's row."""
+
+    def test_every_word_up_to_dim_4(self):
+        lats = [empty_polytope(), point()] + [
+            build(w) for w in words_up_to(4, "ICB")]
+        for lat in lats:
+            table = lat.interval_counts()
+            assert table == reference_interval_counts(lat), lat.n
+            assert len(table) == len(lat.link_classes()) + 1, lat.n
+
+    def test_edge_cases(self):
+        assert empty_polytope().interval_counts() == ((),)
+        assert point().interval_counts() == ((), ((0, 1),))
+        # the vertex class lies under the whole polytope, its class 1
+        assert build(W("C")).interval_counts() == (
+            ((1, 1),), (), ((0, 2), (1, 1)))
+
+
 def unflagged(lat):
     """The same faces through ``FaceLattice(n, faces)``: not graded by
     construction, so its chain pass checks grading."""

@@ -1,5 +1,6 @@
 """The face-sum recursion, the transported cone rule, and the lift."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -293,6 +294,21 @@ class TestAgainstReference:
             for i in range(3):
                 assert typed_terms(g_eval(i, lat, rule)) == typed_terms(
                     REFERENCE[rule].g(i, lat)), (i, w)
+
+    def test_pinned_values_icb_dim5(self):
+        # one digest of h and of g at levels 0-2, under both rules, with the
+        # type of every coefficient, so a change in how the route reads the
+        # class table changes it
+        digest = hashlib.sha256()
+        for w in words_up_to(5, "ICB"):
+            lat = build(w)
+            for rule in (CONJUGATION, DIRECT):
+                got = [h_by_links(lat, rule)] + [
+                    g_eval(i, lat, rule) for i in range(3)]
+                digest.update(repr((w.render(), rule,
+                                    [typed_terms(h) for h in got])).encode())
+        assert digest.hexdigest() == (
+            "b53b632182b7618b3ee5ebd13237a41f8a6f2e68540d2121c250e12542224136")
 
     def test_aux_face_sum_is_the_aux_vector(self):
         calc = LinkCalculator(CONJUGATION)
