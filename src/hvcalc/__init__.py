@@ -14,8 +14,8 @@ _EXPORTS = {
         "classical_h_simple", "extended_hvector", "pseudo_h", "to_extended",
     ),
     "flaglin": (
-        "NotInSpanError", "cone_flag_vector", "express_in_basis", "ic_basis",
-        "linear_h", "linear_pseudo_h", "span_rank", "word_flag_vector",
+        "NotInSpanError", "cone_flag_vector", "express_in_basis", "linear_h",
+        "linear_pseudo_h", "span_rank", "word_flag_vector",
     ),
     "lattice": ("FaceLattice", "FlagVector", "build", "empty_polytope", "point"),
     "links": ("g_eval", "h_by_links"),
@@ -24,7 +24,7 @@ _EXPORTS = {
         "IndexTerm", "broadly_similar", "downset", "enumerate_terms", "fib",
         "implies", "strata_vector",
     ),
-    "words": ("GeneratorWord", "WordParseError"),
+    "words": ("GeneratorWord", "WordParseError", "ic_basis"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -12,11 +12,10 @@ from __future__ import annotations
 import random
 
 from . import engine, flaglin, links, terms
-from ._frozen import Frozen
 from .lattice import build
 from .symbols import AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector, word_degree
 from .terms import IndexTerm
-from .words import GeneratorWord, all_words, words_up_to
+from .words import Frozen, GeneratorWord, all_words, words_up_to
 
 
 class CheckResult(Frozen):

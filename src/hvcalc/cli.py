@@ -10,7 +10,8 @@ Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
 or parse errors and any other error (one line of stderr), 141 closed stdout.
 
 Each command imports only the layers it runs, and building the parser
-imports none: ``hvcalc terms 3`` never loads the lattice or the checks.
+imports none: ``terms 3`` never loads the lattice or the checks, ``basis``
+loads only the words, and ``express`` the terms only under ``--coeff``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import argparse
 import os
 import sys
 from functools import lru_cache
+from itertools import chain
 
-from .words import GeneratorWord, WordParseError
+from .words import GeneratorWord, WordParseError, ic_basis
 
 FORMATS = ("text", "json", "csv")
 LISTS = ("text", "json")  # the formats of the list-valued outputs
@@ -30,15 +32,17 @@ class CliError(Exception):
     """A usage error: ``main`` prints it on one line and exits 2."""
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as e:
-            raise CliError(f"cannot write output: {e}")
-    else:
-        print(text)
+def _emit(text, out_path):
+    """Write ``text``, or a listing's pieces as each is made, and a newline
+    to stdout or to the file ``out_path``."""
+    pieces = chain([text] if isinstance(text, str) else text, "\n")
+    if not out_path:
+        return sys.stdout.writelines(pieces)
+    try:
+        with open(out_path, "w") as fh:
+            fh.writelines(pieces)
+    except OSError as e:
+        raise CliError(f"cannot write output: {e}")
 
 
 def _dumps(data) -> str:
@@ -56,13 +60,18 @@ def _formatted(value, fmt):
 
 
 def _listing(items, fmt):
-    """Rendered items, one a line or as a JSON list."""
-    rendered = [x.render() for x in items]
-    return _dumps(rendered) if fmt == "json" else "\n".join(rendered)
+    """Rendered items, one a line or as a JSON list, in pieces: each item is
+    rendered as it is written, so the whole text is never held."""
+    as_json, sep = fmt == "json", ""
+    yield "[" if as_json else ""
+    for x in items:
+        yield sep + (_dumps(x.render()) if as_json else x.render())
+        sep = ", " if as_json else "\n"
+    yield "]" if as_json else ""
 
 
 # the most items ``terms`` and ``basis`` list: terms 28 and basis 29 print
-# 832 040 each, in about 10 s and 3 s at about 210 MB on a 2-core host
+# 832 040 each, in about 10 s and 3 s on a 2-core host
 _MAX_LISTED = 1_000_000
 
 
@@ -122,7 +131,7 @@ def _by_route(args, engine_name: str, linear_name: str):
     return body + f"   [{label}]" if args.format == "text" else body
 
 
-# Each command returns the text it prints; ``_run`` writes it.
+# Each command returns its text, a listing in pieces; ``_run`` writes it.
 
 def cmd_hvec(args):
     return _by_route(args, "extended_hvector", "linear_h")
@@ -143,17 +152,15 @@ def cmd_lattice(args):
 
 
 def cmd_basis(args):
-    from . import flaglin
     _bounded("basis", args.n, args.n + 1, "words")
-    return _listing(flaglin.ic_basis(args.n), args.format)
+    return _listing(ic_basis(args.n), args.format)
 
 
 def cmd_express(args):
     from . import flaglin
-    from .symbols import scalar_to_json
-    from .terms import AUX, IndexTerm
     fv = _lattice(_source(args.word)).flag_vector()
     if args.coeff is not None:
+        from .terms import AUX, IndexTerm
         term = IndexTerm.parse(args.coeff)
         if term.flavor == AUX:
             raise CliError(f"--coeff {term} is an aux term; the extended "
@@ -163,8 +170,9 @@ def cmd_express(args):
                            f"the polytope has dimension {fv.n}")
         h = flaglin.linear_h(fv)
         return str(h.coefficient(term.xexp, term.yexp, term.word))
-    pairs = list(zip(flaglin.ic_basis(fv.n), flaglin.express_in_basis(fv)))
+    pairs = list(zip(ic_basis(fv.n), flaglin.express_in_basis(fv)))
     if args.format == "json":
+        from .symbols import scalar_to_json
         return _dumps([{"word": w.render(), "coeff": scalar_to_json(c)}
                        for w, c in pairs])
     sep, header = (",", ["word,coeff"]) if args.format == "csv" else (": ", [])

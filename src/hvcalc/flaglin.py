@@ -1,11 +1,12 @@
 """Exact linear algebra over flag vectors.
 
 Flag vectors of the cone/cylinder words with no repeated cylinder and no
-innermost cylinder form a basis of the span of all polytope flag vectors
-(a Fibonacci number of them in each dimension).  This module expresses
-arbitrary flag vectors in that basis and extends linear functionals (the
-extended h-vector, the naive pseudo h, the link functionals) from the
-basis to the whole span.
+innermost cylinder (``words.ic_basis``) form a basis of the span of all
+polytope flag vectors (a Fibonacci number of them in each dimension).  This
+module expresses arbitrary flag vectors in that basis and extends linear
+functionals (the extended h-vector, the naive pseudo h, the link
+functionals) from the basis to the whole span.  Only ``linear_h`` and
+``linear_pseudo_h`` import the engine.
 
 The basis solve reads only the sparse rows: the dimension sets with no
 two consecutive dimensions and with n - 1 left out.  There are F_(n+1) of
@@ -38,10 +39,8 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import add, mul
 
-from . import engine
 from .lattice import FlagVector
-from .symbols import HVector
-from .words import GeneratorWord
+from .words import GeneratorWord, ic_basis
 
 
 class NotInSpanError(ValueError):
@@ -133,24 +132,7 @@ def word_flag_vector(w: GeneratorWord) -> FlagVector:
     return _word_flag_cached(w.canonical_ops)
 
 
-# -- the basis and row reduction --------------------------------------------
-
-def ic_basis(n: int) -> list:
-    """Length-n words over I, C with no 'II' and no innermost 'I',
-    in lexicographic order; there are Fibonacci-many.
-
-    The words are grown left to right, C before I, so only the F_(n+1)
-    basis words are ever built and the order stays lexicographic.
-    """
-    if n < 0:
-        raise ValueError(f"dimension must be non-negative, got {n}")
-    words = [""]
-    for i in range(n):
-        last = i == n - 1
-        words = [w + ch for w in words for ch in "CI"
-                 if ch == "C" or not (last or w.endswith("I"))]
-    return [GeneratorWord(w) for w in words]
-
+# -- row reduction and the basis solve ---------------------------------------
 
 def _eliminate(rows) -> list:
     """Fraction-free Gauss-Jordan reduction of integer rows (Bareiss 1968).
@@ -242,14 +224,16 @@ def extend_linear(fv: FlagVector, value_on_word):
     return reduce(add, parts) if parts else value_on_word(basis[0]).scale(0)
 
 
-def linear_h(fv: FlagVector) -> HVector:
+def linear_h(fv: FlagVector):
     """The extended h-vector of an arbitrary spanned flag vector."""
-    return extend_linear(fv, engine.extended_hvector)
+    from .engine import extended_hvector
+    return extend_linear(fv, extended_hvector)
 
 
 def linear_pseudo_h(fv: FlagVector):
     """The naive pseudo h-vector extended off the generator words."""
-    return extend_linear(fv, engine.pseudo_h)
+    from .engine import pseudo_h
+    return extend_linear(fv, pseudo_h)
 
 
 def span_rank(flag_vectors) -> int:

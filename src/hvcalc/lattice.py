@@ -40,8 +40,7 @@ from math import prod
 from operator import add, or_
 from types import MappingProxyType
 
-from ._frozen import Frozen
-from .words import GeneratorWord
+from .words import Frozen, GeneratorWord
 
 
 class FaceLattice:

@@ -25,17 +25,17 @@ pinned by a test; ``rewrite_pads`` applies the rules with a rightmost-first
 strategy.
 
 All coefficients are exact, normalized on construction to a Python int or
-a non-integral ``fractions.Fraction``, so that ``str`` prints them.
+a non-integral ``fractions.Fraction``, so that ``str`` prints them; only a
+coefficient that is not an int imports ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 from types import MappingProxyType
 
-from ._frozen import Frozen
+from .words import Frozen
 
 PAD = "A"        # final-flavor padding symbol
 PAD_AUX = "Ā"  # aux-flavor padding symbol, rendered as a barred A
@@ -55,6 +55,7 @@ def _exact(c):
     floats are refused."""
     if type(c) is int:
         return c
+    from fractions import Fraction
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, bool) or not isinstance(c, int):
@@ -179,9 +180,8 @@ def render_coeffs(cs, aux=False) -> str:
 
 
 def scalar_to_json(c):
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return int(c)
+    """An exact int, or a non-integral Fraction as its text ``p/q``."""
+    return int(c) if c.denominator == 1 else str(c)
 
 
 @lru_cache(maxsize=None)

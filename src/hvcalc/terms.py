@@ -20,11 +20,11 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from ._frozen import Frozen
 from .symbols import (
     AUX, FINAL, PAD, PAD_AUX, _FLAVORS, _PADS, _check_exponents, _check_flavor,
     _checked_word, render_word, word_degree, word_locals, word_sort_key,
 )
+from .words import Frozen
 
 
 class IndexTerm(Frozen):

@@ -3,7 +3,8 @@
 A word like ``CIC.`` reads right to left: start from the point, take the
 pyramid, then the prism, then the pyramid again.  The letters are C
 (cone/pyramid), I (cylinder/prism) and B (bipyramid).  Words without B are
-the ones the symbolic engine can evaluate directly.
+the ones the symbolic engine can evaluate directly.  Every command loads
+this base module, which also holds the Fibonacci basis and ``Frozen``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,38 @@ from __future__ import annotations
 from functools import total_ordering
 from itertools import product
 
-from ._frozen import Frozen
-
 OPS = "ICB"
+
+
+class Frozen:
+    """The one immutable base of the value classes: ``__init__`` sets each
+    field of ``__slots__`` once, through ``object.__setattr__``, and none
+    can then be assigned or deleted, so no caller edits a cached value.
+    Values of one class are equal when their fields are, and hash as them.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 class WordParseError(ValueError):
@@ -99,3 +129,17 @@ def all_words(n: int, letters: str = "IC"):
 def words_up_to(n: int, letters: str = "IC"):
     for k in range(n + 1):
         yield from all_words(k, letters)
+
+
+def ic_basis(n: int) -> list:
+    """The F_(n+1) length-n words over I, C with no 'II' and no innermost
+    'I', in lexicographic order: grown left to right, C before I, so that
+    only basis words are ever built."""
+    if n < 0:
+        raise ValueError(f"dimension must be non-negative, got {n}")
+    words = [""]
+    for i in range(n):
+        last = i == n - 1
+        words = [w + ch for w in words for ch in "CI"
+                 if ch == "C" or not (last or w.endswith("I"))]
+    return [GeneratorWord(w) for w in words]

@@ -18,7 +18,7 @@ import hvcalc
 from hvcalc.cli import main
 from hvcalc.symbols import AUX, FINAL, PAD, PAD_AUX
 from hvcalc.terms import IndexTerm, enumerate_terms
-from hvcalc.words import GeneratorWord, WordParseError, words_up_to
+from hvcalc.words import GeneratorWord, WordParseError, ic_basis, words_up_to
 
 
 def lower_palindromy_cap(monkeypatch):
@@ -321,10 +321,10 @@ class TestCommands:
         ("terms", 28, "terms"), ("basis", 29, "words")])
     def test_listing_bound(self, capsys, monkeypatch, cmd, largest, noun):
         # the listings stubbed out: the bound alone decides, before listing
-        from hvcalc import flaglin, terms
+        from hvcalc import terms
         listed = []
         monkeypatch.setattr(terms, "enumerate_terms", listed.append)
-        monkeypatch.setattr(flaglin, "ic_basis", listed.append)
+        monkeypatch.setattr("hvcalc.cli.ic_basis", listed.append)
         monkeypatch.setattr("hvcalc.cli._listing", lambda items, fmt: "-")
         assert run(capsys, cmd, str(largest)) == (0, "-\n", "")
         assert listed == [largest]
@@ -336,6 +336,44 @@ class TestCommands:
                 f"error: {cmd} {n} would list more than 1000000 {noun}, "
                 "the bound of a listing\n")
         assert listed == [largest]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("cmd, n, items", [
+        ("basis", 9, ic_basis(9)), ("terms", 8, enumerate_terms(8))])
+    def test_listing_text(self, capsys, tmp_path, fmt, cmd, n, items):
+        # the text of the whole list, on stdout and under --out alike
+        rendered = [x.render() for x in items]
+        want = (json.dumps(rendered) if fmt == "json"
+                else "\n".join(rendered)) + "\n"
+        assert run(capsys, cmd, str(n), "--format", fmt) == (0, want, "")
+        path = tmp_path / "o.txt"
+        assert run(capsys, cmd, str(n), "--format", fmt, "--out",
+                   str(path)) == (0, "", "")
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize("fmt, pieces", [
+        ("text", ["", "0", "\n1", "\n2", "", "\n"]),
+        ("json", ["[", '"0"', ', "1"', ', "2"', "]", "\n"])])
+    def test_listing_writes_each_item_as_it_is_rendered(
+            self, monkeypatch, fmt, pieces):
+        from hvcalc import cli
+        log = []
+
+        class Item:
+            def __init__(self, i):
+                self.i = i
+
+            def render(self):
+                log.append(self.i)
+                return str(self.i)
+
+        class Stdout(io.StringIO):
+            def write(self, piece):
+                log.append(piece)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        cli._emit(cli._listing(map(Item, range(3)), fmt), None)
+        assert log == [pieces[0], 0, pieces[1], 1, pieces[2], 2, *pieces[3:]]
 
     @pytest.mark.parametrize("argv", [
         ("verify", "all", "--max-dim", "0"),

@@ -74,14 +74,47 @@ def test_commands_load_their_layers(argv, needs):
     assert rc == 0 and needs <= loaded
 
 
-@pytest.mark.parametrize("argv", [["flagvec", "CIC."], ["lattice", "CIC."]])
+def test_basis_loads_only_the_words():
+    rc, loaded = run_command(["basis", "5"])
+    assert rc == 0 and loaded == {"hvcalc", "hvcalc.cli", "hvcalc.words"}
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["flagvec", "CIC."], {"hvcalc.symbols"}),
+    (["lattice", "CIC."], {"hvcalc.symbols"}),
+    (["express", "BIC."], {"hvcalc.engine", "hvcalc.symbols", "hvcalc.terms"}),
+])
+def test_commands_skip_the_layers_they_do_not_run(argv, skipped):
+    rc, loaded = run_command(argv)
+    assert rc == 0 and not loaded & skipped
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["express", "BICCC.", "--coeff", "xA{1}"], "-2\n"),
+    (["express", "BIC.", "--format", "json"],
+     '[{"word": "CCC.", "coeff": -3}, {"word": "CIC.", "coeff": 6}, '
+     '{"word": "ICC.", "coeff": -2}]\n'),
+])
+def test_express_loads_terms_and_symbols_when_asked(argv, out):
+    # in a fresh interpreter, where no other import has loaded them first
+    result, _ = probe(
+        "import contextlib, io\nfrom hvcalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        f"    rc = main({argv!r})\nresult = [rc, buf.getvalue()]")
+    assert result == [0, out]
+
+
+@pytest.mark.parametrize("argv", [
+    ["flagvec", "CIC."], ["lattice", "CIC."], ["hvec", "CIC."],
+    ["aux", "CIC."], ["links", "ICC."], ["terms", "3"], ["order", "x", "y"],
+])
 def test_integer_flag_counts_load_no_number_modules(argv):
-    # flag vectors of integer counts check them without fractions
-    result, loaded = probe(
+    # integer flag counts and coefficients are checked and written without
+    # fractions
+    result, _ = probe(
         f"import sys\nfrom hvcalc.cli import main\nrc = main({argv!r})\n"
         "result = [rc, sorted({'fractions', 'numbers'} & set(sys.modules))]")
     assert result == [0, []]
-    assert "hvcalc.symbols" not in loaded
 
 
 def test_all_and_dir_are_the_public_names():
@@ -105,6 +138,7 @@ def test_names_are_the_layers_objects():
         else:
             module = import_module(f"hvcalc.{hvcalc._MODULE_OF[name]}")
             assert getattr(hvcalc, name) is getattr(module, name)
+    assert hvcalc.ic_basis is hvcalc.flaglin.ic_basis
 
 
 def test_unknown_name_raises_attribute_error():

@@ -9,14 +9,13 @@ import pytest
 
 import hvcalc
 from hvcalc import engine
-from hvcalc._frozen import Frozen
 from hvcalc.checks import CheckResult
 from hvcalc.flaglin import word_flag_vector
 from hvcalc.lattice import FlagVector, build
 from hvcalc.links import h_by_links
 from hvcalc.symbols import AUX, FINAL, PAD, PAD_AUX, BiGradedPoly, HVector
 from hvcalc.terms import IndexTerm
-from hvcalc.words import GeneratorWord
+from hvcalc.words import Frozen, GeneratorWord
 
 
 def test_cli_import_leaves_out_dataclasses():
