@@ -5,10 +5,13 @@ empty face (mask 0, dim -1) up to the whole polytope (dim n), and the
 sorted vertex ids: bit i is vertex ``ids[i]``.  The constructors (point,
 pyramid, prism, bipyramid, join) work on masks and assign dimensions
 explicitly, so grading never has to be recovered from the order; what they
-build has the ids 0, ..., V - 1.  Frozen sets of vertex ids appear only at the
-API: ``FaceLattice(n, faces)`` takes them, ``faces`` shows them (made on
-first read, by no route) and ``link_classes`` returns them.  A message
-names a face by its sorted ids.
+build has the ids 0, ..., V - 1.  Frozen sets of vertex ids appear only
+where the API takes or shows them: ``FaceLattice(n, faces)`` takes them,
+``faces`` shows them (made on first read, by no route) and
+``link_classes`` returns them.  A lattice JSON document goes straight to
+masks: ``from_json`` hands its entries' vertex lists to the one conversion
+that ``FaceLattice(n, faces)`` uses.  A message names a face by its sorted
+ids.
 
 Flag vectors count chains of proper nonempty faces; this is the oracle
 against which the symbolic engine is checked.  One top-down pass
@@ -55,13 +58,7 @@ class FaceLattice:
     __delattr__ = Frozen.__delattr__
 
     def __init__(self, n: int, faces: dict):
-        ids = sorted(set().union(*faces))
-        bit = {v: 1 << i for i, v in enumerate(ids)}
-        # the bits of distinct vertices are distinct, so a sum is a union
-        dims = {sum(map(bit.__getitem__, f)): d for f, d in faces.items()}
-        _built(n, dims, tuple(ids), False, self)
-        if self._dims.get(0) != -1:
-            raise ValueError("the empty face of dimension -1 is mandatory")
+        _from_ids(n, faces, faces.values(), self)
 
     @property
     def faces(self) -> MappingProxyType:
@@ -220,12 +217,14 @@ class FaceLattice:
     @classmethod
     def from_json(cls, data, validate=True) -> "FaceLattice":
         """Inverse of ``to_json``.  A document of the wrong shape raises
-        ValueError naming the offending entry."""
+        ValueError naming the offending entry; every entry's shape is
+        checked before a vertex set given twice is sought.  The entries'
+        vertex lists go straight to masks, by the conversion of
+        ``FaceLattice(n, faces)``: no frozen set is made."""
         if not isinstance(data, dict) or not _is_int(data.get("n")):
             raise ValueError("lattice JSON needs an integer 'n'")
         if not isinstance(data.get("faces"), list):
             raise ValueError("lattice JSON needs a list 'faces'")
-        faces = {}  # each entry adds one, so the entries index its keys
         for i, item in enumerate(data["faces"]):
             if not (isinstance(item, dict) and _is_int(item.get("dim"))
                     and isinstance(item.get("verts"), list)
@@ -234,13 +233,8 @@ class FaceLattice:
                 raise ValueError(
                     f"lattice JSON faces[{i}] = {item!r:.80}: "
                     "need an integer 'dim' and a list of integer 'verts'")
-            verts = frozenset(item["verts"])
-            if verts in faces:
-                raise ValueError(
-                    f"lattice JSON faces[{list(faces).index(verts)}] and "
-                    f"faces[{i}] both list the vertex set {sorted(verts)}")
-            faces[verts] = item["dim"]
-        lat = cls(data["n"], faces)
+        lat = _from_ids(data["n"], [f["verts"] for f in data["faces"]],
+                        (f["dim"] for f in data["faces"]), object.__new__(cls))
         if validate:
             lat.validate()
         return lat
@@ -320,6 +314,30 @@ def _built(n: int, dims: dict, ids: tuple, graded: bool,
     # in the order of __slots__: no faces read yet, no pass yet
     for name, value in zip(lat.__slots__, (n, dims, ids, None, None, graded)):
         object.__setattr__(lat, name, value)
+    return lat
+
+
+def _from_ids(n: int, verts, dims, lat: FaceLattice = None) -> FaceLattice:
+    """The lattice (set on ``lat`` if given) of the faces listed as
+    collections of vertex ids in ``verts``, of dimensions ``dims``: the ids
+    are sorted, and each face goes straight to the union of its ids' bits,
+    so an id listed twice counts once.  A vertex set given twice, named by
+    the entries' indices, or no empty face of dimension -1 raises
+    ValueError."""
+    ids = sorted(set().union(*verts))
+    bit = {v: 1 << i for i, v in enumerate(ids)}.__getitem__
+    masks = [reduce(or_, map(bit, f), 0) for f in verts]
+    faces = dict(zip(masks, dims))
+    if len(faces) < len(masks):
+        first = {}
+        for i, m in enumerate(masks):
+            if (j := first.setdefault(m, i)) < i:
+                raise ValueError(
+                    f"lattice JSON faces[{j}] and faces[{i}] both list the "
+                    f"vertex set {_lister(ids)(m)}")
+    lat = _built(n, faces, tuple(ids), False, lat)
+    if faces.get(0) != -1:
+        raise ValueError("the empty face of dimension -1 is mandatory")
     return lat
 
 
@@ -554,10 +572,6 @@ class FlagVector(Frozen):
                 return 0
             key |= 1 << d
         return self.counts[key]
-
-    def subsets(self):
-        """All dimension subsets in binary-counter order."""
-        return [frozenset(S) for S, _ in self._entries()]
 
     def _entries(self):
         """Each entry's dimension set, sorted, with its count."""

@@ -83,10 +83,6 @@ class IndexTerm(Frozen):
     def degree(self) -> int:
         return self.xexp + self.yexp + _checked_word(self.word)[1]
 
-    @property
-    def order(self) -> int:
-        return len(word_locals(self.word))
-
     def render(self) -> str:
         xs, ys = _FLAVORS[self.flavor][2:]
         out = []

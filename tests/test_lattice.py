@@ -21,6 +21,12 @@ from hvcalc.words import GeneratorWord as W
 from hvcalc.words import all_words, words_up_to
 
 
+def subsets(fv):
+    """Every dimension set of ``fv``, in binary-counter order."""
+    return [frozenset(d for d in range(fv.n) if key >> d & 1)
+            for key in range(len(fv.counts))]
+
+
 def link(lat, face):
     """The interval from a nonempty face of ``lat`` to the whole polytope,
     built as a lattice in its own right: the per-face reference for the
@@ -139,7 +145,7 @@ class TestFlagVector:
         fv = build(W("CIC")).flag_vector()
         want = {(): 1, (0,): 5, (1,): 8, (2,): 5,
                 (0, 1): 16, (0, 2): 16, (1, 2): 16, (0, 1, 2): 32}
-        assert {tuple(sorted(S)): fv[S] for S in fv.subsets()} == want
+        assert {tuple(sorted(S)): fv[S] for S in subsets(fv)} == want
 
     def test_cube_chain_counts(self):
         fv = build(W("IIC")).flag_vector()
@@ -148,7 +154,7 @@ class TestFlagVector:
     def test_dual_pair_reverses_flags(self):
         octa = build(W("BIC")).flag_vector()
         cube = build(W("IIC")).flag_vector()
-        for S in cube.subsets():
+        for S in subsets(cube):
             reflected = frozenset(2 - s for s in S)
             assert cube[S] == octa[reflected], S
 
@@ -230,7 +236,7 @@ class TestFlagVectorTuple:
         fv = lat.flag_vector()
         assert fv.render() == "f{} = 1"
         assert FlagVector(fv.n, (Fraction(3, 2),)).render() == "f{} = 3/2"
-        assert fv.subsets() == [frozenset()]
+        assert subsets(fv) == [frozenset()]
 
     def test_as_vector_is_a_fresh_list(self):
         fv = build(W("IC")).flag_vector()
@@ -374,6 +380,10 @@ class TestSerialization:
         ({"n": 0, "faces": [{"verts": ["a"], "dim": 0}]}, "faces[0]"),
         ({"n": 0, "faces": [{"verts": [0], "dim": 0.0}]}, "faces[0]"),
         ({"n": 0, "faces": [{"verts": [0]}]}, "faces[0]"),
+        # every entry's shape is checked before a repeated vertex set
+        ({"n": 1, "faces": [{"verts": [], "dim": -1}, {"verts": [0], "dim": 0},
+                            {"verts": [0], "dim": 0}, {"verts": [1], "dim": 0},
+                            {"verts": "x", "dim": 1}]}, "faces[4]"),
     ])
     def test_schema_errors_name_the_entry(self, data, where):
         with pytest.raises(ValueError) as e:
@@ -419,6 +429,26 @@ class TestSerialization:
         last = len(data["faces"]) - 1
         assert f"faces[{edge}]" in str(e.value)
         assert f"faces[{last}]" in str(e.value)
+
+    def test_an_id_listed_twice_counts_once(self):
+        data = {"n": 1, "faces": [
+            {"verts": [], "dim": -1}, {"verts": [0, 0], "dim": 0},
+            {"verts": [1], "dim": 0}, {"verts": [1, 0, 1], "dim": 1}]}
+        lat = FaceLattice.from_json(data)
+        assert lat.faces == build(W("C")).faces
+        assert lat.to_json() == build(W("C")).to_json()
+
+    def test_reading_makes_no_set_per_face(self):
+        import tracemalloc
+        data = build(W("ICICICICC")).to_json()
+        assert len(data["faces"]) == 4666
+        tracemalloc.start()
+        try:
+            lat = FaceLattice.from_json(data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lat) == 4666 and peak <= 2 * kept, (peak, kept)
 
     def test_flag_csv(self):
         csv = build(W("C")).flag_vector().to_csv()

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hvcalc import engine
 from hvcalc.symbols import (
-    AUX, FINAL, PAD, PAD_AUX, HVector, word_sort_key,
+    AUX, FINAL, PAD, PAD_AUX, HVector, word_locals, word_sort_key,
 )
 from hvcalc.terms import (
     IndexTerm, broadly_similar, downset, enumerate_terms, fib, implies,
@@ -88,7 +88,7 @@ class TestStrata:
         for n in range(8):
             for t in enumerate_terms(n, AUX):
                 sv = strata_vector(t)
-                assert len(sv) == t.order + 1
+                assert len(sv) == len(word_locals(t.word)) + 1
                 assert sv[-1] == n
 
 
